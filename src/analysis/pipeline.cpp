@@ -7,6 +7,7 @@
 #include "lower/lower.h"
 #include "support/diagnostics.h"
 #include "support/fault_injection.h"
+#include "support/fnv.h"
 #include "support/thread_pool.h"
 #include "telemetry/telemetry.h"
 
@@ -175,21 +176,15 @@ std::vector<CompileResult> compile_batch(
 }
 
 std::uint64_t compiled_fingerprint(const Compiled& compiled) {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a 64 offset basis
-  const auto mix_byte = [&h](unsigned char b) {
-    h ^= b;
-    h *= 1099511628211ULL;
-  };
-  const auto mix_u64 = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) mix_byte(static_cast<unsigned char>(v >> (8 * i)));
-  };
-  const std::string liw = compiled.liw.to_string();
-  for (const char c : liw) mix_byte(static_cast<unsigned char>(c));
-  mix_u64(compiled.assignment.module_count);
-  for (const auto m : compiled.assignment.placement) mix_u64(m);
-  for (const bool b : compiled.assignment.removed) mix_u64(b ? 1 : 0);
-  mix_u64(static_cast<std::uint64_t>(compiled.assignment.tier));
-  return h;
+  // Seeded with kFingerprintSeed, not the FNV offset basis: golden hashes
+  // and journaled fingerprints pin the historical value.
+  using support::fnv1a_u64;
+  std::uint64_t h = support::fnv1a64(compiled.liw.to_string(),
+                                     support::kFingerprintSeed);
+  h = fnv1a_u64(h, compiled.assignment.module_count);
+  for (const auto m : compiled.assignment.placement) h = fnv1a_u64(h, m);
+  for (const bool b : compiled.assignment.removed) h = fnv1a_u64(h, b ? 1 : 0);
+  return fnv1a_u64(h, static_cast<std::uint64_t>(compiled.assignment.tier));
 }
 
 ExecutionPair run_and_check(const Compiled& compiled,

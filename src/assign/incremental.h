@@ -53,6 +53,7 @@
 #include "assign/assigner.h"
 #include "assign/color_heuristic.h"
 #include "graph/atoms.h"
+#include "support/fnv.h"
 
 namespace parmem::assign {
 
@@ -95,20 +96,20 @@ class AtomMemoStore {
 class ClosureHash {
  public:
   void add_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) add_byte(static_cast<unsigned char>(v >> (8 * i)));
+    h_ = support::fnv1a_u64(h_, v);
+    c_ = support::fnv1a_u64(c_, v);
   }
   void add_u32(std::uint32_t v) { add_u64(v); }
   void add_byte(unsigned char b) {
-    h_ = (h_ ^ b) * kPrime;
-    c_ = (c_ ^ b) * kPrime;
+    h_ = support::fnv1a_byte(h_, b);
+    c_ = support::fnv1a_byte(c_, b);
   }
   std::uint64_t digest() const { return h_; }
   std::uint64_t check() const { return c_; }
 
  private:
-  static constexpr std::uint64_t kPrime = 1099511628211ULL;
-  std::uint64_t h_ = 14695981039346656037ULL;  // FNV offset basis
-  std::uint64_t c_ = 0x9e3779b97f4a7c15ULL;    // independent basis
+  std::uint64_t h_ = support::kFnvOffsetBasis;
+  std::uint64_t c_ = 0x9e3779b97f4a7c15ULL;  // independent basis
 };
 
 /// One compile's memo state: the store plus the probe gate and the

@@ -6,115 +6,61 @@
 // the *next* compile — in this process or after a daemon restart — can
 // replay the untouched units verbatim and recolor only the dirty ones.
 //
-// Persistence mirrors service::ResultCache's crash-safety scheme, with the
-// kind folded into the file name:
-//
-//   <dir>/<2-hex-kind><16-hex-key>.atom
-//
-// written via support::write_file_atomic (write temp sibling, fsync,
-// rename). Each file carries a one-line header with the secondary check
-// hash, payload length, and FNV-1a payload checksum:
-//
-//   "parmem-atom 1 <kind> <16-hex-check> <len> <16-hex-checksum>\n"
-//
-// A warm restart loads exactly the entries that were fully published; a
-// process killed mid-store leaves either no file or a `.tmp-*` orphan, both
-// skipped on reload (counted in Stats::load_errors) — never a torn entry.
-// The cache is an accelerator: any corrupt, truncated, or check-mismatched
-// entry degrades to a memo miss, never to a wrong answer (the assigner
-// re-derives and re-stores) and never to a crashed process.
-//
-// Capacity is bounded by `max_entries` (0 = unbounded) with LRU eviction:
-// lookups and stores refresh recency; the journal file of an evicted entry
-// is unlinked. On warm restart, recency is rebuilt from file mtimes so a
-// restarted daemon evicts the same cold tail a surviving one would have.
+// A thin key shape over support::Journal (journal.h has the format and the
+// crash-safety, eviction and warm-load rules): the MemoKind is the journal
+// kind, so entries are `<dir>/<2-hex-kind><16-hex-key>.atom`, and the
+// closure's check hash is the journal check, so a 64-bit key collision
+// reads as a miss, never as a wrong payload. The `cache.atom_journal`
+// fault site wraps each entry's read and write.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
 
 #include "assign/incremental.h"
+#include "support/journal.h"
 
 namespace parmem::cache {
 
 class AtomCache final : public assign::AtomMemoStore {
  public:
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t check_mismatches = 0;  // key collided, check hash differed
-    std::uint64_t stores = 0;
-    std::uint64_t store_errors = 0;  // persist failures (entry stays in RAM)
-    std::uint64_t loaded = 0;        // entries recovered at construction
-    std::uint64_t load_errors = 0;   // corrupt/orphaned files skipped
-    std::uint64_t evicted = 0;       // LRU victims dropped (file unlinked)
-  };
+  using Stats = support::Journal::Stats;
 
   /// Memory-only store when `dir` is empty; otherwise creates `dir` as
-  /// needed and warm-loads every valid journal entry (oldest-mtime first,
-  /// so in-memory recency matches on-disk age). `max_entries` caps the
-  /// entry count, 0 = unbounded.
-  explicit AtomCache(std::string dir = "", std::size_t max_entries = 0);
-
-  AtomCache(const AtomCache&) = delete;
-  AtomCache& operator=(const AtomCache&) = delete;
+  /// needed and warm-loads every valid journal entry. `max_entries` caps
+  /// the entry count, 0 = unbounded.
+  explicit AtomCache(std::string dir = "", std::size_t max_entries = 0)
+      : journal_(std::move(dir), max_entries, ".atom", "cache.atom_journal") {}
 
   // assign::AtomMemoStore. Thread-safe.
   std::optional<std::string> lookup(assign::MemoKind kind, std::uint64_t key,
-                                    std::uint64_t check) override;
+                                    std::uint64_t check) override {
+    return journal_.lookup(journal_key(kind, key), check);
+  }
   void store(assign::MemoKind kind, std::uint64_t key, std::uint64_t check,
-             std::string_view payload) override;
+             std::string_view payload) override {
+    journal_.store(journal_key(kind, key), check, payload);
+  }
 
-  std::size_t size() const;
-  const std::string& dir() const { return dir_; }
-  std::size_t max_entries() const { return max_entries_; }
-  Stats stats() const;
+  std::size_t size() const { return journal_.size(); }
+  const std::string& dir() const { return journal_.dir(); }
+  std::size_t max_entries() const { return journal_.max_entries(); }
+  Stats stats() const { return journal_.stats(); }
 
-  /// Journal path for an entry ("" for a memory-only cache). Exposed for
-  /// the warm-restart and torn-entry tests.
-  std::string entry_path(assign::MemoKind kind, std::uint64_t key) const;
+  /// Journal path for an entry ("" for a memory-only cache).
+  std::string entry_path(assign::MemoKind kind, std::uint64_t key) const {
+    return journal_.entry_path(journal_key(kind, key));
+  }
 
  private:
-  struct Key {
-    std::uint8_t kind;
-    std::uint64_t key;
-    bool operator==(const Key& o) const {
-      return kind == o.kind && key == o.key;
-    }
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return static_cast<std::size_t>(k.key ^
-                                      (static_cast<std::uint64_t>(k.kind)
-                                       << 56));
-    }
-  };
-  struct Entry {
-    std::uint64_t check = 0;
-    std::string payload;
-    std::uint64_t seq = 0;  // recency stamp; larger = more recent
-  };
+  static support::Journal::Key journal_key(assign::MemoKind kind,
+                                           std::uint64_t key) {
+    return {static_cast<std::uint8_t>(kind), key};
+  }
 
-  void load_journal();
-  /// Moves `it` to the back of the recency order. Caller holds mu_.
-  void touch(std::unordered_map<Key, Entry, KeyHash>::iterator it);
-  /// Evicts LRU entries until size <= max_entries_; returns the journal
-  /// paths to unlink. Caller holds mu_.
-  std::vector<std::string> evict_locked();
-
-  std::string dir_;
-  std::size_t max_entries_ = 0;
-  mutable std::mutex mu_;
-  std::unordered_map<Key, Entry, KeyHash> entries_;
-  std::map<std::uint64_t, Key> recency_;  // seq -> key, ordered oldest-first
-  std::uint64_t next_seq_ = 1;
-  Stats stats_;
+  support::Journal journal_;
 };
 
 }  // namespace parmem::cache

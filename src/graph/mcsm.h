@@ -27,8 +27,10 @@ struct Triangulation {
 };
 
 /// Runs MCS-M. O(n * m log n) with the minimax-path search implemented as a
-/// Dijkstra variant; conflict graphs in this library are small enough that
-/// this is never the bottleneck.
+/// Dijkstra variant, over the whole graph. On the paper workloads that is
+/// cheap, but on a large non-chordal conflict graph MCS-M dominates
+/// assignment: on syn_large (one component, 28k fill edges) it took 376 of
+/// the 427 ms assignment in a Release build on a 4-core x86 box.
 Triangulation mcs_m(const Graph& g);
 
 /// True iff `order` is a perfect elimination ordering of `g` (i.e. g is

@@ -7,33 +7,12 @@
 #include <utility>
 #include <vector>
 
+#include "service/cache.h"
 #include "support/file_io.h"
+#include "support/journal.h"
 
 namespace parmem::router {
 namespace {
-
-/// Parses the `<16-hex-key>.res` journal filename (the inverse of
-/// service::ResultCache's entry naming). nullopt for anything else —
-/// `.atom` files, temp siblings, stray droppings.
-std::optional<std::uint64_t> key_of_entry(const std::string& name) {
-  if (name.size() != 20 || name.compare(16, 4, ".res") != 0) {
-    return std::nullopt;
-  }
-  std::uint64_t key = 0;
-  for (std::size_t i = 0; i < 16; ++i) {
-    const char ch = name[i];
-    std::uint64_t d = 0;
-    if (ch >= '0' && ch <= '9') {
-      d = static_cast<std::uint64_t>(ch - '0');
-    } else if (ch >= 'a' && ch <= 'f') {
-      d = static_cast<std::uint64_t>(ch - 'a') + 10;
-    } else {
-      return std::nullopt;
-    }
-    key = (key << 4) | d;
-  }
-  return key;
-}
 
 std::string worker_dir(const std::string& root, std::uint32_t index) {
   return root + "/w" + std::to_string(index);
@@ -48,9 +27,12 @@ RebalanceReport migrate_result_shard(const std::string& cache_root,
   const std::string src_dir = worker_dir(cache_root, failed_index);
   std::vector<std::uint32_t> warmed;
   for (const std::string& name : support::list_directory(src_dir)) {
-    const auto key = key_of_entry(name);
-    if (!key.has_value()) continue;  // not a result entry; leave in place
-    const auto owner = owner_of ? owner_of(*key) : std::nullopt;
+    // Only `<16-hex-key>.res` result entries move; `.atom` files, temp
+    // siblings and stray droppings stay in place.
+    const auto entry = support::Journal::parse_entry_name(
+        name, service::ResultCache::kSuffix);
+    if (!entry.has_value() || entry->kind != 0) continue;
+    const auto owner = owner_of ? owner_of(entry->key) : std::nullopt;
     if (!owner.has_value() || *owner == failed_index) {
       ++report.skipped_entries;
       continue;

@@ -2,7 +2,7 @@
 //
 // A fleet driven by parmem_router keeps one result-cache journal directory
 // per worker index (`<cache_root>/w<i>`), each file named by its cache key
-// (`<16-hex-key>.res`, service/cache.h). That naming makes the shard
+// (`<16-hex-key>.res`, support/journal.h). That naming makes the shard
 // re-routable without reading a byte of payload: when worker `i` fails for
 // good and the router retires its ring points, every journal entry's new
 // home is `owner_of(key)` on the post-retirement ring. migrate_result_shard

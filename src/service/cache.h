@@ -5,95 +5,58 @@
 // the bytes after the id line, so a hit replays byte-identically under any
 // request id.
 //
-// Persistence is a one-file-per-entry journal under `dir`:
-//
-//   <dir>/<16-hex-key>.res
-//
-// written via support::write_file_atomic (write temp sibling, fsync,
-// rename). Each file carries a one-line header with the payload length and
-// FNV-1a checksum, so a warm restart loads exactly the entries that were
-// fully published: a daemon killed mid-store leaves either no file or a
-// `.tmp-*` orphan, both ignored on reload — never a torn entry. Corrupt or
-// mis-named files are skipped (counted in Stats::load_errors), not fatal:
-// the cache is an accelerator, and a damaged journal must degrade to a
-// cold start, not a crashed daemon.
-//
-// Capacity is bounded by `max_entries` (0 = unbounded) with LRU eviction:
-// lookups and stores refresh recency, and the journal file of an evicted
-// entry is unlinked. On warm restart, recency is rebuilt from file mtimes
-// so a restarted daemon evicts the same cold tail a surviving one would.
+// A thin key shape over support::Journal (journal.h has the format and the
+// crash-safety, eviction and warm-load rules): every entry is kind 0 with
+// check 0, so the journal holds one `<dir>/<16-hex-key>.res` file per
+// entry. The router's shard migration (router/rebalance.h) routes those
+// files by name.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
+
+#include "support/journal.h"
 
 namespace parmem::service {
 
 class ResultCache {
  public:
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t stores = 0;
-    std::uint64_t store_errors = 0;  // persist failures (entry stays in RAM)
-    std::uint64_t loaded = 0;        // entries recovered at construction
-    std::uint64_t load_errors = 0;   // corrupt/orphaned files skipped
-    std::uint64_t evicted = 0;       // LRU victims dropped (file unlinked)
-  };
+  using Stats = support::Journal::Stats;
+
+  /// Entry file suffix: `<16-hex-key>.res`.
+  static constexpr std::string_view kSuffix = ".res";
 
   /// Memory-only cache when `dir` is empty; otherwise creates `dir` as
-  /// needed and warm-loads every valid journal entry (oldest mtime first,
-  /// so in-memory recency matches on-disk age). `max_entries` caps the
-  /// entry count with LRU eviction, 0 = unbounded.
-  explicit ResultCache(std::string dir = "", std::size_t max_entries = 0);
-
-  ResultCache(const ResultCache&) = delete;
-  ResultCache& operator=(const ResultCache&) = delete;
+  /// needed and warm-loads every valid journal entry. `max_entries` caps
+  /// the entry count with LRU eviction, 0 = unbounded.
+  explicit ResultCache(std::string dir = "", std::size_t max_entries = 0)
+      : journal_(std::move(dir), max_entries, kSuffix, nullptr) {}
 
   /// The cached response part, or nullopt. Thread-safe.
-  std::optional<std::string> lookup(std::uint64_t key);
+  std::optional<std::string> lookup(std::uint64_t key) {
+    return journal_.lookup({0, key}, 0);
+  }
 
-  /// First-writer-wins insert (a key is only ever stored with one value —
-  /// re-serving must stay byte-identical, so later results for the same
-  /// key are dropped). Persists to the journal when a dir is configured;
-  /// a persist failure keeps the in-memory entry and counts store_errors.
-  void store(std::uint64_t key, std::string_view cached_part);
+  /// First-writer-wins insert (re-serving must stay byte-identical, so
+  /// later results for the same key are dropped). Thread-safe.
+  void store(std::uint64_t key, std::string_view cached_part) {
+    journal_.store({0, key}, 0, cached_part);
+  }
 
-  std::size_t size() const;
-  const std::string& dir() const { return dir_; }
-  std::size_t max_entries() const { return max_entries_; }
-  Stats stats() const;
+  std::size_t size() const { return journal_.size(); }
+  const std::string& dir() const { return journal_.dir(); }
+  std::size_t max_entries() const { return journal_.max_entries(); }
+  Stats stats() const { return journal_.stats(); }
 
-  /// Journal path for `key` ("" for a memory-only cache). Exposed for the
-  /// warm-restart tests.
-  std::string entry_path(std::uint64_t key) const;
+  /// Journal path for `key` ("" for a memory-only cache).
+  std::string entry_path(std::uint64_t key) const {
+    return journal_.entry_path({0, key});
+  }
 
  private:
-  struct Entry {
-    std::string payload;
-    std::uint64_t seq = 0;  // recency stamp; larger = more recent
-  };
-
-  void load_journal();
-  /// Moves `it` to the back of the recency order. Caller holds mu_.
-  void touch(std::unordered_map<std::uint64_t, Entry>::iterator it);
-  /// Evicts LRU entries until size <= max_entries_; returns the journal
-  /// paths to unlink. Caller holds mu_.
-  std::vector<std::string> evict_locked();
-
-  std::string dir_;
-  std::size_t max_entries_ = 0;
-  mutable std::mutex mu_;
-  std::unordered_map<std::uint64_t, Entry> entries_;
-  std::map<std::uint64_t, std::uint64_t> recency_;  // seq -> key, oldest first
-  std::uint64_t next_seq_ = 1;
-  Stats stats_;
+  support::Journal journal_;
 };
 
 }  // namespace parmem::service

@@ -1,8 +1,7 @@
 #include "service/request.h"
 
-#include <cstdio>
-
 #include "support/diagnostics.h"
+#include "support/text.h"
 
 namespace parmem::service {
 namespace {
@@ -89,33 +88,16 @@ std::uint64_t parse_u64(Cursor& c, std::string_view value,
   return v;
 }
 
-std::uint64_t parse_hex64(Cursor& c, std::string_view value,
-                          std::string_view key) {
-  if (value.empty() || value.size() > 16) {
+std::uint64_t parse_hex(Cursor& c, std::string_view value,
+                        std::string_view key) {
+  const auto v = support::parse_hex64(value);
+  if (!v.has_value()) {
     payload_error(c.what, c.line_no,
-                  "expected up to 16 hex digits for '" + std::string(key) +
+                  "expected 1 to 16 lowercase hex digits for '" +
+                      std::string(key) + "', got '" + std::string(value) +
                       "'");
   }
-  std::uint64_t v = 0;
-  for (const char ch : value) {
-    std::uint64_t d;
-    if (ch >= '0' && ch <= '9') d = static_cast<std::uint64_t>(ch - '0');
-    else if (ch >= 'a' && ch <= 'f') d = static_cast<std::uint64_t>(ch - 'a') + 10;
-    else {
-      payload_error(c.what, c.line_no,
-                    "malformed hex '" + std::string(value) + "' for '" +
-                        std::string(key) + "'");
-    }
-    v = (v << 4) | d;
-  }
-  return v;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
+  return *v;
 }
 
 void append_raw(std::string& out, std::string_view key, std::string_view raw) {
@@ -147,15 +129,6 @@ const char* response_status_name(ResponseStatus s) {
     case ResponseStatus::kCancelled: return "cancelled";
   }
   return "?";
-}
-
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 std::string format_request(const CompileRequest& req) {
@@ -269,7 +242,9 @@ std::string cacheable_part(const CompileResponse& resp) {
   std::string out;
   out += std::string("status ") + response_status_name(resp.status) + '\n';
   if (!resp.tier.empty()) out += "tier " + resp.tier + '\n';
-  if (resp.ok()) out += "fingerprint " + hex16(resp.fingerprint) + '\n';
+  if (resp.ok()) {
+    out += "fingerprint " + support::hex16(resp.fingerprint) + '\n';
+  }
   append_raw(out, "diag", resp.diagnostic);
   append_raw(out, "body", resp.body);
   return out;
@@ -323,7 +298,7 @@ CompileResponse parse_response(std::string_view payload) {
     } else if (key == "tier") {
       resp.tier = std::string(value);
     } else if (key == "fingerprint") {
-      resp.fingerprint = parse_hex64(c, value, key);
+      resp.fingerprint = parse_hex(c, value, key);
     } else if (key == "diag") {
       diag_seen = true;
       resp.diagnostic =

@@ -43,6 +43,7 @@
 #include <string_view>
 
 #include "assign/assigner.h"
+#include "support/fnv.h"
 
 namespace parmem::service {
 
@@ -116,8 +117,8 @@ std::string response_from_cache(std::uint64_t id, std::string_view cached);
 /// Throws support::UserError on any malformed payload.
 CompileResponse parse_response(std::string_view payload);
 
-/// FNV-1a 64 of an arbitrary byte string (the stream-request fingerprint
-/// and the cache's entry checksum).
-std::uint64_t fnv1a64(std::string_view bytes);
+/// FNV-1a 64 of an arbitrary byte string (the request cache key and the
+/// response fingerprint).
+using support::fnv1a64;
 
 }  // namespace parmem::service

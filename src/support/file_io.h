@@ -1,7 +1,8 @@
-// Crash-safe file primitives for the service layer's result-cache journal.
+// Crash-safe file primitives under the journal store (support/journal.h)
+// and the router's shard migration.
 //
-// The durability contract the cache depends on: a reader never observes a
-// half-written entry. write_file_atomic writes to a sibling temp file and
+// The durability contract the journal depends on: a reader never observes
+// a half-written entry. write_file_atomic writes to a sibling temp file and
 // renames it over the target — rename(2) is atomic on POSIX, so a process
 // killed at any instruction leaves either the old complete file, the new
 // complete file, or an orphaned `.tmp-*` sibling that readers ignore.

@@ -37,4 +37,24 @@ bool starts_with(std::string_view text, std::string_view prefix) {
          text.substr(0, prefix.size()) == prefix;
 }
 
+std::string hex16(std::uint64_t v) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out(16, '0');
+  for (int i = 15; i >= 0; --i, v >>= 4) out[i] = kDigits[v & 0xf];
+  return out;
+}
+
+std::optional<std::uint64_t> parse_hex64(std::string_view text) {
+  if (text.empty() || text.size() > 16) return std::nullopt;
+  std::uint64_t v = 0;
+  for (const char ch : text) {
+    std::uint64_t d;
+    if (ch >= '0' && ch <= '9') d = static_cast<std::uint64_t>(ch - '0');
+    else if (ch >= 'a' && ch <= 'f') d = static_cast<std::uint64_t>(ch - 'a') + 10;
+    else return std::nullopt;
+    v = (v << 4) | d;
+  }
+  return v;
+}
+
 }  // namespace parmem::support

@@ -23,35 +23,13 @@
 #include "analysis/pipeline.h"
 #include "assign/assigner.h"
 #include "assign/conflict_graph.h"
+#include "result_hash.h"
 #include "support/thread_pool.h"
 #include "workloads/stream_gen.h"
 #include "workloads/workloads.h"
 
 namespace parmem::assign {
 namespace {
-
-std::uint64_t fnv(std::uint64_t h, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (x >> (8 * i)) & 0xff;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::uint64_t hash_result(const AssignResult& r) {
-  std::uint64_t h = 1469598103934665603ULL;
-  h = fnv(h, r.module_count);
-  for (const auto m : r.placement) h = fnv(h, m);
-  for (const bool b : r.removed) h = fnv(h, b ? 1 : 0);
-  h = fnv(h, r.stats.values_used);
-  h = fnv(h, r.stats.single_copy);
-  h = fnv(h, r.stats.multi_copy);
-  h = fnv(h, r.stats.total_copies);
-  h = fnv(h, r.stats.unassigned_after_coloring);
-  h = fnv(h, r.stats.forced);
-  h = fnv(h, r.stats.residual_conflict_tuples);
-  return h;
-}
 
 struct GoldenRow {
   const char* stream;

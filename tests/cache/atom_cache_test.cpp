@@ -1,20 +1,16 @@
-// AtomCache semantics (cache/atom_cache.h): kind-partitioned keys with an
-// independent check hash, first-writer-wins byte-identical replay, the
-// atomic-rename journal, warm-restart recovery under every kind of on-disk
-// damage (torn entries, truncation, temp orphans), LRU eviction with
-// mtime-rebuilt recency, and the end-to-end assigner integration: a warm
+// AtomCache key shape (cache/atom_cache.h): the journal store's shared
+// cases (tests/support/journal_cases.h) run through AtomCache, kinds
+// partitioning the key space, the check hash as a collision guard that
+// survives a restart, and the end-to-end assigner integration: a warm
 // restart over the journal reproduces a from-scratch compile byte for byte.
 #include "cache/atom_cache.h"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <filesystem>
-#include <fstream>
 #include <string>
 
+#include "../support/journal_cases.h"
 #include "assign/assigner.h"
-#include "support/file_io.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
 #include "workloads/stream_gen.h"
@@ -22,35 +18,46 @@
 namespace parmem::cache {
 namespace {
 
-namespace fs = std::filesystem;
+namespace cases = support::journal_cases;
 using assign::MemoKind;
 
-class AtomCacheTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) /
-           ("parmem_atom_cache_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    fs::remove_all(dir_);
+// Every shared case runs under one kind, with the key doubling as check.
+struct AtomShape {
+  using Store = AtomCache;
+  static void put(Store& s, std::uint64_t key, std::string_view payload) {
+    s.store(MemoKind::kAtomColor, key, key, payload);
   }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  std::string dir_str() const { return dir_.string(); }
-  fs::path dir_;
+  static std::optional<std::string> get(Store& s, std::uint64_t key) {
+    return s.lookup(MemoKind::kAtomColor, key, key);
+  }
+  static std::string path(const Store& s, std::uint64_t key) {
+    return s.entry_path(MemoKind::kAtomColor, key);
+  }
 };
 
+using AtomCacheTest = cases::TempDirTest;
+
 TEST_F(AtomCacheTest, MemoryOnlyRoundTrip) {
-  AtomCache cache;  // no dir
-  EXPECT_FALSE(cache.lookup(MemoKind::kAtomColor, 7, 1).has_value());
-  cache.store(MemoKind::kAtomColor, 7, 1, "delta-bytes");
-  EXPECT_EQ(cache.lookup(MemoKind::kAtomColor, 7, 1).value(), "delta-bytes");
-  EXPECT_TRUE(cache.entry_path(MemoKind::kAtomColor, 7).empty());
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.stores, 1u);
+  cases::memory_only_round_trip<AtomShape>();
+}
+TEST_F(AtomCacheTest, FirstWriterWins) { cases::first_writer_wins<AtomShape>(); }
+TEST_F(AtomCacheTest, JournalSurvivesARestart) {
+  cases::survives_a_restart<AtomShape>(dir_);
+}
+TEST_F(AtomCacheTest, TornAndTruncatedEntriesAreSkippedNotFatal) {
+  cases::damaged_entries_are_skipped<AtomShape>(dir_);
+}
+TEST_F(AtomCacheTest, TempOrphansFromAKilledStoreAreIgnored) {
+  cases::temp_orphans_are_ignored<AtomShape>(dir_);
+}
+TEST_F(AtomCacheTest, UnusableDirectoryDegradesToMemoryOnly) {
+  cases::unusable_directory_degrades_to_memory_only<AtomShape>(dir_);
+}
+TEST_F(AtomCacheTest, LruEvictionCapsEntriesAndUnlinksJournalFiles) {
+  cases::lru_eviction_caps_entries_and_unlinks_files<AtomShape>(dir_);
+}
+TEST_F(AtomCacheTest, WarmRestartRebuildsRecencyFromMtime) {
+  cases::warm_restart_rebuilds_recency_from_mtime<AtomShape>(dir_);
 }
 
 TEST_F(AtomCacheTest, KindsPartitionTheKeySpace) {
@@ -73,126 +80,16 @@ TEST_F(AtomCacheTest, CheckHashMismatchIsAMissNotACollision) {
   EXPECT_EQ(cache.stats().check_mismatches, 1u);
   // First writer wins: the stored entry is untouched.
   EXPECT_EQ(cache.lookup(MemoKind::kAtomColor, 9, 111).value(), "payload");
-}
 
-TEST_F(AtomCacheTest, FirstWriterWins) {
-  AtomCache cache;
-  cache.store(MemoKind::kAtomDup, 5, 1, "original");
-  cache.store(MemoKind::kAtomDup, 5, 1, "imposter");
-  EXPECT_EQ(cache.lookup(MemoKind::kAtomDup, 5, 1).value(), "original");
-  EXPECT_EQ(cache.stats().stores, 1u);
-}
-
-TEST_F(AtomCacheTest, JournalSurvivesARestart) {
-  const std::string payload(300, '\x5a');
+  // The check is journaled with the payload, so the guard survives a
+  // restart.
   {
-    AtomCache cache(dir_str());
-    cache.store(MemoKind::kAtomColor, 0xabcdULL, 0xfeedULL, payload);
-    cache.store(MemoKind::kDecomposition, 0x1111ULL, 0x2222ULL, "atoms");
-    EXPECT_TRUE(fs::exists(cache.entry_path(MemoKind::kAtomColor, 0xabcdULL)));
+    AtomCache cold(dir_str());
+    cold.store(MemoKind::kDecomposition, 9, 111, "atoms");
   }
   AtomCache warm(dir_str());
-  EXPECT_EQ(warm.stats().loaded, 2u);
-  EXPECT_EQ(warm.stats().load_errors, 0u);
-  EXPECT_EQ(warm.lookup(MemoKind::kAtomColor, 0xabcdULL, 0xfeedULL).value(),
-            payload);
-  EXPECT_EQ(warm.lookup(MemoKind::kDecomposition, 0x1111ULL, 0x2222ULL).value(),
-            "atoms");
-  // The check hash survives persistence too: a mismatched probe still
-  // misses after the restart.
-  EXPECT_FALSE(warm.lookup(MemoKind::kAtomColor, 0xabcdULL, 0x0bad).has_value());
-}
-
-TEST_F(AtomCacheTest, TornAndTruncatedEntriesAreSkippedNotFatal) {
-  {
-    AtomCache cache(dir_str());
-    cache.store(MemoKind::kAtomColor, 1, 1, "good");
-    cache.store(MemoKind::kAtomColor, 2, 2, "will-be-truncated");
-    cache.store(MemoKind::kAtomColor, 3, 3, "will-be-flipped");
-  }
-  // Garbage under a valid-looking name.
-  std::ofstream(dir_ / "0200000000000000ff.atom") << "not a journal entry";
-  {
-    // Truncate one published entry mid-payload (simulated torn write that
-    // bypassed the atomic rename) and flip a byte in another.
-    AtomCache probe("");
-    const std::string t =
-        (dir_ / "020000000000000002.atom").string();
-    const auto bytes = support::read_file(t).value();
-    std::ofstream(t, std::ios::binary | std::ios::trunc)
-        << bytes.substr(0, bytes.size() - 4);
-    const std::string f = (dir_ / "020000000000000003.atom").string();
-    std::fstream fd(f, std::ios::in | std::ios::out | std::ios::binary);
-    fd.seekp(-1, std::ios::end);
-    fd.put('X');
-  }
-
-  AtomCache warm(dir_str());
-  EXPECT_EQ(warm.stats().loaded, 1u);
-  EXPECT_EQ(warm.stats().load_errors, 3u);
-  EXPECT_EQ(warm.lookup(MemoKind::kAtomColor, 1, 1).value(), "good");
-  EXPECT_FALSE(warm.lookup(MemoKind::kAtomColor, 2, 2).has_value());
-  EXPECT_FALSE(warm.lookup(MemoKind::kAtomColor, 3, 3).has_value());
-}
-
-TEST_F(AtomCacheTest, TempOrphansFromAKilledStoreAreIgnored) {
-  {
-    AtomCache cache(dir_str());
-    cache.store(MemoKind::kAtomDup, 1, 1, "published");
-  }
-  std::ofstream(dir_ / "030000000000000001.atom.tmp-9999") << "torn";
-
-  AtomCache warm(dir_str());
-  EXPECT_EQ(warm.stats().loaded, 1u);
-  EXPECT_EQ(warm.stats().load_errors, 1u);
-  EXPECT_EQ(warm.lookup(MemoKind::kAtomDup, 1, 1).value(), "published");
-}
-
-TEST_F(AtomCacheTest, UnusableDirectoryDegradesToMemoryOnly) {
-  std::ofstream blocker(dir_str());
-  blocker << "not a directory";
-  blocker.close();
-
-  AtomCache cache(dir_str());
-  EXPECT_TRUE(cache.dir().empty());
-  EXPECT_GE(cache.stats().load_errors, 1u);
-  cache.store(MemoKind::kAtomColor, 9, 9, "ram only");
-  EXPECT_EQ(cache.lookup(MemoKind::kAtomColor, 9, 9).value(), "ram only");
-  fs::remove(dir_str());
-}
-
-TEST_F(AtomCacheTest, LruEvictionCapsEntriesAndUnlinksJournalFiles) {
-  AtomCache cache(dir_str(), /*max_entries=*/3);
-  for (std::uint64_t k = 1; k <= 5; ++k) {
-    cache.store(MemoKind::kAtomColor, k, k, "entry");
-  }
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.stats().evicted, 2u);
-  EXPECT_FALSE(cache.lookup(MemoKind::kAtomColor, 1, 1).has_value());
-  EXPECT_FALSE(cache.lookup(MemoKind::kAtomColor, 2, 2).has_value());
-  EXPECT_TRUE(cache.lookup(MemoKind::kAtomColor, 5, 5).has_value());
-  EXPECT_FALSE(fs::exists(cache.entry_path(MemoKind::kAtomColor, 1)));
-  EXPECT_TRUE(fs::exists(cache.entry_path(MemoKind::kAtomColor, 3)));
-}
-
-TEST_F(AtomCacheTest, WarmRestartRebuildsRecencyFromMtime) {
-  {
-    AtomCache cache(dir_str());
-    for (std::uint64_t k = 1; k <= 4; ++k) {
-      cache.store(MemoKind::kAtomColor, k, k, "entry");
-    }
-    const auto now =
-        fs::last_write_time(cache.entry_path(MemoKind::kAtomColor, 2));
-    fs::last_write_time(cache.entry_path(MemoKind::kAtomColor, 1),
-                        now + std::chrono::seconds(10));
-    fs::last_write_time(cache.entry_path(MemoKind::kAtomColor, 3),
-                        now - std::chrono::seconds(10));
-  }
-  AtomCache warm(dir_str(), /*max_entries=*/2);
-  EXPECT_EQ(warm.stats().loaded, 4u);
-  EXPECT_EQ(warm.stats().evicted, 2u);
-  EXPECT_TRUE(warm.lookup(MemoKind::kAtomColor, 1, 1).has_value());
-  EXPECT_FALSE(warm.lookup(MemoKind::kAtomColor, 3, 3).has_value());
+  EXPECT_FALSE(warm.lookup(MemoKind::kDecomposition, 9, 222).has_value());
+  EXPECT_EQ(warm.lookup(MemoKind::kDecomposition, 9, 111).value(), "atoms");
 }
 
 // End-to-end: a compile populates the journal; a *new process* (modelled by

@@ -1,154 +1,64 @@
-// Result-cache semantics (cache.h): first-writer-wins byte-identical
-// re-serving, the atomic-rename journal, warm-restart recovery, and
-// tolerance of every kind of on-disk damage (corrupt entries, temp-file
-// orphans, an unusable directory).
+// Result-cache key shape (cache.h): the journal store's shared cases
+// (tests/support/journal_cases.h) run through ResultCache, the 16-hex
+// `.res` entry names the router's shard migration routes by, and the
+// atomic-write primitive underneath.
 #include "service/cache.h"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <string>
 
-#include "service/request.h"
+#include "../support/journal_cases.h"
 #include "support/file_io.h"
 
 namespace parmem::service {
 namespace {
 
-namespace fs = std::filesystem;
+namespace cases = support::journal_cases;
 
-class CacheTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) /
-           ("parmem_cache_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    fs::remove_all(dir_);
+struct ResultShape {
+  using Store = ResultCache;
+  static void put(Store& s, std::uint64_t key, std::string_view payload) {
+    s.store(key, payload);
   }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  std::string dir_str() const { return dir_.string(); }
-  fs::path dir_;
+  static std::optional<std::string> get(Store& s, std::uint64_t key) {
+    return s.lookup(key);
+  }
+  static std::string path(const Store& s, std::uint64_t key) {
+    return s.entry_path(key);
+  }
 };
 
+using CacheTest = cases::TempDirTest;
+
 TEST_F(CacheTest, MemoryOnlyStoreAndLookup) {
-  ResultCache cache;  // no dir
-  EXPECT_FALSE(cache.lookup(1).has_value());
-  cache.store(1, "payload-one");
-  EXPECT_EQ(cache.lookup(1).value(), "payload-one");
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_TRUE(cache.entry_path(1).empty());
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.stores, 1u);
+  cases::memory_only_round_trip<ResultShape>();
 }
-
-TEST_F(CacheTest, FirstWriterWins) {
-  ResultCache cache;
-  cache.store(5, "original");
-  cache.store(5, "imposter");
-  // Byte-identical re-serving: a key is only ever bound to one value.
-  EXPECT_EQ(cache.lookup(5).value(), "original");
-  EXPECT_EQ(cache.stats().stores, 1u);
-}
-
+TEST_F(CacheTest, FirstWriterWins) { cases::first_writer_wins<ResultShape>(); }
 TEST_F(CacheTest, JournalSurvivesARestart) {
-  const std::string payload = "status ok\ndiag 0\n\nbody 3\nabc\n";
-  {
-    ResultCache cache(dir_str());
-    cache.store(0xabcdefULL, payload);
-    cache.store(0x123456ULL, "second entry");
-    EXPECT_TRUE(fs::exists(cache.entry_path(0xabcdefULL)));
-  }
-  // A fresh cache over the same directory warm-loads both entries and
-  // serves the exact bytes.
-  ResultCache warm(dir_str());
-  EXPECT_EQ(warm.stats().loaded, 2u);
-  EXPECT_EQ(warm.stats().load_errors, 0u);
-  EXPECT_EQ(warm.lookup(0xabcdefULL).value(), payload);
-  EXPECT_EQ(warm.lookup(0x123456ULL).value(), "second entry");
+  cases::survives_a_restart<ResultShape>(dir_);
 }
-
 TEST_F(CacheTest, CorruptEntriesAreSkippedNotFatal) {
-  {
-    ResultCache cache(dir_str());
-    cache.store(1, "good");
-  }
-  // Damage a valid-looking sibling: right name shape, garbage content.
-  std::ofstream(dir_ / "00000000000000ff.res") << "not a journal entry";
-  // And a checksum mismatch: valid header, flipped payload byte.
-  {
-    ResultCache probe(dir_str());
-    const std::string path = probe.entry_path(2);
-    probe.store(2, "tamper-me");
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(-1, std::ios::end);
-    f.put('X');
-  }
-
-  ResultCache warm(dir_str());
-  EXPECT_EQ(warm.lookup(1).value(), "good");
-  EXPECT_FALSE(warm.lookup(0xffULL).has_value());
-  EXPECT_FALSE(warm.lookup(2).has_value());
-  EXPECT_EQ(warm.stats().loaded, 1u);
-  EXPECT_EQ(warm.stats().load_errors, 2u);
+  cases::damaged_entries_are_skipped<ResultShape>(dir_);
 }
-
 TEST_F(CacheTest, TempOrphansFromAKilledStoreAreIgnored) {
-  {
-    ResultCache cache(dir_str());
-    cache.store(1, "published");
-  }
-  // Simulate a daemon killed between temp-write and rename.
-  std::ofstream(dir_ / "0000000000000001.res.tmp-12345") << "torn write";
-
-  ResultCache warm(dir_str());
-  EXPECT_EQ(warm.stats().loaded, 1u);
-  EXPECT_EQ(warm.stats().load_errors, 1u);  // the orphan, counted not fatal
-  EXPECT_EQ(warm.lookup(1).value(), "published");
+  cases::temp_orphans_are_ignored<ResultShape>(dir_);
 }
-
 TEST_F(CacheTest, UnusableDirectoryDegradesToMemoryOnly) {
-  // Point the journal at a path that is a regular file.
-  std::ofstream blocker(dir_str());
-  blocker << "not a directory";
-  blocker.close();
-
-  ResultCache cache(dir_str());
-  EXPECT_TRUE(cache.dir().empty());  // degraded
-  EXPECT_GE(cache.stats().load_errors, 1u);
-  // Still fully functional in memory.
-  cache.store(9, "ram only");
-  EXPECT_EQ(cache.lookup(9).value(), "ram only");
-  fs::remove(dir_str());
+  cases::unusable_directory_degrades_to_memory_only<ResultShape>(dir_);
+}
+TEST_F(CacheTest, LruEvictionCapsEntriesAndUnlinksJournalFiles) {
+  cases::lru_eviction_caps_entries_and_unlinks_files<ResultShape>(dir_);
+}
+TEST_F(CacheTest, WarmRestartRebuildsRecencyFromMtime) {
+  cases::warm_restart_rebuilds_recency_from_mtime<ResultShape>(dir_);
 }
 
 TEST_F(CacheTest, EntryPathUsesSixteenHexDigits) {
   ResultCache cache(dir_str());
   const std::string path = cache.entry_path(0x1a2bULL);
   EXPECT_NE(path.find("0000000000001a2b.res"), std::string::npos);
-}
-
-TEST_F(CacheTest, LruEvictionCapsEntriesAndUnlinksJournalFiles) {
-  ResultCache cache(dir_str(), /*max_entries=*/3);
-  for (std::uint64_t k = 1; k <= 5; ++k) {
-    cache.store(k, "entry-" + std::to_string(k));
-  }
-  // Insertion order 1..5 with no lookups between: 1 and 2 are the LRU
-  // victims; their journal files are gone too.
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.stats().evicted, 2u);
-  EXPECT_FALSE(cache.lookup(1).has_value());
-  EXPECT_FALSE(cache.lookup(2).has_value());
-  EXPECT_EQ(cache.lookup(5).value(), "entry-5");
-  EXPECT_FALSE(fs::exists(cache.entry_path(1)));
-  EXPECT_FALSE(fs::exists(cache.entry_path(2)));
-  EXPECT_TRUE(fs::exists(cache.entry_path(3)));
 }
 
 TEST_F(CacheTest, LookupRefreshesRecency) {
@@ -161,27 +71,6 @@ TEST_F(CacheTest, LookupRefreshesRecency) {
   EXPECT_TRUE(cache.lookup(1).has_value());
   EXPECT_FALSE(cache.lookup(2).has_value());
   EXPECT_TRUE(cache.lookup(3).has_value());
-}
-
-TEST_F(CacheTest, WarmRestartRebuildsRecencyFromMtime) {
-  {
-    ResultCache cache(dir_str());
-    for (std::uint64_t k = 1; k <= 4; ++k) {
-      cache.store(k, "entry-" + std::to_string(k));
-    }
-    // Make entry 1 the *newest* on disk regardless of write order.
-    const auto now = fs::last_write_time(cache.entry_path(2));
-    fs::last_write_time(cache.entry_path(1), now + std::chrono::seconds(10));
-    fs::last_write_time(cache.entry_path(3), now - std::chrono::seconds(10));
-  }
-  // A capped warm restart loads everything, then evicts by mtime age:
-  // 3 (oldest) goes first, 1 (newest) survives.
-  ResultCache warm(dir_str(), /*max_entries=*/2);
-  EXPECT_EQ(warm.stats().loaded, 4u);
-  EXPECT_EQ(warm.stats().evicted, 2u);
-  EXPECT_TRUE(warm.lookup(1).has_value());
-  EXPECT_FALSE(warm.lookup(3).has_value());
-  EXPECT_FALSE(fs::exists(warm.entry_path(3)));
 }
 
 TEST_F(CacheTest, AtomicWriteHelperPublishesAllOrNothing) {

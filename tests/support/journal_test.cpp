@@ -1,0 +1,139 @@
+// Journal store semantics (support/journal.h): the shared cases of
+// journal_cases.h run against the bare store, plus what only the store
+// sees: the entry-name codec, kind and format checks on warm load, and
+// concurrent stores racing eviction against file publishing.
+#include "support/journal.h"
+
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "journal_cases.h"
+#include "support/file_io.h"
+
+namespace parmem::support {
+namespace {
+
+namespace cases = journal_cases;
+namespace fs = std::filesystem;
+using Key = Journal::Key;
+
+constexpr std::string_view kSuffix = ".ent";
+
+struct TestJournal : Journal {
+  TestJournal(std::string dir, std::size_t max_entries)
+      : Journal(std::move(dir), max_entries, kSuffix, nullptr) {}
+};
+
+struct BareShape {
+  using Store = TestJournal;
+  static void put(Store& s, std::uint64_t key, std::string_view payload) {
+    s.store({0, key}, 0, payload);
+  }
+  static std::optional<std::string> get(Store& s, std::uint64_t key) {
+    return s.lookup({0, key}, 0);
+  }
+  static std::string path(const Store& s, std::uint64_t key) {
+    return s.entry_path({0, key});
+  }
+};
+
+using JournalTest = cases::TempDirTest;
+
+TEST_F(JournalTest, MemoryOnlyRoundTrip) {
+  cases::memory_only_round_trip<BareShape>();
+}
+TEST_F(JournalTest, FirstWriterWins) { cases::first_writer_wins<BareShape>(); }
+TEST_F(JournalTest, SurvivesARestart) {
+  cases::survives_a_restart<BareShape>(dir_);
+}
+TEST_F(JournalTest, DamagedEntriesAreSkippedNotFatal) {
+  cases::damaged_entries_are_skipped<BareShape>(dir_);
+}
+TEST_F(JournalTest, TempOrphansFromAKilledStoreAreIgnored) {
+  cases::temp_orphans_are_ignored<BareShape>(dir_);
+}
+TEST_F(JournalTest, UnusableDirectoryDegradesToMemoryOnly) {
+  cases::unusable_directory_degrades_to_memory_only<BareShape>(dir_);
+}
+TEST_F(JournalTest, LruEvictionCapsEntriesAndUnlinksFiles) {
+  cases::lru_eviction_caps_entries_and_unlinks_files<BareShape>(dir_);
+}
+TEST_F(JournalTest, WarmRestartRebuildsRecencyFromMtime) {
+  cases::warm_restart_rebuilds_recency_from_mtime<BareShape>(dir_);
+}
+
+TEST_F(JournalTest, MislabeledAndOldFormatEntriesAreColdMisses) {
+  std::string relabeled;
+  {
+    TestJournal j(dir_str(), 0);
+    j.store({1, 4}, 4, "kind one");
+    relabeled = j.entry_path({1, 4});
+  }
+  // An entry moved under a name whose kind disagrees with its header, and
+  // an entry in the result cache's format from before the journal store:
+  // both are counted load errors, never a payload.
+  fs::rename(relabeled, dir_ / Journal::entry_name({2, 4}, kSuffix));
+  std::ofstream(dir_ / Journal::entry_name({0, 0xfe}, kSuffix))
+      << "parmem-cache 1 3 0000000000000000\nabc";
+
+  TestJournal warm(dir_str(), 0);
+  EXPECT_EQ(warm.stats().loaded, 0u);
+  EXPECT_EQ(warm.stats().load_errors, 2u);
+  EXPECT_FALSE(warm.lookup({2, 4}, 4).has_value());
+  EXPECT_FALSE(warm.lookup({0, 0xfe}, 0).has_value());
+}
+
+TEST(JournalNames, EncodeAndParseAreInverse) {
+  EXPECT_EQ(Journal::entry_name({0, 0x1a2bULL}, ".res"),
+            "0000000000001a2b.res");
+  EXPECT_EQ(Journal::entry_name({2, 0xffULL}, ".atom"),
+            "0200000000000000ff.atom");
+  for (const Key k : {Key{0, 0}, Key{0, ~0ULL}, Key{1, 42}, Key{255, 7}}) {
+    const auto back =
+        Journal::parse_entry_name(Journal::entry_name(k, ".res"), ".res");
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(*back, k);
+  }
+  for (const char* bad :
+       {"0000000000001a2b.atom", "0000000000001a2b.res.tmp-77",
+        "0000000000001A2B.res", "000000000001a2b.res", "000000000000001a2b.res",
+        ".res", "not-a-key.res"}) {
+    EXPECT_FALSE(Journal::parse_entry_name(bad, ".res").has_value()) << bad;
+  }
+}
+
+// Stores publish their file after dropping the store lock, so a concurrent
+// store can evict an entry while its file is being written. The file of an
+// evicted entry must not land afterwards: once the stores are done, the
+// directory holds exactly one file per resident entry and no temp debris.
+TEST_F(JournalTest, ConcurrentStoresLeaveOneFilePerResidentEntry) {
+  for (int round = 0; round < 20; ++round) {
+    fs::remove_all(dir_);
+    TestJournal j(dir_str(), /*max_entries=*/2);
+    std::vector<std::thread> threads;
+    for (std::uint64_t t = 0; t < 8; ++t) {
+      threads.emplace_back([&j, t] {
+        for (std::uint64_t i = 0; i < 4; ++i) {
+          j.store({0, t * 100 + i}, 0, "payload");
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    std::size_t entry_files = 0;
+    for (const std::string& name : list_directory(dir_str())) {
+      ASSERT_TRUE(Journal::parse_entry_name(name, kSuffix).has_value())
+          << name;
+      ++entry_files;
+    }
+    ASSERT_EQ(j.size(), 2u);
+    ASSERT_EQ(entry_files, j.size()) << "round " << round;
+  }
+}
+
+}  // namespace
+}  // namespace parmem::support
