@@ -5,6 +5,8 @@
 // implementation — map-based conf(), priority_queue MCS-M with per-step
 // O(n) allocations, per-atom O(V) coloring temporaries, std::find-scanning
 // placement — so both sides are timed live on the same host and compiler.
+// Only its atom loop follows the current atom-task schedule (separators
+// first, then each atom from the frontier), the one coloring order left.
 // Per stream the bench runs a serial STOR1 pipeline (conflict-graph build,
 // Fig. 4 coloring, Fig. 7 hitting-set duplication) through both
 // implementations, asserts the results are byte-identical, and writes a
@@ -390,9 +392,45 @@ ColorResult color_conflict_graph(const LegacyConflictGraph& cg,
   if (opts.use_atoms && n > 0) {
     auto atoms = legacy::decompose_by_clique_separators(cg.g);
     std::reverse(atoms.begin(), atoms.end());
+    // The atom-task schedule: separator vertices first, then every atom
+    // interior from a whole-graph copy of that frontier, merged in atom
+    // order.
+    std::vector<std::uint8_t> occur(n, 0);
+    for (const graph::Atom& a : atoms) {
+      for (const Vertex v : a.vertices) {
+        if (occur[v] < 2) ++occur[v];
+      }
+    }
+    std::vector<Vertex> shared;
+    for (Vertex v = 0; v < n; ++v) {
+      if (occur[v] >= 2) shared.push_back(v);
+    }
+    color_atom(cg, shared, opts, result.module, decided, never_remove, load,
+               result);
+    const std::vector<std::int32_t> frontier = result.module;
+    const std::vector<bool> frontier_decided = decided;
+    const std::vector<std::size_t> frontier_load = load;
     for (const graph::Atom& atom : atoms) {
-      color_atom(cg, atom.vertices, opts, result.module, decided,
-                 never_remove, load, result);
+      std::vector<std::int32_t> module = frontier;
+      std::vector<bool> atom_decided = frontier_decided;
+      std::vector<std::size_t> atom_load = frontier_load;
+      ColorResult local;
+      color_atom(cg, atom.vertices, opts, module, atom_decided, never_remove,
+                 atom_load, local);
+      for (const Vertex v : atom.vertices) {
+        if (!frontier_decided[v] && module[v] >= 0) {
+          result.module[v] = module[v];
+          decided[v] = true;
+        }
+      }
+      for (const Vertex v : local.unassigned) {
+        decided[v] = true;
+        result.unassigned.push_back(v);
+      }
+      for (const Vertex v : local.forced) result.forced.push_back(v);
+      for (std::size_t m = 0; m < load.size(); ++m) {
+        load[m] += atom_load[m] - frontier_load[m];
+      }
     }
     result.atoms.reserve(atoms.size());
     for (graph::Atom& atom : atoms) {

@@ -51,7 +51,6 @@
 #include "bench_json.h"
 #include "support/json.h"
 #include "support/rng.h"
-#include "support/thread_pool.h"
 #include "workloads/stream_gen.h"
 #include "workloads/workloads.h"
 
@@ -358,10 +357,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  support::ThreadPool pool(0);  // width 1: the deterministic atom-task mode
-  assign::AssignOptions opts;
+  assign::AssignOptions opts;  // null pool: the atom tasks run inline
   opts.module_count = 8;
-  opts.pool = &pool;
 
   const int reps = quick ? 1 : 3;
   std::vector<assign::Entry> entries;

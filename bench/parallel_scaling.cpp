@@ -5,8 +5,8 @@
 //      parallelism: each job is a full compile);
 //   2. a single large localized synthetic stream assigned in atom-task mode
 //      (atom-level parallelism inside one assignment).
-// Each axis is timed at 1/2/4/8 threads (plus the legacy threads == 0
-// sweep for reference) and the speedup over threads == 1 is reported.
+// Each axis is timed at 1/2/4/8 threads and the speedup over threads == 1
+// is reported.
 // Before timing, every configuration's result is checked bit-identical to
 // the threads == 1 result — a thread count that changed the output would
 // make the timing meaningless.
@@ -67,37 +67,28 @@ void bench_batch() {
   const auto reference = analysis::compile_batch(sources, opts);
 
   double base_ms = 0;
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{1},
-                                    std::size_t{2}, std::size_t{4},
-                                    std::size_t{8}}) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{4}, std::size_t{8}}) {
     analysis::PipelineOptions o = opts;
     o.parallel.threads = threads;
     std::vector<analysis::CompileResult> got;
     const double ms = best_of([&] { got = analysis::compile_batch(sources, o); });
 
-    bool identical = threads == 0;  // legacy path: different algorithm
-    if (threads >= 1) {
-      identical = got.size() == reference.size();
-      for (std::size_t i = 0; identical && i < got.size(); ++i) {
-        identical =
-            got[i].ok() && reference[i].ok() &&
-            got[i].compiled->assignment.placement ==
-                reference[i].compiled->assignment.placement &&
-            got[i].compiled->liw.to_string() ==
-                reference[i].compiled->liw.to_string();
-      }
-      if (!identical) {
-        std::printf("threads=%zu: RESULT MISMATCH — bench aborted\n", threads);
-        return;
-      }
+    bool identical = got.size() == reference.size();
+    for (std::size_t i = 0; identical && i < got.size(); ++i) {
+      identical = got[i].ok() && reference[i].ok() &&
+                  got[i].compiled->assignment.placement ==
+                      reference[i].compiled->assignment.placement &&
+                  got[i].compiled->liw.to_string() ==
+                      reference[i].compiled->liw.to_string();
+    }
+    if (!identical) {
+      std::printf("threads=%zu: RESULT MISMATCH — bench aborted\n", threads);
+      return;
     }
     if (threads == 1) base_ms = ms;
-    if (threads == 0) {
-      std::printf("  threads=0 (legacy sweep)   %8.2f ms\n", ms);
-    } else {
-      std::printf("  threads=%zu                  %8.2f ms   speedup %.2fx\n",
-                  threads, ms, base_ms > 0 ? base_ms / ms : 1.0);
-    }
+    std::printf("  threads=%zu  %8.2f ms   speedup %.2fx\n", threads, ms,
+                base_ms > 0 ? base_ms / ms : 1.0);
   }
 }
 
@@ -118,10 +109,7 @@ void bench_atoms() {
 
   std::printf("\n== atom-task assignment: %zu values, %zu tuples ==\n",
               stream.value_count, stream.tuples.size());
-  support::ThreadPool ref_pool(0);
-  assign::AssignOptions ref_opts = o;
-  ref_opts.pool = &ref_pool;
-  const auto reference = assign::assign_modules(stream, ref_opts);
+  const auto reference = assign::assign_modules(stream, o);
 
   double base_ms = 0;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},

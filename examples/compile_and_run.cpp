@@ -108,8 +108,8 @@ int run_demo() {
   }
   std::printf("\n");
 
-  // Atom-parallel recompile: threads >= 1 selects the deterministic
-  // atom-task mode; any thread count produces the same assignment.
+  // Atom-parallel recompile: the atom tasks run inline at threads=1 and on
+  // a pool at threads=4; any thread count produces the same assignment.
   analysis::PipelineOptions par = opts;
   par.parallel.threads = 1;
   const auto serial_tasks = analysis::compile_mc(kProgram, par);

@@ -14,8 +14,9 @@
 //   --emit-stream                  print the access stream (stream_io format,
 //                                  consumable by examples/assign_stream)
 //   --run                          execute and print program output + cycles
-//   --threads N                    atom-parallel assignment on N threads
-//                                  (0 = legacy sequential sweep, the default)
+//   --threads N                    run the assignment's atom tasks on N
+//                                  threads (default 0 = inline, like 1);
+//                                  every N gives the same output
 //   --trace FILE.json              write a Chrome trace-event file of the
 //                                  compile (+ run) — load it in Perfetto or
 //                                  chrome://tracing; pool workers get their
@@ -169,11 +170,6 @@ int run_mcc(int argc, char** argv) {
     if (atom_cache_dir.empty()) atom_cache_dir = ".parmem-atom-cache";
     atom_cache = std::make_unique<cache::AtomCache>(atom_cache_dir);
     opts.atom_memo = atom_cache.get();
-    // Per-atom reuse rides the deterministic atom-task mode; default to it
-    // (inline, threads=1) when the user did not pick a thread count. The
-    // identity contract is against a from-scratch compile with the same
-    // options, including --threads.
-    if (opts.parallel.threads == 0) opts.parallel.threads = 1;
   }
 
   const bool telemetry_requested = !trace_path.empty() || stats;

@@ -37,7 +37,8 @@
 //   --queue-cap N           admission high watermark (default 64)
 //   --deadline-ms N         default deadline for requests without one
 //   --grace-ms N            watchdog grace past the deadline (default 50)
-//   --compile-threads N     atom-parallel threads per compile (default 0)
+//   --compile-threads N     execution contexts per compile (default 0 =
+//                           inline, like 1; every N gives the same bytes)
 //   --seed S                soak-mode request mix seed
 //   --trace FILE.json       write a Chrome trace-event file on exit
 //   --stats                 print phase/counter tables on exit (stderr)

@@ -32,8 +32,8 @@ Compiled compile_mc(const std::string& source, const PipelineOptions& opts,
   Compiled c;
 
   // One budget for the whole compile. An unlimited spec with no cancel hook
-  // passes nullptr downstream, so the legacy path runs exactly the seed
-  // instruction stream (fault-injection builds keep the live budget so
+  // passes nullptr downstream, so an unbudgeted compile runs exactly the
+  // budget-free instruction stream (fault-injection builds keep the live budget so
   // injected timeouts have something to trip).
   support::Budget budget(opts.budget, nullptr, cancel);
   support::Budget* bp = budget.limited() ? &budget : nullptr;
@@ -117,14 +117,7 @@ Compiled compile_mc(const std::string& source, const PipelineOptions& opts,
 }
 
 Compiled compile_mc(const std::string& source, const PipelineOptions& opts) {
-  const std::size_t threads = opts.parallel.effective_threads();
-  if (threads == 0) {
-    return compile_mc(source, opts, nullptr);
-  }
-  // The calling thread participates in parallel_for, so a pool of
-  // threads - 1 workers gives `threads` execution contexts; threads == 1 is
-  // the zero-worker serial fallback running the same atom tasks inline.
-  support::ThreadPool pool(threads - 1);
+  support::ThreadPool pool(pool_workers(opts.parallel.threads));
   return compile_mc(source, opts, &pool);
 }
 
@@ -132,15 +125,16 @@ std::vector<CompileResult> compile_batch(
     const std::vector<std::string>& sources, const PipelineOptions& opts,
     const support::CancelToken* cancel, const BatchHooks* hooks) {
   std::vector<CompileResult> out(sources.size());
+  support::ThreadPool pool(pool_workers(opts.parallel.threads));
   // One job: compile, trapping failures into the per-source result so a
   // poisoned input cannot take down its batch neighbours. A job that never
   // runs keeps the default kCancelled status.
-  const auto run_one = [&](std::size_t i, support::ThreadPool* pool) {
+  const auto run_one = [&](std::size_t i) {
     if (cancel != nullptr && cancel->cancelled()) return;
     if (hooks != nullptr && hooks->on_job_start) hooks->on_job_start(i);
     CompileResult& r = out[i];
     try {
-      r.compiled.emplace(compile_mc(sources[i], opts, pool, cancel));
+      r.compiled.emplace(compile_mc(sources[i], opts, &pool, cancel));
       r.status = CompileStatus::kOk;
     } catch (const support::UserError& e) {
       r.status = CompileStatus::kUserError;
@@ -155,23 +149,13 @@ std::vector<CompileResult> compile_batch(
       r.compiled.reset();
     }
   };
-  const std::size_t threads = opts.parallel.effective_threads();
-  if (threads == 0) {
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      if (cancel != nullptr && cancel->cancelled()) break;
-      run_one(i, nullptr);
-    }
-    return out;
-  }
-  support::ThreadPool pool(threads - 1);
   // Jobs on workers run their inner atom fan-out inline (nested
   // parallel_for); jobs picked up by the calling thread may re-enter the
   // pool. Either way each job is a pure function of its source, so the
   // batch result is schedule-independent. The cancel token makes
   // parallel_for skip un-started bodies while still joining every
   // scheduled task, so in-flight jobs drain cleanly before we return.
-  pool.parallel_for(
-      sources.size(), [&](std::size_t i) { run_one(i, &pool); }, cancel);
+  pool.parallel_for(sources.size(), run_one, cancel);
   return out;
 }
 

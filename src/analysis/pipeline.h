@@ -59,19 +59,17 @@ struct PipelineOptions {
   /// Allow duplicating mutable values (each copy refreshed by a scheduled
   /// transfer after every definition). On = the paper's §2 value model.
   bool duplicate_mutables = true;
-  /// Compile-time parallelism: atom-parallel assignment inside one compile
-  /// and worker farm-out across compile_batch() jobs. threads == 0 keeps the
-  /// legacy sequential sweep; every threads >= 1 selects the deterministic
-  /// atom-task mode and produces byte-identical results (threads == 1 runs
-  /// the same tasks inline — the "serial" side of the differential tests).
+  /// Compile-time parallelism: atom tasks inside one compile and worker
+  /// farm-out across compile_batch() jobs, sized by pool_workers().
+  /// Every thread count produces byte-identical results.
   machine::ParallelConfig parallel;
   /// Compile budget (wall-clock deadline and/or step count). Default
-  /// (both zero) is unlimited and byte-identical to the unbudgeted legacy
-  /// path. On exhaustion the assignment degrades down the AssignTier
-  /// ladder (assigner.h) instead of hanging or failing; the compile still
-  /// completes and Compiled::degraded() reports the loss of quality.
-  /// Step-count-only budgets degrade deterministically on the serial path;
-  /// wall-clock deadlines trip at machine-dependent points by nature.
+  /// (both zero) is unlimited. On exhaustion the assignment degrades down
+  /// the AssignTier ladder (assigner.h) instead of hanging or failing; the
+  /// compile still completes and Compiled::degraded() reports the loss of
+  /// quality. Step-count-only budgets degrade deterministically when the
+  /// atom tasks run inline (threads 0 or 1); wall-clock deadlines trip at
+  /// machine-dependent points by nature.
   support::BudgetSpec budget;
   /// Atom-granular memo store for incremental recompilation (assigner.h,
   /// DESIGN.md §13). When set, the assignment phase reuses journaled
@@ -131,14 +129,23 @@ struct CompileResult {
   bool ok() const { return status == CompileStatus::kOk; }
 };
 
+/// Pool workers behind `threads` execution contexts: `threads - 1`, because
+/// the calling thread joins every parallel_for, and none for 0 and 1 (the
+/// atom tasks run inline). compile_mc, compile_batch and parmemd all size
+/// their pools here.
+inline std::size_t pool_workers(std::size_t threads) {
+  return threads > 1 ? threads - 1 : 0;
+}
+
 /// Compiles MC source through the whole pipeline. Honours opts.parallel by
-/// creating a pool for the duration of the call when threads > 1.
+/// creating a pool (pool_workers) for the duration of the call.
 /// Throws UserError on malformed input, InternalError on library bugs.
 Compiled compile_mc(const std::string& source, const PipelineOptions& opts);
 
-/// As above but on an externally owned pool (null pool == the legacy serial
-/// path, regardless of opts.parallel). compile_batch uses this to share one
-/// pool across jobs; nested fan-out inside a job runs inline on its worker.
+/// As above but on an externally owned pool, regardless of opts.parallel; a
+/// null pool runs the same atom tasks inline, with the same result.
+/// compile_batch uses this to share one pool across jobs; nested fan-out
+/// inside a job runs inline on its worker.
 /// `cancel` (optional) trips this compile's budget when cancelled — the
 /// assignment degrades to the cheapest tier and the compile returns early
 /// work rather than blocking.

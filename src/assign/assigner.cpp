@@ -67,7 +67,7 @@ struct PassContext {
   std::vector<std::size_t>* module_load;
   support::SplitMix64* rng;
   AssignStats* stats;
-  AssignWorkspace* ws;  // serial-path scratch, reused across passes
+  AssignWorkspace* ws;  // pass-level scratch, reused across passes
   AssignTier* tier;     // weakest ladder tier used so far (result-level)
   bool* exhausted;      // result-level budget_exhausted flag
   MemoSession* memo;    // incremental memo session (null = off)
@@ -78,53 +78,75 @@ void degrade(PassContext& ctx, AssignTier t) {
 }
 
 /// The configured duplication method over one instruction set, mutating
-/// `st` and drawing from `rng`. Returns true iff the budget tripped and the
-/// method stopped early (caller runs the capped fix-up).
-bool run_duplication(PassContext& ctx,
-                     const std::vector<std::vector<ir::ValueId>>& insts,
-                     PlacementState& st, support::SplitMix64& rng,
-                     AssignWorkspace* ws) {
+/// `st` and drawing from `rng`. `exhausted` is true iff the budget tripped
+/// and the method stopped early (the caller runs the capped fix-up).
+struct DupOutcome {
+  bool exhausted = false;
+  std::size_t rounds = 0;  // hitting-set rounds
+};
+DupOutcome run_duplication(const PassContext& ctx, InstSpan insts,
+                           PlacementState& st, support::SplitMix64& rng,
+                           AssignWorkspace* ws) {
   switch (ctx.opts->method) {
     case DupMethod::kBacktracking: {
       const auto out = backtrack_duplicate(st, insts, *ctx.removed,
                                            ctx.stream->duplicatable, rng, ws);
-      return out.budget_exhausted;
+      return {out.budget_exhausted, 0};
     }
     case DupMethod::kHittingSet: {
       const auto out = hitting_set_duplicate(st, insts, *ctx.removed,
                                              ctx.stream->duplicatable, rng,
                                              ws);
-      ctx.stats->duplication_rounds += out.rounds;
-      return out.budget_exhausted;
+      return {out.budget_exhausted, out.rounds};
     }
   }
   PARMEM_UNREACHABLE("bad duplication method");
 }
 
-/// Runs the duplication phase per atom on the pool. Every instruction's
+/// Moves v[i] to position dest[i] for every i.
+void permute(std::vector<std::vector<ir::ValueId>>& v,
+             std::vector<std::uint32_t> dest) {
+  for (std::uint32_t i = 0; i < v.size(); ++i) {
+    while (dest[i] != i) {
+      const std::uint32_t j = dest[i];
+      std::swap(v[i], v[j]);
+      std::swap(dest[i], dest[j]);
+    }
+  }
+}
+
+/// Runs the duplication phase as one task per atom. Every instruction's
 /// operand set is pairwise conflicting — a clique of the pass's conflict
 /// graph — and clique-separator decomposition never splits a clique, so each
 /// instruction lives entirely inside some atom; instructions contained in
 /// several atoms (wholly inside a separator) go to the earliest one in
-/// processing order. Each task copies the placement state, draws from its
-/// own seeded RNG, and can only *add* copies — added copies never invalidate
-/// an SDR, so resolutions from different atoms compose — which makes the
-/// stable-order merge of the per-atom deltas schedule-independent.
-bool duplicate_atom_parallel(
-    PassContext& ctx, const std::vector<std::vector<ir::ValueId>>& insts,
-    const ConflictGraph& cg,
-    const std::vector<std::vector<graph::Vertex>>& atoms) {
+/// processing order. `insts` is stably regrouped by atom in place, so each
+/// task gets a contiguous slice, and restored to stream order before
+/// returning. Each task works on a scratch placement state exact at its
+/// operand values — the only entries the duplication kernels read — draws
+/// from its own seeded RNG, and can only *add* copies; added copies never
+/// invalidate an SDR, so resolutions from different atoms compose, which
+/// makes the stable-order merge of the per-atom deltas
+/// schedule-independent.
+bool duplicate_atoms(PassContext& ctx,
+                     std::vector<std::vector<ir::ValueId>>& insts,
+                     const ConflictGraph& cg,
+                     const std::vector<std::vector<graph::Vertex>>& atoms) {
   const ir::AccessStream& stream = *ctx.stream;
   const AssignOptions& opts = *ctx.opts;
+  const std::size_t count = atoms.size();
 
   std::vector<std::vector<std::uint32_t>> member(cg.vertex_count());
-  for (std::uint32_t a = 0; a < atoms.size(); ++a) {
+  for (std::uint32_t a = 0; a < count; ++a) {
     for (const graph::Vertex v : atoms[a]) member[v].push_back(a);
   }
 
-  std::vector<std::vector<std::vector<ir::ValueId>>> per_atom(atoms.size());
-  std::vector<std::vector<ir::ValueId>> residual;
-  for (const auto& ops : insts) {
+  // Owning atom per instruction; `count` marks the residual group, which
+  // theory says stays empty. first[a] .. first[a + 1] is group a's slice.
+  std::vector<std::uint32_t> owner(insts.size());
+  std::vector<std::uint32_t> first(count + 2, 0);
+  for (std::size_t t = 0; t < insts.size(); ++t) {
+    const auto& ops = insts[t];
     std::vector<std::uint32_t> cand =
         member[static_cast<std::size_t>(cg.vertex_of(ops[0]))];
     for (std::size_t i = 1; i < ops.size() && !cand.empty(); ++i) {
@@ -135,60 +157,62 @@ bool duplicate_atom_parallel(
                             other.end(), std::back_inserter(kept));
       cand = std::move(kept);
     }
-    if (cand.empty()) {
-      residual.push_back(ops);  // defensive: theory says this cannot happen
-    } else {
-      per_atom[cand.front()].push_back(ops);
+    owner[t] = cand.empty() ? static_cast<std::uint32_t>(count) : cand.front();
+    ++first[owner[t] + 1];
+  }
+  for (std::size_t a = 0; a <= count; ++a) first[a + 1] += first[a];
+  std::vector<std::uint32_t> dest(insts.size());
+  std::vector<std::uint32_t> origin(insts.size());
+  {
+    std::vector<std::uint32_t> next(first.begin(), first.end() - 1);
+    for (std::uint32_t t = 0; t < insts.size(); ++t) {
+      dest[t] = next[owner[t]]++;
+      origin[dest[t]] = t;
     }
   }
+  permute(insts, std::move(dest));
+  const auto group = [&](std::size_t a) {
+    return InstSpan(insts).subspan(first[a], first[a + 1] - first[a]);
+  };
 
   // The per-atom delta is the incremental layer's DupAtomDelta so a
   // journaled delta replays through exactly the merge loop below.
   using Delta = DupAtomDelta;
-  std::vector<Delta> deltas(atoms.size());
+  std::vector<Delta> deltas(count);
   // One pass-RNG draw seeds every atom stream, keeping the pass stream's
   // consumption independent of the atom count (and of memo hits).
   const std::uint64_t base_seed = ctx.rng->next();
   // Same engagement rule as the coloring memo: never under a budget.
   MemoSession* const memo =
       (ctx.memo != nullptr && opts.budget == nullptr) ? ctx.memo : nullptr;
-  opts.pool->parallel_for(atoms.size(), [&](std::size_t i) {
-    if (per_atom[i].empty()) return;
+  const std::thread::id caller = std::this_thread::get_id();
+  opts.pool->parallel_for(count, [&](std::size_t i) {
+    const InstSpan slice = group(i);
+    if (slice.empty()) return;
     PARMEM_SPAN("assign.dup_atom");
     Delta& d = deltas[i];
     std::uint64_t key = 0, check = 0;
     if (memo != nullptr) {
-      dup_closure_key(per_atom[i], *ctx.st, *ctx.removed, stream.duplicatable,
+      dup_closure_key(slice, *ctx.st, *ctx.removed, stream.duplicatable,
                       base_seed + i, opts.module_count, opts.method, &key,
                       &check);
       if (memo_dup_lookup(*memo, key, check, &d)) return;
     }
-    thread_local AssignWorkspace tls;  // per-worker scratch
-    tls.budget = opts.budget;  // Budget is thread-safe; tasks share it
-    PlacementState local = *ctx.st;
-    support::SplitMix64 rng(base_seed + i);
-    std::size_t rounds = 0;
-    bool exhausted = false;
-    switch (opts.method) {
-      case DupMethod::kBacktracking: {
-        const auto out = backtrack_duplicate(local, per_atom[i], *ctx.removed,
-                                             stream.duplicatable, rng, &tls);
-        exhausted = out.budget_exhausted;
-        break;
-      }
-      case DupMethod::kHittingSet: {
-        const auto out = hitting_set_duplicate(local, per_atom[i],
-                                               *ctx.removed,
-                                               stream.duplicatable, rng,
-                                               &tls);
-        rounds = out.rounds;
-        exhausted = out.budget_exhausted;
-        break;
-      }
+    AssignWorkspace& scratch = task_workspace(*ctx.ws, caller);
+    scratch.budget = opts.budget;  // Budget is thread-safe; tasks share it
+    PlacementState& local = scratch.placement_scratch;
+    std::vector<ir::ValueId> values;
+    for (const auto& ops : slice) {
+      values.insert(values.end(), ops.begin(), ops.end());
     }
-    d.rounds = rounds;
-    d.budget_exhausted = exhausted;
-    for (ir::ValueId v = 0; v < stream.value_count; ++v) {
+    std::sort(values.begin(), values.end());
+    values.erase(std::unique(values.begin(), values.end()), values.end());
+    local.refresh_from(*ctx.st, values);
+    support::SplitMix64 rng(base_seed + i);
+    const DupOutcome out = run_duplication(ctx, slice, local, rng, &scratch);
+    d.rounds = out.rounds;
+    d.budget_exhausted = out.exhausted;
+    for (const ir::ValueId v : values) {
       const ModuleSet extra = local.placement(v) & ~ctx.st->placement(v);
       if (extra != 0) d.added.emplace_back(v, extra);
     }
@@ -203,17 +227,20 @@ bool duplicate_atom_parallel(
     ctx.stats->duplication_rounds += d.rounds;
     exhausted = exhausted || d.budget_exhausted;
   }
-  if (!residual.empty()) {
-    exhausted |= run_duplication(ctx, residual, *ctx.st, *ctx.rng, ctx.ws);
+  if (!group(count).empty()) {
+    const DupOutcome out =
+        run_duplication(ctx, group(count), *ctx.st, *ctx.rng, ctx.ws);
+    ctx.stats->duplication_rounds += out.rounds;
+    exhausted = exhausted || out.exhausted;
   }
+  permute(insts, std::move(origin));
   return exhausted;
 }
 
 /// One assignment pass over a set of instructions (operand lists already
 /// filtered for the strategy stage): color the undecided values, then run
 /// the configured duplication method.
-void run_pass(PassContext& ctx,
-              const std::vector<std::vector<ir::ValueId>>& insts) {
+void run_pass(PassContext& ctx, std::vector<std::vector<ir::ValueId>> insts) {
   if (insts.empty()) return;
   const ir::AccessStream& stream = *ctx.stream;
   const AssignOptions& opts = *ctx.opts;
@@ -267,15 +294,14 @@ void run_pass(PassContext& ctx,
   bool any_skip = false;
   for (graph::Vertex v = 0; v < n; ++v) any_skip = any_skip || skip[v];
 
+  const ColorOptions copts{opts.module_count, opts.use_atoms, opts.pick,
+                           opts.pool, opts.budget, opts.speculate_threshold,
+                           opts.speculate_chunk, ctx.memo};
   ColorResult cr;
   if (!any_skip) {
     PARMEM_SPAN("assign.color");
-    cr = color_conflict_graph(cg, {opts.module_count, opts.use_atoms,
-                                   opts.pick, opts.pool, opts.budget,
-                                   opts.speculate_threshold,
-                                   opts.speculate_chunk, ctx.memo},
-                              precolored, never_remove, ctx.module_load,
-                              ctx.ws);
+    cr = color_conflict_graph(cg, copts, precolored, never_remove,
+                              ctx.module_load, ctx.ws);
   } else {
     PARMEM_SPAN("assign.color");
     // Rebuild instructions without the already-removed values; their
@@ -303,10 +329,7 @@ void run_pass(PassContext& ctx,
       pre2[v] = precolored[static_cast<std::size_t>(vx)];
     }
     const ColorResult cr2 = color_conflict_graph(
-        cg2, {opts.module_count, opts.use_atoms, opts.pick, opts.pool,
-              opts.budget, opts.speculate_threshold, opts.speculate_chunk,
-              ctx.memo},
-        pre2, nr2, ctx.module_load, ctx.ws);
+        cg2, copts, pre2, nr2, ctx.module_load, ctx.ws);
     cr.budget_exhausted = cr2.budget_exhausted;
     cr.speculative = cr2.speculative;
     // Map back onto the full-graph indexing.
@@ -357,18 +380,20 @@ void run_pass(PassContext& ctx,
     degrade(ctx, AssignTier::kSpeculateFallback);
   }
 
-  // Duplication phase over this pass's instructions. In atom-parallel mode
-  // the instructions partition along the coloring's atoms (the skip branch
-  // above leaves cr.atoms empty, so later STOR2/3 passes over previously
-  // reduced graphs keep the serial path).
+  // Duplication phase over this pass's instructions, partitioned along the
+  // coloring's atoms (the skip branch above leaves cr.atoms empty, so later
+  // STOR2/3 passes over previously reduced graphs run it as one task).
   PARMEM_FAULT_POINT("assign.duplicate", opts.budget);
   bool dup_exhausted = false;
   {
     PARMEM_SPAN("assign.duplicate");
-    if (opts.pool != nullptr && cr.atoms.size() > 1) {
-      dup_exhausted = duplicate_atom_parallel(ctx, insts, cg, cr.atoms);
+    if (cr.atoms.size() > 1) {
+      dup_exhausted = duplicate_atoms(ctx, insts, cg, cr.atoms);
     } else {
-      dup_exhausted = run_duplication(ctx, insts, *ctx.st, *ctx.rng, ctx.ws);
+      const DupOutcome out =
+          run_duplication(ctx, insts, *ctx.st, *ctx.rng, ctx.ws);
+      ctx.stats->duplication_rounds += out.rounds;
+      dup_exhausted = out.exhausted;
     }
   }
 
@@ -433,8 +458,11 @@ std::vector<std::vector<ir::ValueId>> materialize(
 }  // namespace
 
 AssignResult assign_modules(const ir::AccessStream& stream,
-                            const AssignOptions& opts) {
+                            const AssignOptions& options) {
   PARMEM_SPAN("assign.total");
+  support::ThreadPool inline_pool(0);  // a null pool runs the tasks inline
+  AssignOptions opts = options;
+  if (opts.pool == nullptr) opts.pool = &inline_pool;
   PARMEM_CHECK(opts.module_count >= 1 && opts.module_count <= kMaxModules,
                "module count out of range");
   PARMEM_CHECK(stream.duplicatable.size() == stream.value_count &&
@@ -446,7 +474,7 @@ AssignResult assign_modules(const ir::AccessStream& stream,
   std::vector<bool> removed(stream.value_count, false);
   std::vector<std::size_t> module_load(opts.module_count, 0);
   support::SplitMix64 rng(opts.seed);
-  AssignWorkspace workspace;  // shared by every serial-path pass below
+  AssignWorkspace workspace;  // pass-level scratch shared by every pass below
   workspace.budget = opts.budget;
 
   // Incremental memo session: one per compile, sharing the caller's store.

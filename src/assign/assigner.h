@@ -82,30 +82,29 @@ struct AssignOptions {
   bool use_atoms = true;
   ModulePick pick = ModulePick::kLeastLoaded;
   std::uint64_t seed = 0x5eedULL;
-  /// Atom-parallel mode (see ColorOptions::pool): when set, each pass colors
-  /// its clique-separator atoms as independent pool tasks and then runs the
+  /// Where the atom tasks run (see ColorOptions::pool). Each pass colors
+  /// its clique-separator atoms as independent tasks and then runs the
   /// duplication/placement phase per atom — every instruction's operand set
   /// is a clique of the conflict graph, and cliques are never split across
   /// atoms, so instructions partition cleanly. Per-atom tasks draw from
   /// their own seeded RNG and only ever *add* copies, so the stable-order
-  /// merge is byte-identical for every worker count (a zero-worker pool is
-  /// the serial execution of the same task graph). Null (default) keeps the
-  /// legacy fully sequential path.
+  /// merge is byte-identical for every worker count. Null (default) runs
+  /// the same tasks inline, exactly as a zero-worker pool does.
   support::ThreadPool* pool = nullptr;
   /// Speculative intra-atom coloring (ColorOptions::speculate_threshold):
   /// atoms with at least this many undecided vertices are colored by the
   /// optimistic chunk-parallel tier instead of the sequential urgency heap.
-  /// 0 (default) disables; requires `pool`. Deterministic: byte-identical
-  /// output for every (threads, chunk) configuration.
+  /// 0 (default) disables. Deterministic: byte-identical output for every
+  /// pool width at a given chunk size.
   std::size_t speculate_threshold = 0;
   /// Chunk granularity for the speculative tier (scheduling only).
   std::size_t speculate_chunk = 256;
   /// Resource budget (deadline / step count), cooperatively polled by the
   /// coloring sweep and all three duplication search kernels. Null
-  /// (default) is unlimited and executes exactly the legacy instruction
-  /// stream. On exhaustion the assigner degrades down the AssignTier
-  /// ladder instead of failing; the result stays structurally valid (every
-  /// used value keeps >= 1 copy, mutables are never duplicated).
+  /// (default) is unlimited and never polls. On exhaustion the assigner
+  /// degrades down the AssignTier ladder instead of failing; the result
+  /// stays structurally valid (every used value keeps >= 1 copy, mutables
+  /// are never duplicated).
   support::Budget* budget = nullptr;
   /// Attempt the exact minimum-copies solver first (AssignTier::kExact).
   /// Off by default — it is exponential and only viable for tiny streams;
@@ -118,8 +117,8 @@ struct AssignOptions {
   std::uint64_t exact_node_budget = 0;
   /// Incremental recompilation (incremental.h): memo store journaling
   /// per-atom results across compiles. When set, the clique-separator
-  /// decomposition is reused under a structure-only hash and — in pool mode
-  /// with no budget — per-atom coloring and duplication deltas replay when
+  /// decomposition is reused under a structure-only hash and — with no
+  /// budget — per-atom coloring and duplication deltas replay when
   /// their input closures are unchanged. Pure memoization: the result is
   /// byte-identical to a memo-less run for any store state. Null = off.
   AtomMemoStore* memo_store = nullptr;

@@ -1,6 +1,7 @@
 #include "assign/backtrack.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "support/budget.h"
 #include "support/diagnostics.h"
@@ -126,14 +127,14 @@ std::optional<std::size_t> resolve_instruction(
 }
 
 BacktrackOutcome backtrack_duplicate(
-    PlacementState& st, const std::vector<std::vector<ir::ValueId>>& insts,
+    PlacementState& st, InstSpan insts,
     const std::vector<bool>& in_unassigned,
     const std::vector<bool>& duplicatable, support::SplitMix64& rng,
     AssignWorkspace* ws) {
   const std::size_t k = st.module_count();
 
-  AssignWorkspace local_ws;
-  AssignWorkspace& w = ws != nullptr ? *ws : local_ws;
+  std::optional<AssignWorkspace> local_ws;  // only built when ws is null
+  AssignWorkspace& w = ws != nullptr ? *ws : local_ws.emplace();
 
   // S_i = instructions with i duplicable operands; processed for i = 1..k.
   // Instructions with zero duplicable operands are conflict-free by

@@ -55,7 +55,7 @@ std::optional<std::size_t> resolve_instruction(
 /// members alone (e.g. a conflict between two values bound in an earlier
 /// STOR2/STOR3 stage) is retried with every duplicable operand flexible.
 BacktrackOutcome backtrack_duplicate(
-    PlacementState& st, const std::vector<std::vector<ir::ValueId>>& insts,
+    PlacementState& st, InstSpan insts,
     const std::vector<bool>& in_unassigned,
     const std::vector<bool>& duplicatable, support::SplitMix64& rng,
     AssignWorkspace* ws = nullptr);

@@ -1,8 +1,8 @@
 #include "assign/color_heuristic.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
+#include <optional>
 
 #include "assign/incremental.h"
 #include "assign/module_set.h"
@@ -92,7 +92,7 @@ void color_atom(const ConflictGraph& cg, const std::vector<Vertex>& atom,
   // budget exhaustion the speculation is discarded wholesale and the
   // sequential sweep below runs under the remaining budget, exactly as if
   // the tier had never engaged.
-  if (opts.speculate_threshold != 0 && opts.pool != nullptr &&
+  if (opts.speculate_threshold != 0 &&
       ws.rest.size() >= opts.speculate_threshold) {
     if (speculate_color_atom(cg, opts, module, decided, never_remove, load,
                              ws, result)) {
@@ -100,6 +100,7 @@ void color_atom(const ConflictGraph& cg, const std::vector<Vertex>& atom,
     }
   }
 
+  const auto module_of = [&](Vertex w) { return module[w]; };
   const auto k_of = [&](Vertex v) -> std::uint32_t {
     const std::uint32_t used =
         static_cast<std::uint32_t>(std::popcount(ws.neighbor_mods[v]));
@@ -133,22 +134,7 @@ void color_atom(const ConflictGraph& cg, const std::vector<Vertex>& atom,
           result.unassigned.push_back(v);
           continue;
         }
-        std::array<std::uint64_t, kMaxModules> cost{};
-        const auto nbrs = g.neighbors(v);
-        const auto wts = cg.conf_weights(v);
-        for (std::size_t i = 0; i < nbrs.size(); ++i) {
-          if (module[nbrs[i]] >= 0) {
-            cost[static_cast<std::uint32_t>(module[nbrs[i]])] +=
-                std::max<std::uint32_t>(wts[i], 1u);
-          }
-        }
-        std::uint32_t best = 0;
-        for (std::uint32_t m = 1; m < k; ++m) {
-          if (cost[m] < cost[best] ||
-              (cost[m] == cost[best] && load[m] < load[best])) {
-            best = m;
-          }
-        }
+        const std::uint32_t best = cheapest_module(cg, v, module_of, load, k);
         module[v] = static_cast<std::int32_t>(best);
         ++load[best];
         result.forced.push_back(v);
@@ -175,23 +161,8 @@ void color_atom(const ConflictGraph& cg, const std::vector<Vertex>& atom,
         // Forced assignment: module minimizing conflict weight with already
         // assigned neighbors (the value stays mutable, so it cannot be
         // duplicated; the residual conflicts will serialize at run time).
-        std::array<std::uint64_t, kMaxModules> cost{};
-        const auto nbrs = g.neighbors(v);
-        const auto wts = cg.conf_weights(v);
-        for (std::size_t i = 0; i < nbrs.size(); ++i) {
-          if (module[nbrs[i]] >= 0) {
-            cost[static_cast<std::uint32_t>(module[nbrs[i]])] +=
-                std::max<std::uint32_t>(wts[i], 1u);
-          }
-        }
-        std::uint32_t best = 0;
-        for (std::uint32_t m = 1; m < k; ++m) {
-          if (cost[m] < cost[best] ||
-              (cost[m] == cost[best] && load[m] < load[best])) {
-            best = m;
-          }
-        }
-        chosen = static_cast<std::int32_t>(best);
+        chosen = static_cast<std::int32_t>(
+            cheapest_module(cg, v, module_of, load, k));
         result.forced.push_back(v);
       }
     } else {
@@ -228,24 +199,22 @@ void color_atom(const ConflictGraph& cg, const std::vector<Vertex>& atom,
   }
 }
 
-/// Atom-parallel coloring. The sequential sweep couples atoms two ways: a
-/// later atom starts from the separator vertices its predecessors colored,
-/// and every pick reads the shared module-load counters. This variant cuts
-/// both couplings at a deterministic point instead: all vertices shared
-/// between atoms (the union of the clique separators) are colored first,
-/// inline; each atom then colors its interior as a pure function of that
-/// frontier and a load snapshot. Interiors of distinct atoms share no edge
-/// (a vertex in exactly one atom has its whole neighborhood inside it), so
-/// the tasks are independent and the merge — applied in stable atom order —
-/// is identical for every execution schedule.
-void color_atoms_parallel(const ConflictGraph& cg,
-                          const std::vector<graph::Atom>& atoms,
-                          const ColorOptions& opts,
-                          std::vector<bool>& decided,
-                          const std::vector<bool>& never_remove,
-                          std::vector<std::size_t>& load,
-                          AssignWorkspace& ws,
-                          ColorResult& result) {
+/// Atom-task coloring. Atoms couple two ways: a later atom starts from the
+/// separator vertices its predecessors colored, and every pick reads the
+/// shared module-load counters. Both couplings are cut at a deterministic
+/// point: all vertices shared between atoms (the union of the clique
+/// separators) are colored first, inline; each atom then colors its
+/// interior as a pure function of that frontier and a load snapshot.
+/// Interiors of distinct atoms share no edge (a vertex in exactly one atom
+/// has its whole neighborhood inside it), so the tasks are independent and
+/// the merge — applied in stable atom order — is identical for every
+/// execution schedule, a null pool (inline, in atom order) included.
+void color_atoms(const ConflictGraph& cg,
+                 const std::vector<graph::Atom>& atoms,
+                 const ColorOptions& opts, std::vector<bool>& decided,
+                 const std::vector<bool>& never_remove,
+                 std::vector<std::size_t>& load, AssignWorkspace& ws,
+                 ColorResult& result) {
   const std::size_t n = cg.vertex_count();
 
   std::vector<std::uint8_t> occur(n, 0);
@@ -271,27 +240,29 @@ void color_atoms_parallel(const ConflictGraph& cg,
   // time-dependent, and a memo must never change where one lands.
   MemoSession* const memo =
       (opts.memo != nullptr && opts.budget == nullptr) ? opts.memo : nullptr;
+  const std::thread::id caller = std::this_thread::get_id();
   opts.pool->parallel_for(atoms.size(), [&](std::size_t i) {
+    const std::vector<Vertex>& atom = atoms[i].vertices;
     Delta& d = deltas[i];
     std::uint64_t key = 0, check = 0, content = 0;
     if (memo != nullptr) {
-      color_closure_key(cg, atoms[i].vertices, opts, result.module, decided,
-                        never_remove, load, &key, &check, &content);
+      color_closure_key(cg, atom, opts, result.module, decided, never_remove,
+                        load, &key, &check, &content);
       if (memo_color_lookup(*memo, key, check, content, &d)) return;
     }
-    // One workspace per worker thread; it also owns the frontier snapshots,
-    // so a worker allocates them once instead of once per atom.
-    thread_local AssignWorkspace tls;
-    tls.module_snapshot = result.module;
-    tls.decided_snapshot = decided;
-    tls.load_snapshot = load;
+    // The task's workspace also owns the frontier snapshot, which the task
+    // refreshes at the atom's vertices only: every undecided atom vertex is
+    // interior, so the sweep (and the speculative tier) read module/decided
+    // nowhere else. That keeps a task O(atom), not O(graph).
+    AssignWorkspace& scratch = task_workspace(ws, caller);
+    scratch.snapshot_atom(atom, result.module, decided, load);
     ColorResult local;
-    color_atom(cg, atoms[i].vertices, opts, tls.module_snapshot,
-               tls.decided_snapshot, never_remove, tls.load_snapshot, tls,
-               local);
-    for (const Vertex v : atoms[i].vertices) {
-      if (!decided[v] && tls.module_snapshot[v] >= 0) {
-        d.colored.emplace_back(v, tls.module_snapshot[v]);
+    color_atom(cg, atom, opts, scratch.module_snapshot,
+               scratch.decided_snapshot, never_remove, scratch.load_snapshot,
+               scratch, local);
+    for (const Vertex v : atom) {
+      if (!decided[v] && scratch.module_snapshot[v] >= 0) {
+        d.colored.emplace_back(v, scratch.module_snapshot[v]);
       }
     }
     d.unassigned = std::move(local.unassigned);
@@ -300,7 +271,7 @@ void color_atoms_parallel(const ConflictGraph& cg,
     d.spec = local.speculative;
     d.load_delta.resize(load.size());
     for (std::size_t m = 0; m < load.size(); ++m) {
-      d.load_delta[m] = tls.load_snapshot[m] - load[m];
+      d.load_delta[m] = scratch.load_snapshot[m] - load[m];
     }
     if (memo != nullptr) memo_color_store(*memo, key, check, content, d);
   });
@@ -324,11 +295,14 @@ void color_atoms_parallel(const ConflictGraph& cg,
 }  // namespace
 
 ColorResult color_conflict_graph(const ConflictGraph& cg,
-                                 const ColorOptions& opts,
+                                 const ColorOptions& options,
                                  const std::vector<std::int32_t>& precolored,
                                  const std::vector<bool>& never_remove,
                                  std::vector<std::size_t>* module_load,
                                  AssignWorkspace* ws) {
+  support::ThreadPool inline_pool(0);  // a null pool runs the tasks inline
+  ColorOptions opts = options;
+  if (opts.pool == nullptr) opts.pool = &inline_pool;
   const std::size_t n = cg.vertex_count();
   const std::size_t k = opts.module_count;
   PARMEM_CHECK(k >= 1 && k <= kMaxModules, "module count out of range");
@@ -337,8 +311,8 @@ ColorResult color_conflict_graph(const ConflictGraph& cg,
   result.module.assign(n, kUnassignedModule);
   std::vector<bool> decided(n, false);
 
-  AssignWorkspace local_ws;
-  AssignWorkspace& wks = ws != nullptr ? *ws : local_ws;
+  std::optional<AssignWorkspace> local_ws;  // only built when ws is null
+  AssignWorkspace& wks = ws != nullptr ? *ws : local_ws.emplace();
 
   std::vector<std::size_t> local_load;
   std::vector<std::size_t>& load =
@@ -365,23 +339,14 @@ ColorResult color_conflict_graph(const ConflictGraph& cg,
       PARMEM_SPAN("assign.atoms");  // MCS-M + clique-separator decomposition
       // The decomposition reads only the graph structure, so the memo can
       // reuse it across compiles whenever the structure hash matches —
-      // valid in serial and pool mode alike, budget or not (nothing in the
-      // decomposition polls the budget).
+      // valid under a budget too (nothing in the decomposition polls it).
       if (opts.memo != nullptr) return memo_decompose(*opts.memo, cg);
       return graph::decompose_by_clique_separators(cg.graph());
     }();
     // Reverse generation order: each atom then meets the already-colored
     // part exactly in its clique separator (see atoms.h).
     std::reverse(atoms.begin(), atoms.end());
-    if (opts.pool != nullptr) {
-      color_atoms_parallel(cg, atoms, opts, decided, never_remove, load, wks,
-                           result);
-    } else {
-      for (const graph::Atom& atom : atoms) {
-        color_atom(cg, atom.vertices, opts, result.module, decided,
-                   never_remove, load, wks, result);
-      }
-    }
+    color_atoms(cg, atoms, opts, decided, never_remove, load, wks, result);
     result.atoms.reserve(atoms.size());
     for (graph::Atom& atom : atoms) {
       result.atoms.push_back(std::move(atom.vertices));

@@ -19,10 +19,13 @@
 // argmax S, the paper's n_first.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "assign/conflict_graph.h"
+#include "assign/module_set.h"
 #include "assign/workspace.h"
 
 namespace parmem::support {
@@ -47,29 +50,26 @@ struct ColorOptions {
   /// colors the whole graph in one sweep (the atoms-ablation bench).
   bool use_atoms = true;
   ModulePick pick = ModulePick::kLeastLoaded;
-  /// Atom-parallel mode. When null (default), atoms are colored by the
-  /// legacy sequential sweep, each atom seeing its predecessors' coloring
-  /// and module-load state. When set, the separator vertices (those shared
-  /// between atoms) are colored first, inline, and then every atom colors
-  /// its interior as an independent task on the pool from a snapshot of that
-  /// frontier; per-atom results are merged in stable atom order. Tasks are
-  /// pure functions of the snapshot, so the result is byte-identical for
-  /// every worker count — a pool with zero workers is the serial execution
-  /// of the same decomposition.
+  /// Where the atom tasks run. The separator vertices (those shared
+  /// between atoms) are colored first, inline; then every atom colors its
+  /// interior as an independent task from a snapshot of that frontier, and
+  /// the per-atom results are merged in stable atom order. Tasks are pure
+  /// functions of the snapshot, so the result is byte-identical for every
+  /// worker count. Null (default) runs the tasks inline in atom order —
+  /// exactly what a zero-worker pool does.
   support::ThreadPool* pool = nullptr;
-  /// Cooperative budget. Null = unlimited (the exact legacy sweep). On
-  /// exhaustion mid-atom the urgency-heap sweep is abandoned and the
-  /// remaining undecided vertices are finished greedily: duplicatable ones
-  /// go to V_unassigned, never-remove ones are forced into their cheapest
-  /// module — linear work, and the duplication tiers below clean up.
+  /// Cooperative budget. Null = unlimited. On exhaustion mid-atom the
+  /// urgency-heap sweep is abandoned and the remaining undecided vertices
+  /// are finished greedily: duplicatable ones go to V_unassigned,
+  /// never-remove ones are forced into their cheapest module — linear work,
+  /// and the duplication tiers below clean up.
   support::Budget* budget = nullptr;
   /// Speculative parallel coloring (speculate.h): an atom with at least this
   /// many undecided vertices is colored by optimistic chunk-parallel rounds
   /// with conflict repair instead of the sequential urgency heap. 0
-  /// (default) disables the tier; it also requires `pool`. The schedule is
-  /// deterministic: the result is a pure function of the input and
-  /// `speculate_chunk` — byte-identical for every worker count, including
-  /// the zero-worker inline execution.
+  /// (default) disables the tier. The schedule is deterministic: the result
+  /// is a pure function of the input and `speculate_chunk` — byte-identical
+  /// for every worker count, a null pool included.
   std::size_t speculate_threshold = 0;
   /// Vertices per speculative chunk. Part of the deterministic schedule:
   /// each chunk runs its own urgency sweep over a snapshot, so a different
@@ -78,10 +78,10 @@ struct ColorOptions {
   std::size_t speculate_chunk = 256;
   /// Incremental memo session (incremental.h). When set, the
   /// clique-separator decomposition is reused under a structure-only hash,
-  /// and — in pool mode with no budget — each atom's coloring delta is
-  /// replayed from the store when its input closure is unchanged. Null
-  /// (default) = off. Pure memoization: output is byte-identical to a
-  /// memo-less run for any store state.
+  /// and — with no budget — each atom's coloring delta is replayed from
+  /// the store when its input closure is unchanged. Null (default) = off.
+  /// Pure memoization: output is byte-identical to a memo-less run for any
+  /// store state.
   MemoSession* memo = nullptr;
 };
 
@@ -120,7 +120,7 @@ struct ColorResult {
   std::vector<graph::Vertex> forced;
   /// Clique-separator atoms in processing order (reverse generation order),
   /// as vertex lists; empty when atoms were disabled. The assigner's
-  /// atom-parallel duplication partitions instructions along these.
+  /// per-atom duplication tasks partition instructions along these.
   std::vector<std::vector<graph::Vertex>> atoms;
   /// True iff the budget tripped during coloring and some vertices were
   /// finished by the greedy completion instead of the urgency heap.
@@ -146,6 +146,35 @@ inline bool less_urgent(const AssignWorkspace::HeapEntry& a,
   }
   if (a.s != b.s) return a.s < b.s;
   return a.v > b.v;
+}
+
+/// The module a never-remove vertex is forced into when none is free: the
+/// least Σ max(conf, 1) to neighbors that `module_of` places there, ties to
+/// the lighter `load`, then the lower index. Shared with the speculative
+/// tier, whose neighbors' modules live in its own tentative state.
+template <typename ModuleOf>
+std::uint32_t cheapest_module(const ConflictGraph& cg, graph::Vertex v,
+                              ModuleOf module_of,
+                              const std::vector<std::size_t>& load,
+                              std::size_t k) {
+  std::array<std::uint64_t, kMaxModules> cost{};
+  const auto nbrs = cg.graph().neighbors(v);
+  const auto wts = cg.conf_weights(v);
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    const std::int32_t m = module_of(nbrs[i]);
+    if (m >= 0) {
+      cost[static_cast<std::uint32_t>(m)] +=
+          std::max<std::uint32_t>(wts[i], 1u);
+    }
+  }
+  std::uint32_t best = 0;
+  for (std::uint32_t m = 1; m < k; ++m) {
+    if (cost[m] < cost[best] ||
+        (cost[m] == cost[best] && load[m] < load[best])) {
+      best = m;
+    }
+  }
+  return best;
 }
 
 /// Runs the heuristic.

@@ -1,6 +1,7 @@
 #include "assign/hitting_set_approach.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "assign/backtrack.h"
 #include "assign/hitting_set.h"
@@ -17,7 +18,7 @@ namespace {
 /// the generated stream — the same sequence a std::set would iterate, minus
 /// the per-insert node allocation and tree rebalancing).
 std::vector<std::vector<ir::ValueId>> combinations_of_size(
-    const std::vector<std::vector<ir::ValueId>>& insts, std::size_t num) {
+    InstSpan insts, std::size_t num) {
   std::vector<std::vector<ir::ValueId>> combos;
   std::vector<ir::ValueId> current;
   for (const auto& ops : insts) {
@@ -48,15 +49,15 @@ std::vector<std::vector<ir::ValueId>> combinations_of_size(
 }  // namespace
 
 HittingSetOutcome hitting_set_duplicate(
-    PlacementState& st, const std::vector<std::vector<ir::ValueId>>& insts,
+    PlacementState& st, InstSpan insts,
     const std::vector<bool>& in_unassigned,
     const std::vector<bool>& duplicatable, support::SplitMix64& rng,
     AssignWorkspace* ws) {
   const std::size_t k = st.module_count();
   HittingSetOutcome out;
 
-  AssignWorkspace local_ws;
-  AssignWorkspace& w = ws != nullptr ? *ws : local_ws;
+  std::optional<AssignWorkspace> local_ws;  // only built when ws is null
+  AssignWorkspace& w = ws != nullptr ? *ws : local_ws.emplace();
 
   // Values removed during coloring that still need their initial copies,
   // in first-occurrence order. The workspace marks replace a std::set; the

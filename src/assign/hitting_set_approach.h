@@ -42,7 +42,7 @@ struct HittingSetOutcome {
 };
 
 HittingSetOutcome hitting_set_duplicate(
-    PlacementState& st, const std::vector<std::vector<ir::ValueId>>& insts,
+    PlacementState& st, InstSpan insts,
     const std::vector<bool>& in_unassigned,
     const std::vector<bool>& duplicatable, support::SplitMix64& rng,
     AssignWorkspace* ws = nullptr);

@@ -314,7 +314,7 @@ void memo_color_store(MemoSession& s, std::uint64_t key, std::uint64_t check,
   s.store->store(MemoKind::kAtomSeen, content, content, std::string_view{});
 }
 
-void dup_closure_key(const std::vector<std::vector<ir::ValueId>>& insts,
+void dup_closure_key(InstSpan insts,
                      const PlacementState& st,
                      const std::vector<bool>& removed,
                      const std::vector<bool>& duplicatable,

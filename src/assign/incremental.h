@@ -1,10 +1,10 @@
 // Incremental recompilation: atom-granular memoization of the assignment
 // pipeline (DESIGN.md §13).
 //
-// The paper's clique-separator atoms are a natural incremental unit: in the
-// deterministic atom-parallel mode every atom interior is colored as a pure
-// function of (its subgraph, the separator frontier snapshot, the load
-// snapshot, the options), and the per-atom duplication tasks are pure
+// The paper's clique-separator atoms are a natural incremental unit: every
+// atom interior is colored as a pure function of (its subgraph, the
+// separator frontier snapshot, the load snapshot, the options), and the
+// per-atom duplication tasks are pure
 // functions of (their instruction partition, the placement/removed state of
 // the values they mention, a seed). This header exposes that purity as a
 // memo: each unit of work is keyed by an FNV-1a hash of its *entire input
@@ -31,9 +31,9 @@
 // (with the secondary verification hash, ~128 bits effective) implies equal
 // output. The memo therefore composes with the existing golden-hash
 // differential suites: assign_modules with a warm store produces exactly
-// the bytes of a from-scratch run. Per-atom memos engage only in the
-// deterministic pool mode with no budget (a budget trips at time-dependent
-// points); the decomposition memo engages in both modes.
+// the bytes of a from-scratch run. Per-atom memos engage only with no
+// budget (a budget trips at time-dependent points); the decomposition memo
+// engages either way.
 //
 // Fallback rule: when fewer than `memo_min_hit_percent` of the first
 // `memo_probe_window` per-atom probes hit, the session stops probing and
@@ -52,12 +52,11 @@
 
 #include "assign/assigner.h"
 #include "assign/color_heuristic.h"
+#include "assign/placement_state.h"
 #include "graph/atoms.h"
 #include "support/fnv.h"
 
 namespace parmem::assign {
-
-class PlacementState;
 
 /// Record kinds journaled by an AtomMemoStore. Values are part of the
 /// on-disk format — append, never renumber.
@@ -84,8 +83,8 @@ class AtomMemoStore {
   virtual std::optional<std::string> lookup(MemoKind kind, std::uint64_t key,
                                             std::uint64_t check) = 0;
 
-  /// First-writer-wins insert (replays must stay byte-identical, so a key
-  /// is only ever bound to one payload).
+  /// First-writer-wins insert (replays must stay byte-identical, so a
+  /// (key, check) is only ever bound to one payload).
   virtual void store(MemoKind kind, std::uint64_t key, std::uint64_t check,
                      std::string_view payload) = 0;
 };
@@ -202,7 +201,7 @@ void memo_color_store(MemoSession& s, std::uint64_t key, std::uint64_t check,
 /// Closure hash for one atom's duplication task: its instruction partition,
 /// the placement/removed/duplicatable state of every value those
 /// instructions mention, the task seed, and the method configuration.
-void dup_closure_key(const std::vector<std::vector<ir::ValueId>>& insts,
+void dup_closure_key(InstSpan insts,
                      const PlacementState& st,
                      const std::vector<bool>& removed,
                      const std::vector<bool>& duplicatable,

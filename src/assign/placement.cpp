@@ -1,20 +1,22 @@
 #include "assign/placement.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "support/diagnostics.h"
 
 namespace parmem::assign {
 
 std::size_t place_copies(PlacementState& st,
-                         const std::vector<std::vector<ir::ValueId>>& insts,
+                         InstSpan insts,
                          const std::vector<ir::ValueId>& to_place,
                          const std::vector<bool>& in_unassigned,
                          support::SplitMix64& rng, AssignWorkspace* ws) {
+  if (to_place.empty()) return 0;  // nothing to place, nothing drawn
   const std::size_t k = st.module_count();
 
-  AssignWorkspace local_ws;
-  AssignWorkspace& w = ws != nullptr ? *ws : local_ws;
+  std::optional<AssignWorkspace> local_ws;  // only built when ws is null
+  AssignWorkspace& w = ws != nullptr ? *ws : local_ws.emplace();
 
   // Group id of an instruction: number of duplicable operands, clamped to
   // [1, k]. Instructions with zero duplicable operands cannot be helped by

@@ -37,7 +37,7 @@ namespace parmem::assign {
 /// @returns number of copies actually added (a value already present in all
 ///        modules cannot receive another copy and is skipped).
 std::size_t place_copies(PlacementState& st,
-                         const std::vector<std::vector<ir::ValueId>>& insts,
+                         InstSpan insts,
                          const std::vector<ir::ValueId>& to_place,
                          const std::vector<bool>& in_unassigned,
                          support::SplitMix64& rng,

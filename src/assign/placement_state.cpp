@@ -11,6 +11,16 @@ PlacementState::PlacementState(const ir::AccessStream& stream,
   placement_.assign(stream.value_count, 0);
 }
 
+void PlacementState::refresh_from(const PlacementState& src,
+                                  const std::vector<ir::ValueId>& values) {
+  stream_ = src.stream_;
+  k_ = src.k_;
+  if (placement_.size() < src.placement_.size()) {
+    placement_.resize(src.placement_.size());
+  }
+  for (const ir::ValueId v : values) placement_[v] = src.placement_[v];
+}
+
 bool PlacementState::add_copy(ir::ValueId v, std::uint32_t m) {
   PARMEM_CHECK(v < placement_.size(), "value id out of range");
   PARMEM_CHECK(m < k_, "module index out of range");

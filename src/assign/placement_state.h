@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "assign/module_set.h"
@@ -16,9 +17,22 @@
 
 namespace parmem::assign {
 
+/// A run of instructions, each one operand list: the instruction set a
+/// duplication kernel works on.
+using InstSpan = std::span<const std::vector<ir::ValueId>>;
+
 class PlacementState {
  public:
   PlacementState(const ir::AccessStream& stream, std::size_t module_count);
+  /// An empty state; only useful as a refresh_from() target.
+  PlacementState() = default;
+
+  /// Makes this state `src` as seen through `values`: same stream and
+  /// module count, and those values' placements copied. Every other entry
+  /// keeps whatever it held before, so the copy costs O(|values|) and is
+  /// only valid for work that reads and writes nothing else.
+  void refresh_from(const PlacementState& src,
+                    const std::vector<ir::ValueId>& values);
 
   std::size_t module_count() const { return k_; }
   const ir::AccessStream& stream() const { return *stream_; }
@@ -50,8 +64,8 @@ class PlacementState {
   std::size_t total_copies() const;
 
  private:
-  const ir::AccessStream* stream_;
-  std::size_t k_;
+  const ir::AccessStream* stream_ = nullptr;
+  std::size_t k_ = 0;
   std::vector<ModuleSet> placement_;
 };
 

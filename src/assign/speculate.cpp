@@ -131,23 +131,8 @@ bool speculate_color_atom(const ConflictGraph& cg, const ColorOptions& opts,
   const auto finalize = [&](Vertex v) {
     is_pending[v] = 0;
     if (!never_remove.empty() && never_remove[v]) {
-      std::array<std::uint64_t, kMaxModules> cost{};
-      const auto nbrs = g.neighbors(v);
-      const auto wts = cg.conf_weights(v);
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        const std::int32_t m = committed_module(nbrs[i]);
-        if (m >= 0) {
-          cost[static_cast<std::uint32_t>(m)] +=
-              std::max<std::uint32_t>(wts[i], 1u);
-        }
-      }
-      std::uint32_t best = 0;
-      for (std::uint32_t m = 1; m < k; ++m) {
-        if (cost[m] < cost[best] ||
-            (cost[m] == cost[best] && load_now[m] < load_now[best])) {
-          best = m;
-        }
-      }
+      const std::uint32_t best =
+          cheapest_module(cg, v, committed_module, load_now, k);
       spec_color[v] = static_cast<std::int32_t>(best);
       ++load_now[best];
       forced_order.push_back(v);
@@ -588,15 +573,18 @@ bool speculate_color_atom(const ConflictGraph& cg, const ColorOptions& opts,
     if (charged) {
       // Exact committed-neighbor counts per (vertex, module), built in
       // parallel (disjoint rows per chunk) and maintained incrementally as
-      // swaps commit, so every availability test below is O(k).
+      // swaps commit, so every availability test below is O(k). Only the
+      // rows of vertices this call colors are built: the pass reads no
+      // other row, and the caller's `module` may be stale outside the atom.
       std::vector<std::uint16_t> cnt(n * k, 0);
       {
-        const std::size_t nch = (n + chunk - 1) / chunk;
+        const std::size_t nch = (order.size() + chunk - 1) / chunk;
         opts.pool->parallel_for(nch, [&](std::size_t c) {
           const std::size_t lo = c * chunk;
-          const std::size_t hi = std::min(n, lo + chunk);
-          for (std::size_t x = lo; x < hi; ++x) {
-            for (const Vertex u : g.neighbors(static_cast<Vertex>(x))) {
+          const std::size_t hi = std::min(order.size(), lo + chunk);
+          for (std::size_t i = lo; i < hi; ++i) {
+            const Vertex x = order[i];
+            for (const Vertex u : g.neighbors(x)) {
               const std::int32_t m = committed_module(u);
               if (m >= 0) ++cnt[x * k + static_cast<std::uint32_t>(m)];
             }

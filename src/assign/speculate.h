@@ -47,7 +47,8 @@ namespace parmem::assign {
 
 /// Attempts to color one atom speculatively. `ws` must hold the atom state
 /// prepared by the sequential sweep's setup (rest/deg/s_sum/w_assigned/
-/// neighbor_mods); it is read, never written. Requires opts.pool != nullptr.
+/// neighbor_mods); it is read, never written. Of `module` and `decided` it
+/// reads only the atom's entries. Requires opts.pool != nullptr.
 ///
 /// Returns true on success — `module`, `decided`, `load` and `result` are
 /// updated exactly as a sequential commit would. Returns false when the

@@ -6,10 +6,11 @@
 // memset than in the algorithms on atom-rich graphs. An AssignWorkspace
 // owns those buffers and is threaded through the passes:
 //
-//  * the serial path keeps one workspace per assign_modules() call;
-//  * pool tasks keep one per worker thread (thread_local), so no
-//    synchronization is needed and reuse never crosses a task boundary
-//    mid-flight.
+//  * the passes themselves keep one workspace per assign_modules() call;
+//  * atom tasks use that same workspace when they run on the calling
+//    thread, and one per pool worker (thread_local) otherwise, so no
+//    synchronization is needed, reuse never crosses a task boundary
+//    mid-flight, and an inline compile keeps no scratch past its return.
 //
 // Per-vertex and per-value state is epoch-stamped: an entry is valid only
 // if its mark equals the current epoch, so "clearing" the scratch between
@@ -19,8 +20,10 @@
 #pragma once
 
 #include <cstdint>
+#include <thread>
 #include <vector>
 
+#include "assign/placement_state.h"
 #include "graph/graph.h"
 
 namespace parmem::support {
@@ -113,10 +116,42 @@ struct AssignWorkspace {
     return slot;
   }
 
-  // ---- snapshot buffers (atom-parallel coloring tasks) ----
+  // ---- frontier snapshot (atom coloring tasks) ----
   std::vector<std::int32_t> module_snapshot;
   std::vector<bool> decided_snapshot;
   std::vector<std::size_t> load_snapshot;
+
+  /// Copies `atom`'s entries of `module` / `decided` and the whole (k-entry)
+  /// `load` into the snapshot. Entries outside the atom keep whatever an
+  /// earlier task left there: a task that reads only its atom's entries
+  /// pays O(atom), not O(graph), per refresh.
+  void snapshot_atom(const std::vector<graph::Vertex>& atom,
+                     const std::vector<std::int32_t>& module,
+                     const std::vector<bool>& decided,
+                     const std::vector<std::size_t>& load) {
+    if (module_snapshot.size() < module.size()) {
+      module_snapshot.resize(module.size());
+      decided_snapshot.resize(module.size());
+    }
+    for (const graph::Vertex v : atom) {
+      module_snapshot[v] = module[v];
+      decided_snapshot[v] = decided[v];
+    }
+    load_snapshot = load;
+  }
+
+  // ---- placement scratch (atom duplication tasks) ----
+  PlacementState placement_scratch;
 };
+
+/// The workspace for an atom task: `caller`, the workspace of the thread
+/// that issued the tasks, when the task runs on that thread (tasks there
+/// run one at a time), else the running pool worker's own.
+inline AssignWorkspace& task_workspace(AssignWorkspace& caller,
+                                       std::thread::id caller_thread) {
+  if (std::this_thread::get_id() == caller_thread) return caller;
+  thread_local AssignWorkspace worker;
+  return worker;
+}
 
 }  // namespace parmem::assign

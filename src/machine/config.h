@@ -39,34 +39,27 @@ enum class ArrayPolicy : std::uint8_t {
 const char* array_policy_name(ArrayPolicy p);
 
 /// Compile-time parallelism knobs — how many threads the compiler itself
-/// (atom-parallel assignment, batch compilation) may use; nothing here
-/// affects the simulated machine.
+/// (atom-task assignment, batch compilation) may use; nothing here affects
+/// the simulated machine.
 ///
-/// `threads == 0` selects the legacy sequential sweep: atoms are colored one
-/// after another, each seeing its predecessors' module-load state.
-/// `threads >= 1` selects the deterministic atom-task decomposition
+/// `threads` is the number of execution contexts: `threads - 1` pool
+/// workers plus the calling thread, with 0 and 1 both meaning inline on the
+/// caller. Assignment always runs the same atom-task decomposition
 /// (separators first, then independent per-atom tasks merged in stable atom
-/// order); every value >= 1 produces byte-identical results — `threads == 1`
-/// runs the same tasks inline and is the "serial" side of the differential
-/// tests, `threads == t` runs them on t-1 pool workers plus the caller.
+/// order), so every thread count produces byte-identical output.
 struct ParallelConfig {
   std::size_t threads = 0;
-  /// Diagnostic escape hatch: ignore `threads` and force the legacy
-  /// sequential path.
-  bool force_serial = false;
   /// Speculative intra-atom coloring: a conflict-graph atom with at least
   /// this many undecided vertices is colored by optimistic chunk-parallel
   /// rounds with conflict repair instead of the sequential urgency heap
-  /// (assign/speculate.h). 0 (default) keeps the tier off; enabling it
-  /// requires `threads >= 1`. Output is a pure function of the input and
-  /// `speculate_chunk`: byte-identical for every thread count, but a
-  /// different chunk size is a different (still conflict-free) schedule.
+  /// (assign/speculate.h). 0 (default) keeps the tier off. Output is a pure
+  /// function of the input and `speculate_chunk`: byte-identical for every
+  /// thread count, but a different chunk size is a different (still
+  /// conflict-free) schedule.
   std::size_t speculate_threshold = 0;
   /// Vertices per speculative chunk; part of the deterministic schedule
   /// (see above). The thread count never changes the produced assignment.
   std::size_t speculate_chunk = 256;
-
-  std::size_t effective_threads() const { return force_serial ? 0 : threads; }
 };
 
 struct MachineConfig {

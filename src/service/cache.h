@@ -7,9 +7,9 @@
 //
 // A thin key shape over support::Journal (journal.h has the format and the
 // crash-safety, eviction and warm-load rules): every entry is kind 0 with
-// check 0, so the journal holds one `<dir>/<16-hex-key>.res` file per
-// entry. The router's shard migration (router/rebalance.h) routes those
-// files by name.
+// check kOutputVersion, so the journal holds one `<dir>/<16-hex-key>.res`
+// file per entry. The router's shard migration (router/rebalance.h) routes
+// those files by name.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +28,13 @@ class ResultCache {
   /// Entry file suffix: `<16-hex-key>.res`.
   static constexpr std::string_view kSuffix = ".res";
 
+  /// The check every entry is journaled under: the version of the bytes a
+  /// compile produces. Bump it whenever the same request can compile to
+  /// different bytes; an entry from another version then misses, and the
+  /// next store of its key replaces it. Version 0 predates the single
+  /// atom-task assignment algorithm.
+  static constexpr std::uint64_t kOutputVersion = 1;
+
   /// Memory-only cache when `dir` is empty; otherwise creates `dir` as
   /// needed and warm-loads every valid journal entry. `max_entries` caps
   /// the entry count with LRU eviction, 0 = unbounded.
@@ -36,13 +43,13 @@ class ResultCache {
 
   /// The cached response part, or nullopt. Thread-safe.
   std::optional<std::string> lookup(std::uint64_t key) {
-    return journal_.lookup({0, key}, 0);
+    return journal_.lookup({0, key}, kOutputVersion);
   }
 
   /// First-writer-wins insert (re-serving must stay byte-identical, so
   /// later results for the same key are dropped). Thread-safe.
   void store(std::uint64_t key, std::string_view cached_part) {
-    journal_.store({0, key}, 0, cached_part);
+    journal_.store({0, key}, kOutputVersion, cached_part);
   }
 
   std::size_t size() const { return journal_.size(); }

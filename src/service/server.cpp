@@ -342,6 +342,7 @@ CompileService::AttemptResult CompileService::run_attempt(Job& job,
     CompileResponse resp;
     resp.id = job.req.id;
     bool degraded = false;
+    support::ThreadPool pool(analysis::pool_workers(opts_.compile_threads));
     if (job.req.kind == RequestKind::kMc) {
       analysis::PipelineOptions popts;
       popts.assign.module_count = job.req.module_count;
@@ -351,7 +352,6 @@ CompileService::AttemptResult CompileService::run_attempt(Job& job,
       popts.assign.method = job.req.method;
       popts.rename = job.req.rename;
       popts.budget = spec;
-      popts.parallel.threads = opts_.compile_threads;
       // A fixed source name keeps diagnostics (and so the cacheable bytes)
       // independent of the request id.
       popts.source_name = "<service>";
@@ -359,13 +359,8 @@ CompileService::AttemptResult CompileService::run_attempt(Job& job,
       // reuse per-atom results from earlier compiles of similar sources.
       // Replay is byte-identical, so cached responses are unaffected.
       popts.atom_memo = atom_cache_.get();
-      analysis::Compiled c = [&] {
-        if (opts_.compile_threads > 1) {
-          support::ThreadPool pool(opts_.compile_threads);
-          return analysis::compile_mc(job.req.body, popts, &pool, &inf.token);
-        }
-        return analysis::compile_mc(job.req.body, popts, nullptr, &inf.token);
-      }();
+      const analysis::Compiled c =
+          analysis::compile_mc(job.req.body, popts, &pool, &inf.token);
       resp.tier = assign::tier_name(c.assignment.tier);
       resp.body = render_mc_artifact(c);
       resp.fingerprint = analysis::compiled_fingerprint(c);
@@ -378,6 +373,7 @@ CompileService::AttemptResult CompileService::run_attempt(Job& job,
       aopts.strategy = job.req.strategy;
       aopts.method = job.req.method;
       aopts.memo_store = atom_cache_.get();
+      aopts.pool = &pool;
       support::Budget budget(spec, nullptr, &inf.token);
       if (budget.limited()) aopts.budget = &budget;
       const assign::AssignResult result = assign::assign_modules(stream, aopts);

@@ -179,8 +179,7 @@ std::optional<std::string> Journal::lookup(Key k, std::uint64_t check) {
   }
   if (it->second.check != check) {
     // The 64-bit key collided but the independent check hash disagrees:
-    // a miss, never the wrong payload. First writer wins, so the stored
-    // entry stays.
+    // a miss, never the wrong payload.
     ++stats_.check_mismatches;
     ++stats_.misses;
     return std::nullopt;
@@ -196,9 +195,14 @@ void Journal::store(Key k, std::uint64_t check, std::string_view payload) {
     std::lock_guard<std::mutex> lk(mu_);
     const auto [it, inserted] = entries_.try_emplace(k);
     if (!inserted) {
-      // First writer wins; re-storing still counts as recent use.
-      touch(it);
-      return;
+      if (it->second.check == check) {
+        // First writer wins; re-storing still counts as recent use.
+        touch(it);
+        return;
+      }
+      // The resident entry can never serve this check: replace it, or the
+      // key would miss under this check forever.
+      recency_.erase(it->second.seq);
     }
     it->second.check = check;
     it->second.payload.assign(payload.data(), payload.size());

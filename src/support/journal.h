@@ -21,10 +21,11 @@
 // a cold start, never a wrong payload or a crashed process. A directory
 // that cannot be created degrades the store to memory-only.
 //
-// Semantics: first writer wins (a (kind, key) is only ever bound to one
-// payload, so replays stay byte-identical); a lookup whose check differs
-// from the stored one is a miss; `max_entries` (0 = unbounded) caps the
-// entry count with LRU eviction, and an evicted entry's file is unlinked.
+// Semantics: first writer wins per (kind, key, check), so replays stay
+// byte-identical; a lookup whose check differs from the stored one is a
+// miss, and a store under a different check replaces the entry (it could
+// never serve that check); `max_entries` (0 = unbounded) caps the entry
+// count with LRU eviction, and an evicted entry's file is unlinked.
 #pragma once
 
 #include <array>
@@ -72,8 +73,9 @@ class Journal {
   /// Thread-safe.
   std::optional<std::string> lookup(Key k, std::uint64_t check);
 
-  /// First-writer-wins insert; re-storing a present key only refreshes its
-  /// recency. Persists when a dir is configured; a persist failure keeps the
+  /// First-writer-wins insert; re-storing a present key under the same
+  /// check only refreshes its recency, under another check replaces it.
+  /// Persists when a dir is configured; a persist failure keeps the
   /// in-memory entry and counts store_errors. Thread-safe.
   void store(Key k, std::uint64_t check, std::string_view payload);
 

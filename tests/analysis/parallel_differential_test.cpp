@@ -5,15 +5,11 @@
 // AssignResults — placements, removals, and statistics — and identical
 // downstream transfer schedules and LIW programs. verify_assignment must
 // pass on both sides.
-//
-// The legacy sequential sweep (threads == 0) is a *different* deterministic
-// algorithm — atoms there see their predecessors' module-load state — so it
-// is checked for invariants, not for byte equality (see DESIGN.md's
-// threading-model section).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/pipeline.h"
@@ -96,17 +92,60 @@ TEST(ParallelDifferential, FiftySeededWorkloadsMatchSerialBitForBit) {
 
     EXPECT_TRUE(assign::verify_assignment(stream, serial).ok());
     EXPECT_TRUE(assign::verify_assignment(stream, par4).ok());
-
-    // The legacy sequential sweep is a different algorithm but must satisfy
-    // the same invariants on the same stream.
-    AssignOptions legacy = o;
-    legacy.pool = nullptr;
-    EXPECT_TRUE(
-        assign::verify_assignment(stream, assign::assign_modules(stream, legacy))
-            .ok());
     ++checked;
   }
   EXPECT_GE(checked, 50);
+}
+
+// Atom tasks keep per-thread scratch (the frontier snapshot, the placement
+// scratch) that outlives a compile and is refreshed only at the entries a
+// task reads. Alternating compiles of different sizes and module counts on
+// reused threads — inline and on a 4-wide pool, with and without the
+// speculative tier, which reads that scratch too — must reproduce a
+// compile on a fresh thread, whose scratch starts empty.
+TEST(ParallelDifferential, ReusedScratchMatchesFreshCompiles) {
+  struct Case {
+    ir::AccessStream stream;
+    AssignOptions opts;
+  };
+  std::vector<Case> cases;
+  for (const auto& [values, k] : {std::pair<std::size_t, std::size_t>{600, 8},
+                                  {48, 2}, {200, 4}}) {
+    support::SplitMix64 rng(values);
+    workloads::StreamGenOptions g;
+    g.value_count = values;
+    g.tuple_count = values * 3;
+    g.max_width = std::min<std::size_t>(k, 4);
+    g.region_count = 3;
+    g.locality_window = 12;
+    Case c{workloads::random_stream(g, rng), {}};
+    for (ir::ValueId v = 0; v < values; v += 5) c.stream.duplicatable[v] = false;
+    c.opts.module_count = k;
+    c.opts.strategy = assign::Strategy::kStor3;
+    cases.push_back(std::move(c));
+  }
+  support::ThreadPool pool4(3);
+  for (const std::size_t threshold : {0u, 1u}) {
+    SCOPED_TRACE("speculate_threshold=" + std::to_string(threshold));
+    std::vector<AssignResult> fresh(cases.size());
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      cases[i].opts.speculate_threshold = threshold;
+      std::thread([&] {
+        fresh[i] = assign::assign_modules(cases[i].stream, cases[i].opts);
+      }).join();
+    }
+    for (int round = 0; round < 2; ++round) {
+      for (std::size_t i = 0; i < cases.size(); ++i) {
+        const std::string label = "case " + std::to_string(i);
+        AssignOptions o = cases[i].opts;
+        expect_identical(fresh[i], assign::assign_modules(cases[i].stream, o),
+                         label + " inline");
+        o.pool = &pool4;
+        expect_identical(fresh[i], assign::assign_modules(cases[i].stream, o),
+                         label + " 4-wide pool");
+      }
+    }
+  }
 }
 
 // Whole-pipeline differential on the paper's six workloads: modules, copies
@@ -169,19 +208,21 @@ TEST(ParallelDifferential, BatchMatchesPerSourceSerialCompiles) {
   }
 }
 
-// force_serial is the documented escape hatch: it must reproduce the legacy
-// path exactly.
-TEST(ParallelDifferential, ForceSerialReproducesLegacyPath) {
+// threads 0 and 1 both run the atom tasks inline; 8 runs them on 7 pool
+// workers plus the caller. All three are one algorithm.
+TEST(ParallelDifferential, EveryThreadCountCompilesIdentically) {
   const auto& w = workloads::all_workloads().front();
-  PipelineOptions legacy;
-  const Compiled a = compile_mc(w.source, legacy);
-
-  PipelineOptions forced;
-  forced.parallel.threads = 8;
-  forced.parallel.force_serial = true;
-  const Compiled b = compile_mc(w.source, forced);
-  expect_identical(a.assignment, b.assignment, "force_serial");
-  EXPECT_EQ(a.liw.to_string(), b.liw.to_string());
+  PipelineOptions opts;
+  opts.parallel.threads = 0;
+  const Compiled a = compile_mc(w.source, opts);
+  for (const std::size_t threads : {1u, 8u}) {
+    opts.parallel.threads = threads;
+    const Compiled b = compile_mc(w.source, opts);
+    const std::string label = "threads=" + std::to_string(threads);
+    expect_identical(a.assignment, b.assignment, label);
+    EXPECT_EQ(a.liw.to_string(), b.liw.to_string()) << label;
+    EXPECT_EQ(compiled_fingerprint(a), compiled_fingerprint(b)) << label;
+  }
 }
 
 }  // namespace

@@ -118,8 +118,9 @@ TEST(BacktrackDuplicate, FallsBackToDuplicatableMaskForGroupZero) {
   std::vector<bool> unassigned{false, false};
   std::vector<bool> duplicatable{true, true};
   support::SplitMix64 rng(1);
-  const auto out = backtrack_duplicate(st, {{0, 1}}, unassigned,
-                                       duplicatable, rng);
+  const std::vector<std::vector<ir::ValueId>> insts{{0, 1}};
+  const auto out =
+      backtrack_duplicate(st, insts, unassigned, duplicatable, rng);
   EXPECT_TRUE(out.unresolved.empty());
   EXPECT_EQ(out.copies_added, 1u);
   EXPECT_TRUE(st.combination_conflict_free({0, 1}));
@@ -133,8 +134,9 @@ TEST(BacktrackDuplicate, ReportsUnresolvableConflicts) {
   std::vector<bool> unassigned{false, false};
   std::vector<bool> duplicatable{false, false};  // nothing may be copied
   support::SplitMix64 rng(1);
+  const std::vector<std::vector<ir::ValueId>> insts{{0, 1}};
   const auto out =
-      backtrack_duplicate(st, {{0, 1}}, unassigned, duplicatable, rng);
+      backtrack_duplicate(st, insts, unassigned, duplicatable, rng);
   ASSERT_EQ(out.unresolved.size(), 1u);
   EXPECT_EQ(out.unresolved[0], 0u);
 }

@@ -74,13 +74,17 @@ TEST(ColorHeuristic, NeverRemoveForcesAssignment) {
 
 TEST(ColorHeuristic, LeastLoadedBalancesModules) {
   // 8 independent values (no conflicts): least-loaded spreads them evenly
-  // over 4 modules.
+  // over 4 modules. The pick rule balances within one sweep; with atoms on,
+  // each isolated value would be its own atom task, and every atom task
+  // starts from the same load snapshot.
   std::vector<std::vector<ir::ValueId>> tuples;
   for (ir::ValueId v = 0; v < 8; ++v) tuples.push_back({v});
   const auto s = AccessStream::from_tuples(8, tuples);
   const auto cg = ConflictGraph::build(s);
   const auto r = color_conflict_graph(
-      cg, {.module_count = 4, .pick = ModulePick::kLeastLoaded});
+      cg, {.module_count = 4,
+           .use_atoms = false,
+           .pick = ModulePick::kLeastLoaded});
   std::vector<int> load(4, 0);
   for (graph::Vertex v = 0; v < cg.vertex_count(); ++v) {
     ASSERT_GE(r.module[v], 0);

@@ -84,7 +84,8 @@ TEST(Placement, ValueAlreadyEverywhereIsSkipped) {
   st.add_copy(0, 1);
   std::vector<bool> unassigned{true};
   support::SplitMix64 rng(1);
-  EXPECT_EQ(place_copies(st, {{0}}, {0}, unassigned, rng), 0u);
+  const std::vector<std::vector<ir::ValueId>> insts{{0}};
+  EXPECT_EQ(place_copies(st, insts, {0}, unassigned, rng), 0u);
 }
 
 TEST(Placement, GroupOrderingMostConstrainedFirst) {

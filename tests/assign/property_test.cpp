@@ -143,8 +143,8 @@ TEST_P(AssignProperty, MutableValuesRespectSingleCopy) {
 // Randomized access streams across k ∈ {2, 4, 8}: the verify.h invariants
 // I1 (no statically predictable conflict survives) and I8 (no mutable value
 // carries more than one copy) must hold for every strategy × method drawn,
-// in both the legacy serial path and the atom-parallel mode. Failures name
-// the seed so a violation replays with a one-line loop edit.
+// with and without the speculative tier. Failures name the seed so a
+// violation replays with a one-line loop edit.
 TEST(AssignPropertyRandomized, InvariantsHoldAcrossModuleCounts) {
   for (const std::size_t k : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
@@ -186,12 +186,10 @@ TEST(AssignPropertyRandomized, InvariantsHoldAcrossModuleCounts) {
         for (const ModuleSet m : r.placement) EXPECT_LE(copy_count(m), k);
       };
 
-      check(assign_modules(s, o), "legacy-serial");
+      check(assign_modules(s, o), "atom tasks");
       support::ThreadPool pool(3);
-      AssignOptions po = o;
-      po.pool = &pool;
-      check(assign_modules(s, po), "atom-parallel");
-      AssignOptions so = po;
+      AssignOptions so = o;
+      so.pool = &pool;
       so.speculate_threshold = 1;
       so.speculate_chunk = 8;
       check(assign_modules(s, so), "speculative");
@@ -208,7 +206,6 @@ TEST(AssignPropertyRandomized, InvariantsHoldAcrossModuleCounts) {
 // V_unassigned.
 TEST(SpeculativeColoringProperty, ConflictFreeAgainstRawEdgeList) {
   support::SplitMix64 rng(0x5bec);
-  support::ThreadPool pool1(0);  // inline execution
   support::ThreadPool pool4(3);
   for (int iter = 0; iter < 8; ++iter) {
     const std::size_t nv = 24 + rng.below(60);
@@ -242,7 +239,7 @@ TEST(SpeculativeColoringProperty, ConflictFreeAgainstRawEdgeList) {
       support::ThreadPool* pool;
       std::size_t chunk;
       bool use_atoms;
-    } modes[] = {{&pool1, 4, true}, {&pool4, 16, true}, {&pool4, 4, false}};
+    } modes[] = {{nullptr, 4, true}, {&pool4, 16, true}, {&pool4, 4, false}};
     for (const auto& m : modes) {
       SCOPED_TRACE("iter=" + std::to_string(iter) + " chunk=" +
                    std::to_string(m.chunk) +

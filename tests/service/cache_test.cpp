@@ -61,6 +61,27 @@ TEST_F(CacheTest, EntryPathUsesSixteenHexDigits) {
   EXPECT_NE(path.find("0000000000001a2b.res"), std::string::npos);
 }
 
+// An entry journaled under another output version (0 was the first)
+// misses, is replaced by the next store, and the replacement survives a
+// restart under the same file name.
+TEST_F(CacheTest, EntryFromAnotherOutputVersionIsReplaced) {
+  {
+    support::Journal old(dir_str(), 0, ResultCache::kSuffix, nullptr);
+    old.store({0, 7}, /*check=*/0, "old bytes");
+  }
+  {
+    ResultCache cache(dir_str());
+    EXPECT_EQ(cache.stats().loaded, 1u);
+    EXPECT_FALSE(cache.lookup(7).has_value());
+    EXPECT_EQ(cache.stats().check_mismatches, 1u);
+    cache.store(7, "new bytes");
+    EXPECT_EQ(cache.lookup(7).value(), "new bytes");
+  }
+  ResultCache warm(dir_str());
+  EXPECT_EQ(warm.stats().loaded, 1u);
+  EXPECT_EQ(warm.lookup(7).value(), "new bytes");
+}
+
 TEST_F(CacheTest, LookupRefreshesRecency) {
   ResultCache cache("", /*max_entries=*/2);
   cache.store(1, "one");

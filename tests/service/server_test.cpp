@@ -11,9 +11,13 @@
 #include <string>
 #include <vector>
 
+#include "analysis/pipeline.h"
+#include "assign/assigner.h"
+#include "ir/stream_io.h"
 #include "service/frame.h"
 #include "service/request.h"
 #include "support/fault_injection.h"
+#include "workloads/workloads.h"
 
 namespace parmem::service {
 namespace {
@@ -68,6 +72,52 @@ TEST_F(ServerTest, CompilesAStreamRequest) {
   EXPECT_EQ(resp.status, ResponseStatus::kOk);
   EXPECT_FALSE(resp.body.empty());
   EXPECT_NE(resp.fingerprint, 0u);
+}
+
+// --compile-threads N means N execution contexts for both request kinds,
+// and no N changes the bytes: each response matches the in-process
+// compile_mc / assign_modules of the same request.
+TEST_F(ServerTest, CompileThreadsNeverChangeTheArtifact) {
+  std::string fft;
+  for (const auto& w : workloads::all_workloads()) {
+    if (w.name == "FFT") fft = w.source;
+  }
+  analysis::PipelineOptions popts;
+  popts.source_name = "<service>";
+  const analysis::Compiled c = analysis::compile_mc(fft, popts);
+  const std::string stream_text = ir::format_stream(c.stream);
+  const ir::AccessStream stream = ir::parse_stream(stream_text, "<service>");
+  const assign::AssignResult r = assign::assign_modules(stream, {});
+  std::string placement = "# placement\n";
+  for (ir::ValueId v = 0; v < stream.value_count; ++v) {
+    if (r.placement[v] == 0) continue;
+    placement += "value " + std::to_string(v) + ":";
+    for (const std::uint32_t m : assign::modules_of(r.placement[v])) {
+      placement += " M" + std::to_string(m);
+    }
+    placement += r.removed[v] ? "  (duplicated)\n" : "\n";
+  }
+
+  for (const std::size_t threads : {0u, 1u, 4u}) {
+    SCOPED_TRACE("compile_threads=" + std::to_string(threads));
+    ServiceOptions o;
+    o.compile_threads = threads;
+    CompileService service(o);
+    CompileRequest mc;
+    mc.id = 1;
+    mc.body = fft;
+    const CompileResponse mc_resp = service.handle(mc);
+    EXPECT_EQ(mc_resp.status, ResponseStatus::kOk);
+    EXPECT_EQ(mc_resp.fingerprint, analysis::compiled_fingerprint(c));
+
+    CompileRequest st;
+    st.id = 2;
+    st.kind = RequestKind::kStream;
+    st.body = stream_text;
+    const CompileResponse st_resp = service.handle(st);
+    EXPECT_EQ(st_resp.status, ResponseStatus::kOk);
+    EXPECT_EQ(st_resp.body.rfind(placement, 0), 0u);
+  }
 }
 
 TEST_F(ServerTest, CacheHitIsByteIdenticalUnderADifferentId) {

@@ -1,6 +1,6 @@
 // Telemetry must observe, never perturb: compiling with a trace session
 // active has to produce byte-identical pipeline output to compiling with
-// telemetry quiet, in both the legacy serial and the atom-parallel modes.
+// telemetry quiet, with the atom tasks inline and on a pool.
 // The counter values attached to Compiled must also agree with the stats
 // the pipeline already reports.
 #include <gtest/gtest.h>
