@@ -1,6 +1,7 @@
 #include "assign/backtrack.h"
 
 #include <algorithm>
+#include <array>
 #include <optional>
 
 #include "support/budget.h"
@@ -52,14 +53,16 @@ struct Enumerator {
     if (idx == flex_ops.size()) {
       // Fixed operands must find distinct representatives among the
       // remaining modules.
-      std::vector<std::vector<std::uint32_t>> choices;
-      choices.reserve(fixed_ops.size());
-      for (const ir::ValueId v : fixed_ops) {
-        const ModuleSet avail = st.placement(v) & ~used;
-        if (avail == 0) return;
-        choices.push_back(modules_of(avail));
+      if (fixed_ops.size() > k) return;
+      std::array<ModuleSet, kMaxModules> avail;
+      for (std::size_t i = 0; i < fixed_ops.size(); ++i) {
+        avail[i] = st.placement(fixed_ops[i]) & ~used;
+        if (avail[i] == 0) return;
       }
-      if (!support::has_distinct_representatives(choices, k)) return;
+      if (!support::has_distinct_representatives(
+              {avail.data(), fixed_ops.size()}, k)) {
+        return;
+      }
       if (cost < best_cost) {
         best_cost = cost;
         best_solutions.clear();

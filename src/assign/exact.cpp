@@ -6,7 +6,6 @@
 #include "support/budget.h"
 #include "support/diagnostics.h"
 #include "support/fault_injection.h"
-#include "support/matching.h"
 
 namespace parmem::assign {
 namespace {
@@ -78,11 +77,7 @@ class MinCopiesSearch {
   }
 
   bool check_tuple(std::size_t t) const {
-    std::vector<std::vector<std::uint32_t>> choices;
-    for (const ir::ValueId v : stream_.tuples[t].operands) {
-      choices.push_back(modules_of(placement_[v]));
-    }
-    return support::has_distinct_representatives(choices, k_);
+    return copies_admit_sdr(stream_.tuples[t].operands, placement_, k_);
   }
 
   bool search(std::size_t idx, std::size_t used, std::size_t bound) {

@@ -17,22 +17,38 @@ namespace {
 /// wide enough to contain them, in lexicographic order (sort + unique over
 /// the generated stream — the same sequence a std::set would iterate, minus
 /// the per-insert node allocation and tree rebalancing).
-std::vector<std::vector<ir::ValueId>> combinations_of_size(
-    InstSpan insts, std::size_t num) {
+///
+/// Only instructions that still conflict are enumerated. Every subset of a
+/// conflict-free operand set is conflict-free, and copies are only ever
+/// added, so a conflict-free instruction can contribute no conflicting
+/// combination now or in any later round: the caller sees exactly the
+/// conflicting combinations, in the same order, as a full enumeration.
+///
+/// With a budget, generation charges one step per combination (in chunks,
+/// so the deadline is polled while a wide instruction is still being
+/// enumerated) and returns nullopt as soon as the budget trips.
+std::optional<std::vector<std::vector<ir::ValueId>>> combinations_of_size(
+    const PlacementState& st, InstSpan insts, std::size_t num,
+    support::Budget* budget) {
+  constexpr std::size_t kChargeChunk = 1024;
   std::vector<std::vector<ir::ValueId>> combos;
   std::vector<ir::ValueId> current;
+  std::vector<std::size_t> idx(num);
+  std::size_t uncharged = 0;
   for (const auto& ops : insts) {
-    if (ops.size() < num) continue;
+    if (ops.size() < num || st.combination_conflict_free(ops)) continue;
     // Operands are sorted, so generated combinations are canonical.
-    current.clear();
     const std::size_t n = ops.size();
     // Iterative combination enumeration via index vector.
-    std::vector<std::size_t> idx(num);
     for (std::size_t i = 0; i < num; ++i) idx[i] = i;
     for (;;) {
       current.clear();
       for (const std::size_t i : idx) current.push_back(ops[i]);
       combos.push_back(current);
+      if (budget != nullptr && ++uncharged == kChargeChunk) {
+        uncharged = 0;
+        if (!budget->charge(kChargeChunk)) return std::nullopt;
+      }
       // Advance.
       std::size_t pos = num;
       while (pos > 0 && idx[pos - 1] == n - (num - pos) - 1) --pos;
@@ -41,6 +57,7 @@ std::vector<std::vector<ir::ValueId>> combinations_of_size(
       for (std::size_t i = pos; i < num; ++i) idx[i] = idx[i - 1] + 1;
     }
   }
+  if (budget != nullptr && !budget->charge(uncharged)) return std::nullopt;
   std::sort(combos.begin(), combos.end());
   combos.erase(std::unique(combos.begin(), combos.end()), combos.end());
   return combos;
@@ -96,19 +113,27 @@ HittingSetOutcome hitting_set_duplicate(
       out.budget_exhausted = true;
       break;
     }
-    const auto combos = combinations_of_size(insts, num);
+    auto combos = combinations_of_size(st, insts, num, budget);
+    if (!combos.has_value()) {
+      out.budget_exhausted = true;
+      break;
+    }
     for (;;) {
       // Each round scans every combination once; meter that work before
       // spending it so a deadline interrupts between rounds.
-      if (budget != nullptr && !budget->charge(combos.size())) {
+      if (budget != nullptr && !budget->charge(combos->size())) {
         out.budget_exhausted = true;
         break;
       }
+      // A resolved combination stays resolved (copies are only added), so
+      // later rounds need not test it again.
+      std::erase_if(*combos, [&](const std::vector<ir::ValueId>& combo) {
+        return st.combination_conflict_free(combo);
+      });
       // Candidate sets: for each conflicting combination, the multi-copy
       // duplicable operands whose replication can resolve it.
       std::vector<std::vector<std::uint32_t>> cand_sets;
-      for (const auto& combo : combos) {
-        if (st.combination_conflict_free(combo)) continue;
+      for (const auto& combo : *combos) {
         std::vector<std::uint32_t> cands;
         for (const ir::ValueId v : combo) {
           const bool dup = v < duplicatable.size() && duplicatable[v];

@@ -4,18 +4,22 @@
 // modules, which comfortably covers every experiment.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "support/diagnostics.h"
+#include "support/matching.h"
 
 namespace parmem::assign {
 
 /// Bit m set == a copy of the value lives in module m.
 using ModuleSet = std::uint32_t;
 
-inline constexpr std::size_t kMaxModules = 32;
+inline constexpr std::size_t kMaxModules = support::kMaxModules;
 
 inline ModuleSet module_bit(std::uint32_t m) {
   PARMEM_CHECK(m < kMaxModules, "module index out of range");
@@ -39,6 +43,22 @@ inline std::vector<std::uint32_t> modules_of(ModuleSet s) {
     s &= s - 1;
   }
   return out;
+}
+
+/// The SDR test of §2 for one instruction: true iff every id in `ids` has a
+/// copy (`placement[id] != 0`) and the copy sets admit pairwise-distinct
+/// representative modules < k.
+inline bool copies_admit_sdr(std::span<const std::uint32_t> ids,
+                             std::span<const ModuleSet> placement,
+                             std::size_t k) {
+  if (ids.size() > std::min(k, kMaxModules)) return false;
+  std::array<ModuleSet, kMaxModules> masks;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    masks[i] = placement[ids[i]];
+    if (masks[i] == 0) return false;  // nowhere to read it from
+  }
+  return support::has_distinct_representatives({masks.data(), ids.size()},
+                                               k);
 }
 
 }  // namespace parmem::assign

@@ -1,5 +1,7 @@
 #include "assign/placement_state.h"
 
+#include <array>
+
 #include "support/diagnostics.h"
 
 namespace parmem::assign {
@@ -30,24 +32,9 @@ bool PlacementState::add_copy(ir::ValueId v, std::uint32_t m) {
   return true;
 }
 
-namespace {
-
-bool sdr_exists(const std::vector<std::vector<std::uint32_t>>& choices,
-                std::size_t k) {
-  return parmem::support::has_distinct_representatives(choices, k);
-}
-
-}  // namespace
-
 bool PlacementState::combination_conflict_free(
     const std::vector<ir::ValueId>& ops) const {
-  std::vector<std::vector<std::uint32_t>> choices;
-  choices.reserve(ops.size());
-  for (const ir::ValueId v : ops) {
-    if (placement_[v] == 0) return false;  // nowhere to read it from
-    choices.push_back(modules_of(placement_[v]));
-  }
-  return sdr_exists(choices, k_);
+  return copies_admit_sdr(ops, placement_, k_);
 }
 
 bool PlacementState::tuple_conflict_free(const ir::AccessTuple& t) const {
@@ -57,15 +44,15 @@ bool PlacementState::tuple_conflict_free(const ir::AccessTuple& t) const {
 bool PlacementState::conflict_free_with_extra(
     const std::vector<ir::ValueId>& ops, ir::ValueId extra_v,
     std::uint32_t extra_m) const {
-  std::vector<std::vector<std::uint32_t>> choices;
-  choices.reserve(ops.size());
-  for (const ir::ValueId v : ops) {
-    ModuleSet s = placement_[v];
-    if (v == extra_v) s |= module_bit(extra_m);
-    if (s == 0) return false;
-    choices.push_back(modules_of(s));
+  if (ops.size() > k_) return false;
+  std::array<ModuleSet, kMaxModules> masks;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    masks[i] = placement_[ops[i]];
+    if (ops[i] == extra_v) masks[i] |= module_bit(extra_m);
+    if (masks[i] == 0) return false;
   }
-  return sdr_exists(choices, k_);
+  return support::has_distinct_representatives({masks.data(), ops.size()},
+                                               k_);
 }
 
 std::vector<std::uint32_t> PlacementState::conflicting_tuples() const {

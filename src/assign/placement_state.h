@@ -4,7 +4,8 @@
 // An instruction is conflict-free iff its operands admit a system of
 // distinct representatives over their copy sets — each operand can be read
 // from a module holding a copy of it, all from different modules (§2). The
-// SDR test is a tiny bipartite matching (support/matching.h).
+// SDR test is copies_admit_sdr (assign/module_set.h), an allocation-free
+// bitmask matching (support/matching.h).
 #pragma once
 
 #include <cstdint>
@@ -13,7 +14,6 @@
 
 #include "assign/module_set.h"
 #include "ir/access.h"
-#include "support/matching.h"
 
 namespace parmem::assign {
 

@@ -1,7 +1,6 @@
 #include "assign/verify.h"
 
 #include "support/diagnostics.h"
-#include "support/matching.h"
 
 namespace parmem::assign {
 
@@ -28,18 +27,8 @@ VerifyReport verify_assignment(const ir::AccessStream& stream,
   }
 
   for (std::uint32_t i = 0; i < stream.tuples.size(); ++i) {
-    const auto& ops = stream.tuples[i].operands;
-    std::vector<std::vector<std::uint32_t>> choices;
-    bool incomplete = false;
-    for (const ir::ValueId v : ops) {
-      if (result.placement[v] == 0) {
-        incomplete = true;
-        break;
-      }
-      choices.push_back(modules_of(result.placement[v]));
-    }
-    if (incomplete ||
-        !support::has_distinct_representatives(choices, result.module_count)) {
+    if (!copies_admit_sdr(stream.tuples[i].operands, result.placement,
+                          result.module_count)) {
       report.conflicting_tuples.push_back(i);
     }
   }

@@ -4,7 +4,6 @@
 
 #include "assign/verify.h"
 #include "support/diagnostics.h"
-#include "support/matching.h"
 
 namespace parmem::cache {
 namespace {
@@ -16,17 +15,7 @@ std::uint64_t multi_hit_weight(const std::vector<AccessGroup>& groups,
                                std::size_t cache_count) {
   std::uint64_t weight = 0;
   for (const AccessGroup& g : groups) {
-    std::vector<std::vector<std::uint32_t>> choices;
-    bool incomplete = false;
-    for (const std::uint32_t item : g.items) {
-      if (placement[item] == 0) {
-        incomplete = true;
-        break;
-      }
-      choices.push_back(assign::modules_of(placement[item]));
-    }
-    if (incomplete ||
-        !support::has_distinct_representatives(choices, cache_count)) {
+    if (!assign::copies_admit_sdr(g.items, placement, cache_count)) {
       weight += g.frequency;
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <queue>
 
 #include "support/diagnostics.h"
 
@@ -167,20 +168,26 @@ Triangulation mcs_m(const Graph& g) {
   std::vector<std::int64_t> weight(n, 0);
 
   McsmScratch scratch(g);
-  // Compact list of unnumbered vertices, order-insensitive (selection takes
-  // the max weight with lowest id on ties, a pure reduction).
-  std::vector<Vertex> unnumbered(n);
-  for (Vertex v = 0; v < n; ++v) unnumbered[v] = v;
-  std::vector<std::uint32_t> pos(n);
-  for (Vertex v = 0; v < n; ++v) pos[v] = v;
+  // Selection heap: the unnumbered vertex of maximum weight, lowest id on
+  // ties. Weights only grow, so instead of re-keying, every increment
+  // pushes a fresh entry and stale ones (an outdated weight, or a vertex
+  // already numbered) are skipped when they surface. An entry packs
+  // (weight, -id) into one word: weight in the high half, ~id in the low.
+  const auto entry = [](std::int64_t w, Vertex v) {
+    return (static_cast<std::uint64_t>(w) << 32) | (0xFFFFFFFFu - v);
+  };
+  std::priority_queue<std::uint64_t> heap;
+  for (Vertex v = 0; v < n; ++v) heap.push(entry(0, v));
+  constexpr std::int64_t kNumbered = -1;
 
   for (std::size_t step = n; step > 0; --step) {
-    // Pick the unnumbered vertex with maximum weight (lowest id on ties,
-    // for determinism).
-    PARMEM_CHECK(!unnumbered.empty(), "no unnumbered vertex left");
-    Vertex x = unnumbered[0];
-    for (const Vertex v : unnumbered) {
-      if (weight[v] > weight[x] || (weight[v] == weight[x] && v < x)) x = v;
+    Vertex x = 0;
+    for (;;) {
+      PARMEM_CHECK(!heap.empty(), "no unnumbered vertex left");
+      const std::uint64_t top = heap.top();
+      heap.pop();
+      x = 0xFFFFFFFFu - static_cast<Vertex>(top & 0xFFFFFFFFu);
+      if (weight[x] != kNumbered && entry(weight[x], x) == top) break;
     }
 
     // Number x up front: save its live row for seeding, then delete it
@@ -191,15 +198,13 @@ Triangulation mcs_m(const Graph& g) {
         reachable_through_lower_weights(scratch, weight, weight[x]);
     for (const Vertex y : reached) {
       weight[y] += 1;
+      heap.push(entry(weight[y], y));
       if (!g.has_edge(x, y)) {
         result.fill.emplace_back(std::min(x, y), std::max(x, y));
       }
     }
     result.order[step - 1] = x;  // numbered `step`; eliminated at index step-1
-    const std::uint32_t px = pos[x];
-    unnumbered[px] = unnumbered.back();
-    pos[unnumbered[px]] = px;
-    unnumbered.pop_back();
+    weight[x] = kNumbered;  // x left the live graph; its weight is never read
   }
 
   std::sort(result.fill.begin(), result.fill.end());

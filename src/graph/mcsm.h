@@ -26,11 +26,14 @@ struct Triangulation {
   std::vector<std::pair<Vertex, Vertex>> fill;
 };
 
-/// Runs MCS-M. O(n * m log n) with the minimax-path search implemented as a
-/// Dijkstra variant, over the whole graph. On the paper workloads that is
-/// cheap, but on a large non-chordal conflict graph MCS-M dominates
-/// assignment: on syn_large (one component, 28k fill edges) it took 376 of
-/// the 427 ms assignment in a Release build on a 4-core x86 box.
+/// Runs MCS-M over the whole graph: n steps, each a minimax-path search
+/// over the unnumbered graph (Dial's buckets, O(m) per step) plus an
+/// O(log n) pick of the next vertex from a lazy heap. On the paper
+/// workloads that is cheap (COLOR, 6,384 vertices with no fill: about
+/// 4 ms). On a large non-chordal conflict graph the per-step searches
+/// dominate assignment: on perfbench's syn_monolithic stream (4,093
+/// vertices, 44,197 edges, 28,289 fill edges) MCS-M takes 330-390 ms in a
+/// Release build on a shared 4-vCPU x86 box.
 Triangulation mcs_m(const Graph& g);
 
 /// True iff `order` is a perfect elimination ordering of `g` (i.e. g is

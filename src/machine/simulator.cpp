@@ -1,6 +1,7 @@
 #include "machine/simulator.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <set>
@@ -306,21 +307,21 @@ RunResult run_liw(const ir::LiwProgram& prog,
       for (const ir::ValueId u : op.value_uses()) reads.insert(u);
     }
     {
-      std::vector<std::vector<std::uint32_t>> choices;
       std::vector<ir::ValueId> read_list(reads.begin(), reads.end());
-      bool all_placed = true;
-      for (const ir::ValueId v : read_list) {
-        if (assignment.placement[v] == 0) {
-          all_placed = false;
-          break;
-        }
-        choices.push_back(assign::modules_of(assignment.placement[v]));
+      const std::size_t n = read_list.size();
+      std::array<assign::ModuleSet, assign::kMaxModules> masks;
+      std::array<std::uint32_t, assign::kMaxModules> reps;
+      // A ModuleSet names modules < kMaxModules only, so wider machines
+      // match over that prefix.
+      const std::size_t sdr_k = std::min(k, assign::kMaxModules);
+      bool all_placed = n <= sdr_k;
+      for (std::size_t i = 0; all_placed && i < n; ++i) {
+        masks[i] = assignment.placement[read_list[i]];
+        all_placed = masks[i] != 0;
       }
-      const auto reps =
-          all_placed ? support::find_distinct_representatives(choices, k)
-                     : std::nullopt;
-      if (reps.has_value()) {
-        for (const std::uint32_t m : *reps) ++traffic.load[m];
+      if (all_placed && support::has_distinct_representatives(
+                            {masks.data(), n}, sdr_k, {reps.data(), n})) {
+        for (std::size_t i = 0; i < n; ++i) ++traffic.load[reps[i]];
       } else {
         // Residual conflict (or unplaced value): serialize greedily — each
         // fetch takes the least-loaded module holding a copy.

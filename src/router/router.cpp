@@ -571,7 +571,11 @@ void Router::tick_slots(Clock::time_point now) {
       std::lock_guard<std::mutex> lk(mu_);
       if (draining_) continue;  // drain stops respawning; teardown reaps
     }
-    ++a.slot->incarnation;
+    {
+      // workers() reads the incarnation under slot.mu.
+      std::lock_guard<std::mutex> lk(a.slot->mu);
+      ++a.slot->incarnation;
+    }
     if (spawn_slot(*a.slot)) {
       bump(&Counters::respawns);
       PARMEM_COUNTER_ADD("route.respawns", 1);

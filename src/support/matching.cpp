@@ -1,87 +1,70 @@
 #include "support/matching.h"
 
+#include <array>
+#include <bit>
+
 #include "support/diagnostics.h"
 
 namespace parmem::support {
+namespace {
 
-BipartiteMatcher::BipartiteMatcher(std::size_t right_size)
-    : right_size_(right_size),
-      match_right_(right_size, -1) {}
+/// Kuhn's augmenting-path search on bitmasks. `owner[m]` is the mask index
+/// matched to module m (or -1); `visited` collects the modules tried during
+/// the current augmentation.
+struct Augmenter {
+  std::span<const std::uint32_t> masks;
+  std::array<std::int8_t, kMaxModules> owner;
+  std::uint32_t visited = 0;
 
-std::size_t BipartiteMatcher::add_left(std::vector<std::uint32_t> admissible) {
-  for (const std::uint32_t r : admissible) {
-    PARMEM_CHECK(r < right_size_, "admissible right id out of range");
+  bool augment(std::size_t l) {
+    // Lowest untried admissible module first. `visited` only grows, so this
+    // visits the modules of masks[l] in ascending order, skipping any a
+    // deeper augmentation already tried.
+    for (std::uint32_t free = masks[l] & ~visited; free != 0;
+         free = masks[l] & ~visited) {
+      const int m = std::countr_zero(free);
+      visited |= std::uint32_t{1} << m;
+      if (owner[m] < 0 || augment(static_cast<std::size_t>(owner[m]))) {
+        owner[m] = static_cast<std::int8_t>(l);
+        return true;
+      }
+    }
+    return false;
   }
-  adj_.push_back(std::move(admissible));
-  match_left_.push_back(-1);
-  solved_ = false;
-  return adj_.size() - 1;
-}
+};
 
-bool BipartiteMatcher::try_augment(std::size_t l, std::vector<bool>& visited) {
-  for (const std::uint32_t r : adj_[l]) {
-    if (visited[r]) continue;
-    visited[r] = true;
-    if (match_right_[r] < 0 ||
-        try_augment(static_cast<std::size_t>(match_right_[r]), visited)) {
-      match_left_[l] = static_cast<std::int32_t>(r);
-      match_right_[r] = static_cast<std::int32_t>(l);
-      return true;
+}  // namespace
+
+bool has_distinct_representatives(std::span<const std::uint32_t> masks,
+                                  std::size_t module_count,
+                                  std::span<std::uint32_t> reps) {
+  PARMEM_CHECK(module_count <= kMaxModules, "module count out of range");
+  PARMEM_CHECK(reps.empty() || reps.size() == masks.size(),
+               "representative buffer size mismatch");
+  const std::uint32_t in_range =
+      module_count == kMaxModules
+          ? ~std::uint32_t{0}
+          : (std::uint32_t{1} << module_count) - 1;
+  for (const std::uint32_t mask : masks) {
+    PARMEM_CHECK((mask & ~in_range) == 0, "admissible module out of range");
+  }
+  if (masks.size() > module_count) return false;
+
+  Augmenter a{masks, {}, 0};
+  a.owner.fill(-1);
+  for (std::size_t l = 0; l < masks.size(); ++l) {
+    a.visited = 0;
+    if (!a.augment(l)) return false;
+  }
+  if (!reps.empty()) {
+    for (std::size_t m = 0; m < module_count; ++m) {
+      if (a.owner[m] >= 0) {
+        reps[static_cast<std::size_t>(a.owner[m])] =
+            static_cast<std::uint32_t>(m);
+      }
     }
   }
-  return false;
-}
-
-std::size_t BipartiteMatcher::solve() {
-  std::fill(match_left_.begin(), match_left_.end(), -1);
-  std::fill(match_right_.begin(), match_right_.end(), -1);
-  std::size_t matched = 0;
-  std::vector<bool> visited(right_size_);
-  for (std::size_t l = 0; l < adj_.size(); ++l) {
-    std::fill(visited.begin(), visited.end(), false);
-    if (try_augment(l, visited)) ++matched;
-  }
-  solved_ = true;
-  return matched;
-}
-
-bool BipartiteMatcher::all_matched() const {
-  PARMEM_CHECK(solved_, "all_matched() called before solve()");
-  for (const std::int32_t m : match_left_) {
-    if (m < 0) return false;
-  }
   return true;
-}
-
-std::optional<std::uint32_t> BipartiteMatcher::match_of(std::size_t l) const {
-  PARMEM_CHECK(solved_, "match_of() called before solve()");
-  PARMEM_CHECK(l < match_left_.size(), "left index out of range");
-  if (match_left_[l] < 0) return std::nullopt;
-  return static_cast<std::uint32_t>(match_left_[l]);
-}
-
-bool has_distinct_representatives(
-    const std::vector<std::vector<std::uint32_t>>& choices,
-    std::size_t right_size) {
-  if (choices.size() > right_size) return false;
-  BipartiteMatcher m(right_size);
-  for (const auto& c : choices) m.add_left(c);
-  return m.solve() == choices.size();
-}
-
-std::optional<std::vector<std::uint32_t>> find_distinct_representatives(
-    const std::vector<std::vector<std::uint32_t>>& choices,
-    std::size_t right_size) {
-  if (choices.size() > right_size) return std::nullopt;
-  BipartiteMatcher m(right_size);
-  for (const auto& c : choices) m.add_left(c);
-  if (m.solve() != choices.size()) return std::nullopt;
-  std::vector<std::uint32_t> reps;
-  reps.reserve(choices.size());
-  for (std::size_t l = 0; l < choices.size(); ++l) {
-    reps.push_back(*m.match_of(l));
-  }
-  return reps;
 }
 
 }  // namespace parmem::support

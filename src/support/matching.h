@@ -1,4 +1,4 @@
-// Maximum bipartite matching (augmenting-path / Hungarian style).
+// Systems of distinct representatives over module bitmasks.
 //
 // The library's central feasibility question — "can this instruction fetch
 // all of its operands in one memory cycle?" — is a system-of-distinct-
@@ -6,57 +6,33 @@
 // modules holding a copy of it, and no two operands may read from the same
 // module. An SDR exists iff a perfect matching of operands into modules
 // exists (Hall's theorem). Instruction widths are tiny (k <= 8 in the paper)
-// so a simple Kuhn augmenting-path matcher is both adequate and fastest.
+// and the modules fit one 32-bit word, so a Kuhn augmenting-path search over
+// bitmasks with fixed-size arrays answers it without allocating.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <vector>
+#include <span>
 
 namespace parmem::support {
 
-/// A bipartite matching instance: `left` items each carry a list of
-/// admissible `right` items (0-based ids, right ids < right_size).
-class BipartiteMatcher {
- public:
-  /// @param right_size number of right-side items (e.g. memory modules).
-  explicit BipartiteMatcher(std::size_t right_size);
+/// Largest module count an SDR instance may have: one bit per module.
+inline constexpr std::size_t kMaxModules = 32;
 
-  /// Adds a left item with the given admissible right ids; returns its index.
-  std::size_t add_left(std::vector<std::uint32_t> admissible);
-
-  /// Computes a maximum matching; returns its size.
-  std::size_t solve();
-
-  /// True iff every left item is matched (requires a prior solve()).
-  bool all_matched() const;
-
-  /// Right item matched to left item `l`, or nullopt if unmatched.
-  std::optional<std::uint32_t> match_of(std::size_t l) const;
-
-  std::size_t left_size() const { return adj_.size(); }
-  std::size_t right_size() const { return right_size_; }
-
- private:
-  bool try_augment(std::size_t l, std::vector<bool>& visited);
-
-  std::size_t right_size_;
-  std::vector<std::vector<std::uint32_t>> adj_;   // left -> admissible rights
-  std::vector<std::int32_t> match_left_;          // left -> right or -1
-  std::vector<std::int32_t> match_right_;         // right -> left or -1
-  bool solved_ = false;
-};
-
-/// Convenience wrapper: true iff every set in `choices` can be assigned a
-/// distinct representative < right_size. This is the paper's conflict-freedom
-/// test for one instruction: choices[i] = modules holding a copy of operand i.
-bool has_distinct_representatives(
-    const std::vector<std::vector<std::uint32_t>>& choices,
-    std::size_t right_size);
-
-/// As above but returns the representatives (one per set) when they exist.
-std::optional<std::vector<std::uint32_t>> find_distinct_representatives(
-    const std::vector<std::vector<std::uint32_t>>& choices,
-    std::size_t right_size);
+/// True iff every `masks[i]` (bit m set == module m admissible) can be given
+/// a distinct module < `module_count`. This is the paper's conflict-freedom
+/// test for one instruction: masks[i] = modules holding a copy of operand i.
+/// A zero mask, or more masks than modules, has no SDR.
+///
+/// When `reps` is non-empty it must hold masks.size() entries; on success it
+/// receives one representative per mask. The search is deterministic: masks
+/// are matched in index order, each trying its admissible modules in
+/// ascending order, so the representatives are a pure function of `masks`.
+///
+/// Throws InternalError when `module_count` exceeds kMaxModules or a mask
+/// names a module >= `module_count`.
+bool has_distinct_representatives(std::span<const std::uint32_t> masks,
+                                  std::size_t module_count,
+                                  std::span<std::uint32_t> reps = {});
 
 }  // namespace parmem::support

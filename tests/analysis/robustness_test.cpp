@@ -184,6 +184,33 @@ TEST(Robustness, HostileExactAttemptRespectsTheDeadline) {
   }
 }
 
+TEST(Robustness, UnresolvableWideTupleHonoursTheDeadline) {
+  // 24 mutable operands at k = 20: no placement can resolve the tuple, so
+  // it still conflicts in every hitting-set round, and its operand
+  // combinations of sizes 3..20 (about 16 M) are enumerated. Unbudgeted
+  // that takes seconds; under a deadline the enumeration itself must stop.
+  std::vector<ir::ValueId> wide;
+  for (ir::ValueId v = 0; v < 24; ++v) wide.push_back(v);
+  ir::AccessStream stream = ir::AccessStream::from_tuples(24, {wide});
+  stream.duplicatable.assign(24, false);
+
+  support::BudgetSpec spec;
+  spec.deadline_ms = 50;
+  support::Budget b(spec);
+  AssignOptions o;
+  o.module_count = 20;
+  o.method = assign::DupMethod::kHittingSet;
+  o.budget = &b;
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const AssignResult r = assign::assign_modules(stream, o);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+
+  EXPECT_LT(elapsed, std::chrono::milliseconds(50 + 1000));
+  EXPECT_TRUE(r.budget_exhausted);
+  expect_well_formed(stream, r, "unresolvable wide tuple");
+}
+
 TEST(Robustness, TryExactOnTinyStreamRecordsTheExactTier) {
   ir::AccessStream s;
   s.value_count = 6;

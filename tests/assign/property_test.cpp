@@ -12,7 +12,6 @@
 #include "assign/assigner.h"
 #include "assign/conflict_graph.h"
 #include "assign/verify.h"
-#include "support/matching.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
 
@@ -127,14 +126,11 @@ TEST_P(AssignProperty, MutableValuesRespectSingleCopy) {
     // Any residual conflict must be attributable to mutable values: the
     // non-duplicable operands of the tuple alone already fail the SDR test.
     for (const std::uint32_t ti : report.conflicting_tuples) {
-      std::vector<std::vector<std::uint32_t>> fixed_choices;
+      std::vector<ir::ValueId> fixed;
       for (const ir::ValueId v : s.tuples[ti].operands) {
-        if (!s.duplicatable[v]) {
-          fixed_choices.push_back(modules_of(r.placement[v]));
-        }
+        if (!s.duplicatable[v]) fixed.push_back(v);
       }
-      EXPECT_FALSE(support::has_distinct_representatives(fixed_choices,
-                                                         cfg.module_count))
+      EXPECT_FALSE(copies_admit_sdr(fixed, r.placement, cfg.module_count))
           << "tuple " << ti << " conflicts despite resolvable mutable core";
     }
   }
@@ -175,11 +171,11 @@ TEST(AssignPropertyRandomized, InvariantsHoldAcrossModuleCounts) {
             << mode << ": accessed value lost all copies";
         // I1 may only fail where mutable operands alone already collide.
         for (const std::uint32_t ti : report.conflicting_tuples) {
-          std::vector<std::vector<std::uint32_t>> fixed;
+          std::vector<ir::ValueId> fixed;
           for (const ir::ValueId v : s.tuples[ti].operands) {
-            if (!s.duplicatable[v]) fixed.push_back(modules_of(r.placement[v]));
+            if (!s.duplicatable[v]) fixed.push_back(v);
           }
-          EXPECT_FALSE(support::has_distinct_representatives(fixed, k))
+          EXPECT_FALSE(copies_admit_sdr(fixed, r.placement, k))
               << mode << ": tuple " << ti
               << " conflicts despite resolvable mutable core (I1)";
         }

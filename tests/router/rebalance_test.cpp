@@ -292,6 +292,10 @@ TEST(Rebalance, JournalMigratesAndSuccessorsWarmLoadByteIdentically) {
   }
   ASSERT_GE(victim_keys.size(), 1u) << "no keys hashed to the victim";
 
+  // Survivor incarnations before the kill: a recycled survivor counts as
+  // respawned only once a newer incarnation is up. (Its old incarnation
+  // still reads as alive until the death sweep notices the kill.)
+  const std::vector<Router::WorkerInfo> before = rt.workers();
   rt.kill_worker(2);
   ASSERT_TRUE(wait_until([&] { return rt.counters().rebalanced == 1; },
                          10000));
@@ -303,8 +307,21 @@ TEST(Rebalance, JournalMigratesAndSuccessorsWarmLoadByteIdentically) {
                c.recycled_workers >= 1;
       },
       10000));
-  // Wait out the recycled survivors' respawns.
-  ASSERT_TRUE(wait_until([&] { return rt.alive_workers() == 2; }, 10000));
+  // Wait out the recycled survivors' respawns: every recycled survivor is
+  // up again under a new incarnation.
+  const std::uint64_t recycled = rt.counters().recycled_workers;
+  ASSERT_TRUE(wait_until(
+      [&] {
+        std::uint64_t respawned = 0;
+        std::size_t up = 0;
+        for (const Router::WorkerInfo& w : rt.workers()) {
+          if (w.index == 2 || w.state != Router::WorkerState::kUp) continue;
+          ++up;
+          if (w.incarnation > before[w.index].incarnation) ++respawned;
+        }
+        return up == 2 && respawned >= recycled;
+      },
+      10000));
 
   // The migrated keys are served by their new owners from the warm-loaded
   // journal: byte-identical bytes, cache hits, no recompute.
