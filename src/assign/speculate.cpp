@@ -100,11 +100,6 @@ bool speculate_color_atom(const ConflictGraph& cg, const ColorOptions& opts,
   std::vector<Vertex> removal_order;
   std::vector<Vertex> forced_order;
 
-  // Tentative-pick bitset for word-parallel conflict detection against the
-  // graph's CSR adjacency bitset; row scans when the bitset is absent.
-  const std::size_t words = g.adjacency_words_per_row();
-  std::vector<std::uint64_t> tentative_bits(words, 0);
-
   // Committed module of a neighbor: a speculative commit (including forced
   // picks) or a decision from an earlier atom / stage.
   const auto committed_module = [&](Vertex w) -> std::int32_t {
@@ -326,17 +321,6 @@ bool speculate_color_atom(const ConflictGraph& cg, const ColorOptions& opts,
       any_endangered |= tentative[v] >= 0 && urg_kk[v] <= kProtectAt;
     }
 
-    // The round's tentative set, for word-parallel detection below. Built
-    // serially: distinct vertices may share a word.
-    if (words != 0) {
-      std::fill(tentative_bits.begin(), tentative_bits.end(), 0);
-      for (const Vertex v : pending) {
-        if (tentative[v] >= 0) {
-          tentative_bits[v >> 6] |= std::uint64_t{1} << (v & 63);
-        }
-      }
-    }
-
     // Phase B pass 1 (parallel): a vertex keeps its pick iff no
     // lower-position neighbor picked the same module this round.
     std::vector<std::uint64_t> chunk_conflicts(nchunks, 0);
@@ -352,26 +336,10 @@ bool speculate_color_atom(const ConflictGraph& cg, const ColorOptions& opts,
           continue;
         }
         bool lose = false;
-        if (words != 0) {
-          const auto row = g.adjacency_row(v);
-          for (std::size_t wd = 0; wd < words && !lose; ++wd) {
-            std::uint64_t hits = row[wd] & tentative_bits[wd];
-            while (hits != 0) {
-              const auto u = static_cast<Vertex>(
-                  wd * 64 + static_cast<std::size_t>(std::countr_zero(hits)));
-              hits &= hits - 1;
-              if (tentative[u] == tc && pos[u] < pos[v]) {
-                lose = true;
-                break;
-              }
-            }
-          }
-        } else {
-          for (const Vertex u : g.neighbors(v)) {
-            if (is_pending[u] != 0 && tentative[u] == tc && pos[u] < pos[v]) {
-              lose = true;
-              break;
-            }
+        for (const Vertex u : g.neighbors(v)) {
+          if (is_pending[u] != 0 && tentative[u] == tc && pos[u] < pos[v]) {
+            lose = true;
+            break;
           }
         }
         win[v] = lose ? 0 : 1;
@@ -401,27 +369,10 @@ bool speculate_color_atom(const ConflictGraph& cg, const ColorOptions& opts,
                        0;
           };
           bool yield = false;
-          if (words != 0) {
-            const auto row = g.adjacency_row(v);
-            for (std::size_t wd = 0; wd < words && !yield; ++wd) {
-              std::uint64_t hits = row[wd] & tentative_bits[wd];
-              while (hits != 0) {
-                const auto u = static_cast<Vertex>(
-                    wd * 64 +
-                    static_cast<std::size_t>(std::countr_zero(hits)));
-                hits &= hits - 1;
-                if (protects(u)) {
-                  yield = true;
-                  break;
-                }
-              }
-            }
-          } else {
-            for (const Vertex u : g.neighbors(v)) {
-              if (is_pending[u] != 0 && protects(u)) {
-                yield = true;
-                break;
-              }
+          for (const Vertex u : g.neighbors(v)) {
+            if (is_pending[u] != 0 && protects(u)) {
+              yield = true;
+              break;
             }
           }
           if (yield) {

@@ -13,8 +13,8 @@
 //      own members against a snapshot of the committed state — the
 //      optimistic step; intra-chunk picks propagate, so chunk members never
 //      collide with each other;
-//   3. cross-chunk conflicts are detected in parallel by intersecting each
-//      vertex's CSR adjacency-bitset row with the round's tentative set: a
+//   3. cross-chunk conflicts are detected in parallel by scanning each
+//      vertex's CSR row for pending neighbors with a tentative pick: a
 //      vertex loses iff a *lower-position* neighbor picked the same module,
 //      and a winner defers when an endangered lower-position loser needs
 //      its pick;

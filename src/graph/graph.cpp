@@ -45,15 +45,6 @@ Graph Graph::from_sorted_edges(
                          g.neighbors_.begin() + g.offsets_[v + 1],
                  "from_sorted_edges: edges not sorted unique");
   }
-
-  if (n <= kAdjacencyBitsetMaxVertices && n > 0) {
-    g.words_per_row_ = (n + 63) / 64;
-    g.adj_bits_.assign(n * g.words_per_row_, 0);
-    for (const auto& [u, v] : edges) {
-      g.adj_bits_[u * g.words_per_row_ + v / 64] |= 1ULL << (v % 64);
-      g.adj_bits_[v * g.words_per_row_ + u / 64] |= 1ULL << (u % 64);
-    }
-  }
   g.csr_valid_ = true;
   return g;
 }
@@ -67,15 +58,6 @@ void Graph::finalize() {
   neighbors_.resize(offsets_[n_]);
   for (std::size_t v = 0; v < n_; ++v) {
     std::copy(adj_[v].begin(), adj_[v].end(), neighbors_.begin() + offsets_[v]);
-  }
-  if (n_ <= kAdjacencyBitsetMaxVertices && n_ > 0) {
-    words_per_row_ = (n_ + 63) / 64;
-    adj_bits_.assign(n_ * words_per_row_, 0);
-    for (Vertex v = 0; v < n_; ++v) {
-      for (const Vertex w : adj_[v]) {
-        adj_bits_[v * words_per_row_ + w / 64] |= 1ULL << (w % 64);
-      }
-    }
   }
   adj_.clear();
   adj_.shrink_to_fit();
@@ -91,8 +73,6 @@ void Graph::definalize() {
   }
   offsets_.clear();
   neighbors_.clear();
-  adj_bits_.clear();
-  words_per_row_ = 0;
   csr_valid_ = false;
 }
 
@@ -114,9 +94,6 @@ bool Graph::has_edge(Vertex u, Vertex v) const {
   check_vertex(u);
   check_vertex(v);
   if (u == v) return false;
-  if (!adj_bits_.empty()) {
-    return (adj_bits_[u * words_per_row_ + v / 64] >> (v % 64)) & 1;
-  }
   // Probe the smaller adjacency list.
   const auto nu = neighbors(u);
   const auto nv = neighbors(v);
@@ -140,19 +117,16 @@ std::size_t Graph::neighbor_base(Vertex v) const {
 }
 
 bool Graph::is_clique(std::span<const Vertex> set) const {
-  if (!adj_bits_.empty()) {
-    for (const Vertex u : set) {
-      check_vertex(u);
-      const std::uint64_t* row = adj_bits_.data() + u * words_per_row_;
-      for (const Vertex v : set) {
-        if (v != u && !((row[v / 64] >> (v % 64)) & 1)) return false;
-      }
-    }
-    return true;
-  }
+  // Binary-search each member's sorted row for the members after it; no
+  // scratch, so concurrent readers stay safe. Stops at the first missing
+  // edge.
   for (std::size_t i = 0; i < set.size(); ++i) {
+    const auto row = neighbors(set[i]);
     for (std::size_t j = i + 1; j < set.size(); ++j) {
-      if (!has_edge(set[i], set[j])) return false;
+      if (set[j] != set[i] &&
+          !std::binary_search(row.begin(), row.end(), set[j])) {
+        return false;
+      }
     }
   }
   return true;

@@ -8,8 +8,7 @@
 //  * a mutable build form — vector-of-vectors adjacency, grown by
 //    add_edge();
 //  * a packed CSR form — one offsets array plus one flat neighbors array,
-//    augmented (for small graphs) with a word-packed adjacency bitset for
-//    O(1) has_edge and word-parallel is_clique.
+//    O(n + m) memory.
 //
 // finalize() converts build form to CSR; any later add_edge falls back to
 // the build form transparently. Exactly one representation is live at a
@@ -45,13 +44,12 @@ class Graph {
   /// Drops back to the mutable build form if the graph was finalized.
   void add_edge(Vertex u, Vertex v);
 
-  /// Packs the adjacency into CSR (and, for graphs up to
-  /// kAdjacencyBitsetMaxVertices vertices, the adjacency bitset).
-  /// Idempotent. Call before sharing the graph read-only across threads or
-  /// entering query-heavy algorithms.
+  /// Packs the adjacency into CSR. Idempotent. Call before sharing the
+  /// graph read-only across threads or entering query-heavy algorithms.
   void finalize();
   bool finalized() const { return csr_valid_; }
 
+  /// O(log degree): a binary search of the shorter of the two rows.
   bool has_edge(Vertex u, Vertex v) const;
 
   /// Sorted neighbor list of `v`.
@@ -67,28 +65,15 @@ class Graph {
   /// Requires finalized().
   std::size_t neighbor_array_size() const { return neighbors_.size(); }
 
-  /// 64-bit words per adjacency-bitset row ((n + 63) / 64), or 0 when the
-  /// bitset is absent (graph not finalized, empty, or larger than
-  /// kAdjacencyBitsetMaxVertices). Nonzero means adjacency_row() is usable.
-  std::size_t adjacency_words_per_row() const { return words_per_row_; }
-
-  /// Row `v` of the adjacency bitset: bit `w` of word `w / 64` is set iff
-  /// (v, w) is an edge. Empty span when the bitset is absent. Lets callers
-  /// intersect a neighborhood against their own vertex bitsets word by word
-  /// (the speculative coloring tier's conflict detection).
-  std::span<const std::uint64_t> adjacency_row(Vertex v) const {
-    if (words_per_row_ == 0) return {};
-    return {adj_bits_.data() + v * words_per_row_, words_per_row_};
-  }
-
   std::size_t degree(Vertex v) const {
     return csr_valid_ ? offsets_[v + 1] - offsets_[v] : adj_[v].size();
   }
   std::size_t vertex_count() const { return n_; }
   std::size_t edge_count() const { return edge_count_; }
 
-  /// True iff every pair of vertices in `set` is adjacent. The empty set and
-  /// singletons are cliques.
+  /// True iff every pair of distinct vertices in `set` is adjacent (a
+  /// repeated vertex counts once). The empty set and singletons are
+  /// cliques.
   bool is_clique(std::span<const Vertex> set) const;
 
   /// Subgraph induced by `keep` (need not be sorted). The i-th vertex of the
@@ -115,11 +100,6 @@ class Graph {
   /// Multi-line human-readable dump (vertex: neighbor list).
   std::string to_string() const;
 
-  /// Largest vertex count for which finalize() also builds the O(n^2)-bit
-  /// adjacency bitset (8 MiB at the limit). Bigger graphs answer has_edge
-  /// by binary search over the CSR row.
-  static constexpr std::size_t kAdjacencyBitsetMaxVertices = 8192;
-
  private:
   void check_vertex(Vertex v) const;
   /// Rebuilds the mutable adjacency from CSR and drops the CSR (the inverse
@@ -136,10 +116,6 @@ class Graph {
   bool csr_valid_ = false;
   std::vector<std::uint32_t> offsets_;  // n_ + 1 entries
   std::vector<Vertex> neighbors_;       // flat, rows sorted ascending
-  // Adjacency bitset, row-major, words_per_row_ 64-bit words per vertex;
-  // empty when n_ > kAdjacencyBitsetMaxVertices.
-  std::vector<std::uint64_t> adj_bits_;
-  std::size_t words_per_row_ = 0;
 };
 
 }  // namespace parmem::graph

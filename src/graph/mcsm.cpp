@@ -179,6 +179,9 @@ Triangulation mcs_m(const Graph& g) {
   std::priority_queue<std::uint64_t> heap;
   for (Vertex v = 0; v < n; ++v) heap.push(entry(0, v));
   constexpr std::int64_t kNumbered = -1;
+  // adjacent_at[y] == step iff y is a live neighbor of the step's x: the
+  // fill test, one mark per neighbor instead of a has_edge per reached y.
+  std::vector<std::size_t> adjacent_at(n, 0);
 
   for (std::size_t step = n; step > 0; --step) {
     Vertex x = 0;
@@ -193,13 +196,14 @@ Triangulation mcs_m(const Graph& g) {
     // Number x up front: save its live row for seeding, then delete it
     // from the live adjacency so the scan never sees it as an intermediate.
     scratch.xrow.assign(scratch.live(x).begin(), scratch.live(x).end());
+    for (const Vertex w : scratch.xrow) adjacent_at[w] = step;
     scratch.remove(x);
     const auto reached =
         reachable_through_lower_weights(scratch, weight, weight[x]);
     for (const Vertex y : reached) {
       weight[y] += 1;
       heap.push(entry(weight[y], y));
-      if (!g.has_edge(x, y)) {
+      if (adjacent_at[y] != step) {
         result.fill.emplace_back(std::min(x, y), std::max(x, y));
       }
     }

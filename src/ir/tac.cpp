@@ -107,8 +107,8 @@ bool has_dst(Opcode op) {
   }
 }
 
-std::vector<ValueId> TacInstr::value_uses() const {
-  std::vector<ValueId> uses;
+ValueUses TacInstr::value_uses() const {
+  ValueUses uses;
   const auto push_unique = [&uses](const Operand& o) {
     if (!o.is_value()) return;
     for (const ValueId u : uses) {

@@ -7,6 +7,8 @@
 // instruction word, never touching memory).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -93,6 +95,21 @@ struct Operand {
   bool is_value() const { return kind == Kind::kValue; }
 };
 
+/// The distinct scalar values one instruction reads, held inline (an
+/// instruction has at most three source operands). Iterates like a
+/// container.
+class ValueUses {
+ public:
+  void push_back(ValueId v) { ids_[size_++] = v; }
+  const ValueId* begin() const { return ids_.data(); }
+  const ValueId* end() const { return ids_.data() + size_; }
+  std::size_t size() const { return size_; }
+
+ private:
+  std::array<ValueId, 3> ids_{};
+  std::uint8_t size_ = 0;
+};
+
 struct TacInstr {
   Opcode op = Opcode::kNop;
   ValueId dst = kInvalidValue;  // defined value, if has_dst(op)
@@ -105,8 +122,9 @@ struct TacInstr {
   std::uint32_t xfer_src_module = 0;
   std::uint32_t xfer_dst_module = 0;
 
-  /// Distinct scalar value ids read by this instruction (0..2 entries).
-  std::vector<ValueId> value_uses() const;
+  /// Distinct scalar value ids read by this instruction (0..3 entries), in
+  /// operand order.
+  ValueUses value_uses() const;
 };
 
 /// A lowered compilation unit: a flat instruction list plus its value and

@@ -1,79 +1,77 @@
 #include "sched/ddg.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 #include "support/diagnostics.h"
 
 namespace parmem::sched {
 
-BlockDdg BlockDdg::build(const ir::TacProgram& prog,
-                         const ir::Region& region) {
-  BlockDdg ddg;
+DdgBuilder::DdgBuilder(const ir::TacProgram& prog)
+    : prog_(prog),
+      last_def_(prog.values.size(), kNone),
+      uses_since_def_(prog.values.size()),
+      last_store_(prog.arrays.size(), kNone),
+      loads_since_store_(prog.arrays.size()) {}
+
+void DdgBuilder::add_edge(std::uint32_t from, std::uint32_t to) {
+  if (from == to) return;
+  PARMEM_CHECK(from < to, "dependence edges must follow program order");
+  if (last_target_[from] == to) return;  // already added while adding `to`
+  last_target_[from] = to;
+  edge_from_.push_back(from);
+  edge_to_.push_back(to);
+  ++ddg_.pred_count[to];
+}
+
+const BlockDdg& DdgBuilder::build(const ir::Region& region) {
+  BlockDdg& ddg = ddg_;
   ddg.first = region.first;
   ddg.count = region.last - region.first;
-  ddg.succs.assign(ddg.count, {});
   ddg.pred_count.assign(ddg.count, 0);
+  last_target_.assign(ddg.count, kNone);
+  edge_from_.clear();
+  edge_to_.clear();
 
-  std::set<std::pair<std::uint32_t, std::uint32_t>> edges;
-  const auto add_edge = [&](std::uint32_t from, std::uint32_t to) {
-    if (from == to) return;
-    PARMEM_CHECK(from < to, "dependence edges must follow program order");
-    if (edges.insert({from, to}).second) {
-      ddg.succs[from].push_back(to);
-      ++ddg.pred_count[to];
-    }
-  };
-
-  std::map<ir::ValueId, std::uint32_t> last_def;
-  std::map<ir::ValueId, std::vector<std::uint32_t>> uses_since_def;
-  std::map<ir::ArrayId, std::uint32_t> last_store;
-  std::map<ir::ArrayId, std::vector<std::uint32_t>> loads_since_store;
-  std::int64_t last_output = -1;  // print ordering
+  std::uint32_t last_output = kNone;  // print ordering
 
   for (std::uint32_t n = 0; n < ddg.count; ++n) {
-    const ir::TacInstr& in = prog.instrs[region.first + n];
+    const ir::TacInstr& in = prog_.instrs[region.first + n];
 
     // RAW: uses depend on the latest def.
     for (const ir::ValueId u : in.value_uses()) {
-      const auto d = last_def.find(u);
-      if (d != last_def.end()) add_edge(d->second, n);
-      uses_since_def[u].push_back(n);
+      if (last_def_[u] != kNone) add_edge(last_def_[u], n);
+      uses_since_def_[u].push_back(n);
     }
 
     if (ir::has_dst(in.op)) {
       const ir::ValueId d = in.dst;
       // WAW.
-      const auto pd = last_def.find(d);
-      if (pd != last_def.end()) add_edge(pd->second, n);
+      if (last_def_[d] != kNone) add_edge(last_def_[d], n);
       // WAR: all uses since the previous def precede this def.
-      for (const std::uint32_t u : uses_since_def[d]) add_edge(u, n);
-      uses_since_def[d].clear();
-      last_def[d] = n;
+      for (const std::uint32_t u : uses_since_def_[d]) add_edge(u, n);
+      uses_since_def_[d].clear();
+      last_def_[d] = n;
     }
 
     // Array ordering.
     if (in.op == ir::Opcode::kLoad) {
-      const auto s = last_store.find(in.array);
-      if (s != last_store.end()) add_edge(s->second, n);
-      loads_since_store[in.array].push_back(n);
+      if (last_store_[in.array] != kNone) add_edge(last_store_[in.array], n);
+      loads_since_store_[in.array].push_back(n);
     } else if (in.op == ir::Opcode::kStore) {
-      const auto s = last_store.find(in.array);
-      if (s != last_store.end()) add_edge(s->second, n);  // store-store
-      for (const std::uint32_t l : loads_since_store[in.array]) {
+      if (last_store_[in.array] != kNone) {
+        add_edge(last_store_[in.array], n);  // store-store
+      }
+      for (const std::uint32_t l : loads_since_store_[in.array]) {
         add_edge(l, n);  // load-store
       }
-      loads_since_store[in.array].clear();
-      last_store[in.array] = n;
+      loads_since_store_[in.array].clear();
+      last_store_[in.array] = n;
     }
 
     // Output ordering.
     if (in.op == ir::Opcode::kPrint) {
-      if (last_output >= 0) {
-        add_edge(static_cast<std::uint32_t>(last_output), n);
-      }
-      last_output = static_cast<std::int64_t>(n);
+      if (last_output != kNone) add_edge(last_output, n);
+      last_output = n;
     }
 
     // Terminator: after everything else in the block.
@@ -84,12 +82,38 @@ BlockDdg BlockDdg::build(const ir::TacProgram& prog,
     }
   }
 
+  // Reset the per-value and per-array state this block set, for the next.
+  for (std::uint32_t n = 0; n < ddg.count; ++n) {
+    const ir::TacInstr& in = prog_.instrs[region.first + n];
+    for (const ir::ValueId u : in.value_uses()) uses_since_def_[u].clear();
+    if (ir::has_dst(in.op)) last_def_[in.dst] = kNone;
+    if (in.op == ir::Opcode::kLoad || in.op == ir::Opcode::kStore) {
+      last_store_[in.array] = kNone;
+      loads_since_store_[in.array].clear();
+    }
+  }
+
+  // Successor CSR by counting sort on the source node. Edges were found in
+  // ascending target order, so each row comes out ascending.
+  ddg.succ_offsets.assign(ddg.count + 1, 0);
+  for (const std::uint32_t from : edge_from_) ++ddg.succ_offsets[from + 1];
+  for (std::uint32_t n = 0; n < ddg.count; ++n) {
+    ddg.succ_offsets[n + 1] += ddg.succ_offsets[n];
+  }
+  ddg.succ_list.resize(edge_from_.size());
+  // last_target_ is free again: reuse it as the per-row write cursor.
+  std::copy(ddg.succ_offsets.begin(), ddg.succ_offsets.end() - 1,
+            last_target_.begin());
+  for (std::size_t e = 0; e < edge_from_.size(); ++e) {
+    ddg.succ_list[last_target_[edge_from_[e]]++] = edge_to_[e];
+  }
+
   // Critical-path heights (reverse topological order == reverse program
   // order, since all edges point forward).
   ddg.height.assign(ddg.count, 1);
   for (std::uint32_t n = ddg.count; n > 0; --n) {
     const std::uint32_t i = n - 1;
-    for (const std::uint32_t s : ddg.succs[i]) {
+    for (const std::uint32_t s : ddg.succs(i)) {
       ddg.height[i] = std::max(ddg.height[i], ddg.height[s] + 1);
     }
   }

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ir/region.h"
@@ -27,14 +28,50 @@ namespace parmem::sched {
 struct BlockDdg {
   std::uint32_t first = 0;
   std::uint32_t count = 0;
-  /// succs[i]: nodes that must be scheduled strictly after node i.
-  std::vector<std::vector<std::uint32_t>> succs;
-  /// Number of unscheduled predecessors (used as the ready-set counter).
+  /// Successor lists in CSR form: succs(i) is
+  /// succ_list[succ_offsets[i] .. succ_offsets[i + 1]).
+  std::vector<std::uint32_t> succ_offsets;
+  std::vector<std::uint32_t> succ_list;
+  /// Number of predecessors (used as the ready-set counter).
   std::vector<std::uint32_t> pred_count;
   /// Critical-path height (1 for sinks) — the scheduling priority.
   std::vector<std::uint32_t> height;
 
-  static BlockDdg build(const ir::TacProgram& prog, const ir::Region& region);
+  /// Nodes that must be scheduled strictly after node i, ascending.
+  std::span<const std::uint32_t> succs(std::uint32_t i) const {
+    return {succ_list.data() + succ_offsets[i],
+            succ_offsets[i + 1] - succ_offsets[i]};
+  }
+};
+
+/// Builds the BlockDdg of each block of one program. The per-value and
+/// per-array state it needs is sized to the program once and reset by a
+/// second walk over the block, so a block costs O(ops + edges).
+class DdgBuilder {
+ public:
+  explicit DdgBuilder(const ir::TacProgram& prog);
+
+  /// The dependence graph of `region`. The reference stays valid until the
+  /// next build() call.
+  const BlockDdg& build(const ir::Region& region);
+
+ private:
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+
+  void add_edge(std::uint32_t from, std::uint32_t to);
+
+  const ir::TacProgram& prog_;
+  BlockDdg ddg_;
+  std::vector<std::uint32_t> edge_from_;  // edges in discovery order;
+  std::vector<std::uint32_t> edge_to_;    // targets never decrease
+  // Target of the latest edge out of each node: every edge found while
+  // adding node n ends at n, so a repeat is exactly last_target_ == n.
+  std::vector<std::uint32_t> last_target_;
+
+  std::vector<std::uint32_t> last_def_;  // per value
+  std::vector<std::vector<std::uint32_t>> uses_since_def_;
+  std::vector<std::uint32_t> last_store_;  // per array
+  std::vector<std::vector<std::uint32_t>> loads_since_store_;
 };
 
 }  // namespace parmem::sched

@@ -1,7 +1,8 @@
 #include "sched/list_scheduler.h"
 
 #include <algorithm>
-#include <set>
+#include <cstddef>
+#include <vector>
 
 #include "sched/ddg.h"
 #include "support/diagnostics.h"
@@ -22,54 +23,80 @@ ir::LiwProgram schedule(const ir::TacProgram& prog, const SchedOptions& opts,
   // First word index of every region (for branch patching).
   std::vector<std::uint32_t> region_start(rg.regions.size(), 0);
 
+  DdgBuilder ddgs(prog);
+  // The ready list: ops whose predecessors are all scheduled, kept sorted
+  // by priority — (height descending, program index) for kCriticalPath,
+  // program index for kSourceOrder. Both are strict total orders, so the
+  // list always equals a fresh sort of the ready set.
+  std::vector<std::uint32_t> ready;
+  std::vector<std::uint32_t> arrived;  // became ready during this word
+  std::vector<std::uint32_t> merged;
+  std::vector<std::uint32_t> remaining_preds;
+  std::vector<std::uint32_t> taken;
+  std::vector<ir::ValueId> reads;  // distinct scalar reads of the word
+
   for (const ir::Region& region : rg.regions) {
     region_start[region.id] = static_cast<std::uint32_t>(out.words.size());
-    BlockDdg ddg = BlockDdg::build(prog, region);
+    const BlockDdg& ddg = ddgs.build(region);
+    const auto before = [&](std::uint32_t a, std::uint32_t b) {
+      if (opts.priority == SchedPriority::kCriticalPath &&
+          ddg.height[a] != ddg.height[b]) {
+        return ddg.height[a] > ddg.height[b];
+      }
+      return a < b;
+    };
 
-    std::vector<bool> scheduled(ddg.count, false);
-    std::vector<std::uint32_t> remaining_preds = ddg.pred_count;
+    remaining_preds = ddg.pred_count;
+    ready.clear();
+    for (std::uint32_t n = 0; n < ddg.count; ++n) {
+      if (remaining_preds[n] == 0) ready.push_back(n);
+    }
+    std::sort(ready.begin(), ready.end(), before);
     std::size_t left = ddg.count;
 
     while (left > 0) {
-      // Ready ops, by descending height then program order.
-      std::vector<std::uint32_t> ready;
-      for (std::uint32_t n = 0; n < ddg.count; ++n) {
-        if (!scheduled[n] && remaining_preds[n] == 0) ready.push_back(n);
-      }
       PARMEM_CHECK(!ready.empty(), "dependence cycle in a basic block");
-      if (opts.priority == SchedPriority::kCriticalPath) {
-        std::stable_sort(ready.begin(), ready.end(),
-                         [&](std::uint32_t a, std::uint32_t b) {
-                           return ddg.height[a] > ddg.height[b];
-                         });
-      }  // kSourceOrder: the ready list is already in program order.
-
       ir::LiwWord word;
       word.region = region.id;
-      std::set<ir::ValueId> reads;
-      std::vector<std::uint32_t> taken;
+      reads.clear();
+      taken.clear();
       bool has_terminator = false;
 
-      for (const std::uint32_t n : ready) {
-        if (word.ops.size() >= opts.fu_count) break;
+      // Walk the list in priority order until the word is full; ops that
+      // do not fit stay in the list, compacted in place.
+      std::size_t kept = 0;
+      std::size_t i = 0;
+      for (; i < ready.size() && word.ops.size() < opts.fu_count; ++i) {
+        const std::uint32_t n = ready[i];
         const ir::TacInstr& in = prog.instrs[ddg.first + n];
-        if (ir::is_terminator(in.op)) {
-          // A terminator may only join a word if every other block op is
-          // already scheduled or joins this same word — its DDG preds
-          // enforce that; but it must also be the last slot.
-          if (has_terminator) continue;
-        }
+        // A terminator's DDG preds keep it after every other block op; it
+        // also takes the word's last slot (swapped there below).
+        bool fits = !(has_terminator && ir::is_terminator(in.op));
         // Module-count constraint on distinct scalar reads.
-        std::set<ir::ValueId> with = reads;
-        for (const ir::ValueId u : in.value_uses()) with.insert(u);
-        if (with.size() > opts.module_count) continue;
-
-        reads = std::move(with);
+        const ir::ValueUses uses = in.value_uses();
+        if (fits) {
+          std::size_t fresh = 0;
+          for (const ir::ValueId u : uses) {
+            fresh += std::find(reads.begin(), reads.end(), u) == reads.end();
+          }
+          fits = reads.size() + fresh <= opts.module_count;
+        }
+        if (!fits) {
+          ready[kept++] = n;
+          continue;
+        }
+        for (const ir::ValueId u : uses) {
+          if (std::find(reads.begin(), reads.end(), u) == reads.end()) {
+            reads.push_back(u);
+          }
+        }
         taken.push_back(n);
         word.ops.push_back(in);
         if (ir::is_terminator(in.op)) has_terminator = true;
       }
       PARMEM_CHECK(!taken.empty(), "scheduler made no progress");
+      ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(kept),
+                  ready.begin() + static_cast<std::ptrdiff_t>(i));
 
       // Keep the terminator in the final slot.
       if (has_terminator) {
@@ -81,10 +108,19 @@ ir::LiwProgram schedule(const ir::TacProgram& prog, const SchedOptions& opts,
         }
       }
 
+      arrived.clear();
       for (const std::uint32_t n : taken) {
-        scheduled[n] = true;
-        --left;
-        for (const std::uint32_t s : ddg.succs[n]) --remaining_preds[s];
+        for (const std::uint32_t s : ddg.succs(n)) {
+          if (--remaining_preds[s] == 0) arrived.push_back(s);
+        }
+      }
+      left -= taken.size();
+      if (!arrived.empty()) {
+        std::sort(arrived.begin(), arrived.end(), before);
+        merged.resize(ready.size() + arrived.size());
+        std::merge(ready.begin(), ready.end(), arrived.begin(), arrived.end(),
+                   merged.begin(), before);
+        ready.swap(merged);
       }
       out.words.push_back(std::move(word));
     }
@@ -95,9 +131,6 @@ ir::LiwProgram schedule(const ir::TacProgram& prog, const SchedOptions& opts,
     for (ir::TacInstr& op : word.ops) {
       if (ir::is_terminator(op.op) && op.op != ir::Opcode::kHalt) {
         const ir::RegionId target_region = rg.region_of[op.target];
-        PARMEM_CHECK(prog.instrs[op.target].op != ir::Opcode::kNop ||
-                         true,
-                     "");
         PARMEM_CHECK(rg.regions[target_region].first == op.target,
                      "branch target must be a region leader");
         op.target = region_start[target_region];

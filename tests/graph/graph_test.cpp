@@ -166,10 +166,10 @@ TEST(Graph, NeighborBaseIndexesTheFlatArray) {
   EXPECT_EQ(expected, g.neighbor_array_size());
 }
 
-TEST(Graph, HasEdgeAgreesAboveBitsetLimit) {
-  // One vertex past the bitset cap: finalize() must fall back to binary
-  // search over the CSR rows and still answer identically.
-  const std::size_t n = Graph::kAdjacencyBitsetMaxVertices + 1;
+TEST(Graph, CsrHasEdgeAgreesOnLargeGraph) {
+  // More than 8,192 vertices, sparse: finalize() packs CSR rows only, and
+  // has_edge binary-searches them to answer as the build form does.
+  const std::size_t n = 8193;
   Graph g(n);
   g.add_edge(0, 1);
   g.add_edge(0, static_cast<Vertex>(n - 1));
@@ -181,6 +181,29 @@ TEST(Graph, HasEdgeAgreesAboveBitsetLimit) {
   EXPECT_TRUE(f.has_edge(4242, 17));
   EXPECT_FALSE(f.has_edge(1, 2));
   EXPECT_FALSE(f.has_edge(17, 4243));
+  for (const auto& [u, v] : std::vector<std::pair<Vertex, Vertex>>{
+           {0, 1}, {1, 0}, {0, 8192}, {17, 4242}, {1, 2}, {17, 4243}}) {
+    EXPECT_EQ(f.has_edge(u, v), g.has_edge(u, v)) << u << "-" << v;
+  }
+}
+
+TEST(Graph, IsCliqueRejectsExactlyOneMissingEdge) {
+  // K6 without the edge 2-4, in both representations.
+  Graph g(6);
+  for (Vertex u = 0; u < 6; ++u) {
+    for (Vertex v = u + 1; v < 6; ++v) {
+      if (!(u == 2 && v == 4)) g.add_edge(u, v);
+    }
+  }
+  Graph f = g;
+  f.finalize();
+  for (const Graph* h : {&g, &f}) {
+    EXPECT_FALSE(h->is_clique(std::vector<Vertex>{0, 1, 2, 3, 4, 5}));
+    EXPECT_FALSE(h->is_clique(std::vector<Vertex>{4, 0, 2}));  // unsorted
+    EXPECT_FALSE(h->is_clique(std::vector<Vertex>{2, 4}));
+    EXPECT_TRUE(h->is_clique(std::vector<Vertex>{0, 1, 3, 4, 5}));
+    EXPECT_TRUE(h->is_clique(std::vector<Vertex>{5, 3, 2, 1, 0}));
+  }
 }
 
 TEST(Graph, RandomGraphRespectsProbabilityBounds) {

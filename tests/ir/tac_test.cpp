@@ -25,19 +25,30 @@ TEST(Opcode, ArityAndDst) {
   EXPECT_FALSE(has_dst(Opcode::kXfer));
 }
 
+std::vector<ValueId> uses_of(const TacInstr& in) {
+  const ValueUses uses = in.value_uses();
+  return {uses.begin(), uses.end()};
+}
+
 TEST(TacInstr, ValueUsesCollectsDistinctValueOperands) {
   TacInstr in;
   in.op = Opcode::kAdd;
   in.dst = 5;
   in.a = Operand::val(1);
   in.b = Operand::val(2);
-  EXPECT_EQ(in.value_uses(), (std::vector<ValueId>{1, 2}));
+  EXPECT_EQ(uses_of(in), (std::vector<ValueId>{1, 2}));
 
   in.b = Operand::val(1);  // same value twice: one fetch
-  EXPECT_EQ(in.value_uses(), (std::vector<ValueId>{1}));
+  EXPECT_EQ(uses_of(in), (std::vector<ValueId>{1}));
 
   in.b = Operand::imm(std::int64_t{7});  // immediates are not fetches
-  EXPECT_EQ(in.value_uses(), (std::vector<ValueId>{1}));
+  EXPECT_EQ(uses_of(in), (std::vector<ValueId>{1}));
+
+  in.op = Opcode::kSelect;  // the one three-operand opcode fills the list
+  in.b = Operand::val(3);
+  in.c = Operand::val(2);
+  EXPECT_EQ(uses_of(in), (std::vector<ValueId>{1, 3, 2}));
+  EXPECT_EQ(in.value_uses().size(), 3u);
 }
 
 TEST(TacProgram, PrintsReadableListing) {

@@ -31,12 +31,12 @@ struct Builder {
   BlockDdg ddg() {
     const auto rg = ir::RegionGraph::build(p);
     EXPECT_EQ(rg.regions.size(), 1u);
-    return BlockDdg::build(p, rg.regions[0]);
+    return DdgBuilder(p).build(rg.regions[0]);
   }
 };
 
 bool has_edge(const BlockDdg& d, std::uint32_t a, std::uint32_t b) {
-  const auto& s = d.succs[a];
+  const auto s = d.succs(a);
   return std::find(s.begin(), s.end(), b) != s.end();
 }
 
@@ -204,6 +204,60 @@ TEST(Ddg, HeightsAreCriticalPath) {
   EXPECT_EQ(d.height[2], 2u);
   EXPECT_EQ(d.height[1], 3u);
   EXPECT_EQ(d.height[0], 4u);
+}
+
+TEST(Ddg, BuilderCarriesNoStateAcrossBlocks) {
+  // Block 0 loads a[0] and defines x; block 1 reads x and stores a[0]. In
+  // block 1 neither may pick up an edge from block 0's def or load.
+  Builder b;
+  const auto x = b.value("x");
+  const auto y = b.value("y");
+  const auto t = b.value("t");
+  const auto a = b.array("a", 4);
+  TacInstr load;
+  load.op = Opcode::kLoad;
+  load.dst = t;
+  load.array = a;
+  load.a = Operand::imm(std::int64_t{0});
+  b.add(load);  // 0
+  TacInstr dx;
+  dx.op = Opcode::kMov;
+  dx.dst = x;
+  dx.a = Operand::imm(std::int64_t{1});
+  b.add(dx);  // 1
+  TacInstr br;
+  br.op = Opcode::kBr;
+  br.target = 3;
+  b.add(br);  // 2
+  TacInstr use;
+  use.op = Opcode::kMov;
+  use.dst = y;
+  use.a = Operand::val(x);
+  b.add(use);  // 3 = block 1, node 0
+  TacInstr store;
+  store.op = Opcode::kStore;
+  store.array = a;
+  store.a = Operand::imm(std::int64_t{0});
+  store.b = Operand::imm(std::int64_t{5});
+  b.add(store);  // node 1
+  b.halt();      // node 2
+
+  const auto rg = ir::RegionGraph::build(b.p);
+  ASSERT_EQ(rg.regions.size(), 2u);
+  DdgBuilder builder(b.p);
+  const BlockDdg first = builder.build(rg.regions[0]);
+  const BlockDdg& d = builder.build(rg.regions[1]);
+  EXPECT_EQ(d.first, 3u);
+  EXPECT_EQ(d.pred_count, (std::vector<std::uint32_t>{0, 0, 2}));
+  EXPECT_FALSE(has_edge(d, 0, 1));
+  EXPECT_TRUE(has_edge(d, 0, 2));
+  EXPECT_TRUE(has_edge(d, 1, 2));
+  // Rebuilding block 0 reproduces its first build.
+  const BlockDdg& again = builder.build(rg.regions[0]);
+  EXPECT_EQ(again.succ_offsets, first.succ_offsets);
+  EXPECT_EQ(again.succ_list, first.succ_list);
+  EXPECT_EQ(again.pred_count, first.pred_count);
+  EXPECT_EQ(again.height, first.height);
 }
 
 }  // namespace
