@@ -45,7 +45,6 @@
 #include "support/diagnostics.h"
 #include "support/json.h"
 #include "support/rng.h"
-#include "support/thread_pool.h"
 #include "workloads/stream_gen.h"
 #include "workloads/workloads.h"
 
@@ -780,16 +779,14 @@ struct Entry {
   bool identical = false;
 };
 
-// ---- speculative coloring tier: sequential heap vs chunk-parallel ----
+// ---- speculative coloring tier: sequential heap vs chunked rounds ----
 
 struct SpecEntry {
   std::string name;
   std::size_t vertices = 0;
   double seq_ms = 0;           // sequential urgency-heap coloring
-  double t1_ms = 0;            // speculative, zero-worker pool (inline)
-  double t2_ms = 0;            // speculative, 2 execution contexts
-  double t4_ms = 0;            // speculative, 4 execution contexts
-  double speedup_t4 = 0;       // seq_ms / t4_ms
+  double spec_ms = 0;          // speculative chunked rounds
+  double speedup = 0;          // seq_ms / spec_ms
   std::uint64_t rounds = 0;
   std::uint64_t chunks = 0;
   std::uint64_t conflicts = 0;
@@ -800,22 +797,20 @@ struct SpecEntry {
   std::size_t removed_spec = 0;
   std::size_t copies_seq = 0;
   std::size_t copies_spec = 0;
-  bool deterministic = false;  // t1 and t4 colorings byte-identical
+  bool deterministic = false;  // two speculative runs byte-identical
   bool quality_ok = false;     // <= seq colors + 1, <= seq copies + 5%
 };
 
 // One coloring run of the whole graph as a single atom (use_atoms off), so
 // the timing isolates the kernel under comparison: the sequential urgency
-// heap when pool == nullptr, the speculative chunk-parallel rounds
-// otherwise.
+// heap, or the speculative chunked rounds when `speculate` is set.
 ColorResult color_kernel(const ConflictGraph& cg,
-                         const ir::AccessStream& stream,
-                         support::ThreadPool* pool, double& ms) {
+                         const ir::AccessStream& stream, bool speculate,
+                         double& ms) {
   ColorOptions co;
   co.module_count = 8;
   co.use_atoms = false;
-  co.pool = pool;
-  if (pool != nullptr) {
+  if (speculate) {
     co.speculate_threshold = 1;
     co.speculate_chunk = 256;
   }
@@ -865,48 +860,39 @@ SpecEntry bench_speculative(const std::string& name,
   const auto cg = ConflictGraph::build_from_insts(stream.value_count, insts);
   e.vertices = cg.vertex_count();
 
-  support::ThreadPool pool1(0);
-  support::ThreadPool pool2(1);
-  support::ThreadPool pool4(3);
-
-  ColorResult seq_cr, spec1_cr, spec4_cr;
+  ColorResult seq_cr, spec_cr;
   for (int r = 0; r < reps; ++r) {
-    double seq = 0, t1 = 0, t2 = 0, t4 = 0;
-    ColorResult sc = color_kernel(cg, stream, nullptr, seq);
-    ColorResult c1 = color_kernel(cg, stream, &pool1, t1);
-    color_kernel(cg, stream, &pool2, t2);
-    ColorResult c4 = color_kernel(cg, stream, &pool4, t4);
+    double seq = 0, spec = 0;
+    ColorResult sc = color_kernel(cg, stream, false, seq);
+    ColorResult pc = color_kernel(cg, stream, true, spec);
     if (r == 0) {
       e.seq_ms = seq;
-      e.t1_ms = t1;
-      e.t2_ms = t2;
-      e.t4_ms = t4;
+      e.spec_ms = spec;
       seq_cr = std::move(sc);
-      spec1_cr = std::move(c1);
-      spec4_cr = std::move(c4);
+      spec_cr = std::move(pc);
     } else {
       e.seq_ms = std::min(e.seq_ms, seq);
-      e.t1_ms = std::min(e.t1_ms, t1);
-      e.t2_ms = std::min(e.t2_ms, t2);
-      e.t4_ms = std::min(e.t4_ms, t4);
+      e.spec_ms = std::min(e.spec_ms, spec);
     }
   }
+  double unused_ms = 0;
+  const ColorResult again = color_kernel(cg, stream, true, unused_ms);
 
-  e.speedup_t4 = e.t4_ms > 0 ? e.seq_ms / e.t4_ms : 0.0;
-  e.rounds = spec4_cr.speculative.rounds;
-  e.chunks = spec4_cr.speculative.chunks;
-  e.conflicts = spec4_cr.speculative.conflicts;
-  e.repaired = spec4_cr.speculative.repaired;
-  e.deterministic = spec1_cr.module == spec4_cr.module &&
-                    spec1_cr.unassigned == spec4_cr.unassigned &&
-                    spec1_cr.forced == spec4_cr.forced;
+  e.speedup = e.spec_ms > 0 ? e.seq_ms / e.spec_ms : 0.0;
+  e.rounds = spec_cr.speculative.rounds;
+  e.chunks = spec_cr.speculative.chunks;
+  e.conflicts = spec_cr.speculative.conflicts;
+  e.repaired = spec_cr.speculative.repaired;
+  e.deterministic = spec_cr.module == again.module &&
+                    spec_cr.unassigned == again.unassigned &&
+                    spec_cr.forced == again.forced;
 
   e.colors_seq = colors_used(seq_cr);
-  e.colors_spec = colors_used(spec4_cr);
+  e.colors_spec = colors_used(spec_cr);
   e.removed_seq = seq_cr.unassigned.size();
-  e.removed_spec = spec4_cr.unassigned.size();
+  e.removed_spec = spec_cr.unassigned.size();
   e.copies_seq = copies_after_duplication(stream, cg, seq_cr, insts);
-  e.copies_spec = copies_after_duplication(stream, cg, spec4_cr, insts);
+  e.copies_spec = copies_after_duplication(stream, cg, spec_cr, insts);
   e.quality_ok = e.colors_spec <= e.colors_seq + 1 &&
                  e.copies_spec <= e.copies_seq + (e.copies_seq + 19) / 20;
   return e;
@@ -991,7 +977,7 @@ void write_json(const std::string& path, const std::vector<Entry>& entries,
     w.end_object();
   }
   w.end_array();
-  // Speculative tier: sequential-heap vs chunk-parallel coloring on the
+  // Speculative tier: sequential-heap vs chunked-round coloring on the
   // same graph (single atom, threshold 1, chunk 256), with the quality
   // differential against the sequential result.
   w.key("speculative");
@@ -1001,10 +987,8 @@ void write_json(const std::string& path, const std::vector<Entry>& entries,
     w.member("stream", s.name);
     w.member("vertices", s.vertices);
     w.member_fixed("seq_color_ms", s.seq_ms, 3);
-    w.member_fixed("spec_color_ms_t1", s.t1_ms, 3);
-    w.member_fixed("spec_color_ms_t2", s.t2_ms, 3);
-    w.member_fixed("spec_color_ms_t4", s.t4_ms, 3);
-    w.member_fixed("speedup_t4", s.speedup_t4, 2);
+    w.member_fixed("spec_color_ms", s.spec_ms, 3);
+    w.member_fixed("speedup", s.speedup, 2);
     w.member("rounds", s.rounds);
     w.member("chunks", s.chunks);
     w.member("conflicts_detected", s.conflicts);
@@ -1109,10 +1093,10 @@ int main(int argc, char** argv) {
   for (const auto& [name, stream] : streams) {
     assign::SpecEntry s = assign::bench_speculative(name, stream, reps);
     std::printf(
-        "%-10s V=%-5zu  seq %8.2f ms  spec t4 %8.2f ms  speedup %5.2fx  "
+        "%-10s V=%-5zu  seq %8.2f ms  spec %8.2f ms  speedup %5.2fx  "
         "rounds=%llu conflicts=%llu  colors %zu->%zu removed %zu->%zu "
         "copies %zu->%zu  %s%s\n",
-        s.name.c_str(), s.vertices, s.seq_ms, s.t4_ms, s.speedup_t4,
+        s.name.c_str(), s.vertices, s.seq_ms, s.spec_ms, s.speedup,
         static_cast<unsigned long long>(s.rounds),
         static_cast<unsigned long long>(s.conflicts), s.colors_seq,
         s.colors_spec, s.removed_seq, s.removed_spec, s.copies_seq,
@@ -1131,7 +1115,7 @@ int main(int argc, char** argv) {
   }
   if (!spec_deterministic) {
     std::fprintf(stderr,
-                 "FAIL: speculative coloring diverged across pool widths\n");
+                 "FAIL: speculative coloring diverged between two runs\n");
     return 1;
   }
   return 0;

@@ -13,7 +13,6 @@
 #include "assign/assigner.h"
 #include "assign/color_heuristic.h"
 #include "assign/conflict_graph.h"
-#include "support/thread_pool.h"
 #include "workloads/stream_gen.h"
 
 namespace {
@@ -59,23 +58,16 @@ void BM_ColoringNoAtoms(benchmark::State& state) {
       cg.vertex_count() + cg.graph().edge_count()));
 }
 
-// The speculative tier (speculate.h) on the same no-atoms graphs, at a
-// given worker count. Compare against BM_ColoringNoAtoms at equal range:
-// the per-chunk bucket-queue sweeps replace the global lazy heap, so the
-// tier scales past the heap even before workers are added; the arg pair is
-// (vertices, workers).
+// The speculative tier (speculate.h) on the same no-atoms graphs. Compare
+// against BM_ColoringNoAtoms at equal range: the per-chunk bucket-queue
+// sweeps replace the global lazy heap.
 void BM_ColoringSpeculative(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto workers = static_cast<std::size_t>(state.range(1));
   const auto stream = make_stream(n, 3 * n, 99);
   const auto cg = assign::ConflictGraph::build(stream);
-  support::ThreadPool pool(workers);
   for (auto _ : state) {
     auto result = assign::color_conflict_graph(
-        cg, {.module_count = 4,
-             .use_atoms = false,
-             .pool = &pool,
-             .speculate_threshold = 1});
+        cg, {.module_count = 4, .use_atoms = false, .speculate_threshold = 1});
     benchmark::DoNotOptimize(result);
   }
   state.SetComplexityN(static_cast<benchmark::IterationCount>(
@@ -115,7 +107,8 @@ BENCHMARK(BM_ColoringNoAtoms)
     ->Range(128, 4096)
     ->Complexity(benchmark::oNLogN);
 BENCHMARK(BM_ColoringSpeculative)
-    ->ArgsProduct({benchmark::CreateRange(128, 4096, 2), {0, 1, 3}})
+    ->RangeMultiplier(2)
+    ->Range(128, 4096)
     ->Complexity(benchmark::oNLogN);
 BENCHMARK(BM_FullAssignment)->RangeMultiplier(4)->Range(64, 1024);
 BENCHMARK(BM_ConflictGraphBuild)->RangeMultiplier(4)->Range(64, 1024);

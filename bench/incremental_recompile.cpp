@@ -357,7 +357,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  assign::AssignOptions opts;  // null pool: the atom tasks run inline
+  assign::AssignOptions opts;
   opts.module_count = 8;
 
   const int reps = quick ? 1 : 3;

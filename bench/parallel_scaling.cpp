@@ -1,11 +1,6 @@
-// Thread-pool scaling for the atom-parallel assignment pipeline.
-//
-// Two axes, matching the two fan-out levels in analysis/pipeline.cpp:
-//   1. compile_batch over a batch of independent programs (job-level
-//      parallelism: each job is a full compile);
-//   2. a single large localized synthetic stream assigned in atom-task mode
-//      (atom-level parallelism inside one assignment).
-// Each axis is timed at 1/2/4/8 threads and the speedup over threads == 1
+// Thread-pool scaling of compile_batch: a batch of independent programs,
+// one full compile per job (a single compile always runs on one thread).
+// The batch is timed at 1/2/4/8 threads and the speedup over threads == 1
 // is reported.
 // Before timing, every configuration's result is checked bit-identical to
 // the threads == 1 result — a thread count that changed the output would
@@ -22,9 +17,6 @@
 #include <vector>
 
 #include "analysis/pipeline.h"
-#include "assign/assigner.h"
-#include "support/thread_pool.h"
-#include "workloads/stream_gen.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -92,49 +84,11 @@ void bench_batch() {
   }
 }
 
-void bench_atoms() {
-  support::SplitMix64 rng(0xbe9c5);
-  workloads::StreamGenOptions g;
-  g.value_count = 4096;
-  g.tuple_count = 20000;
-  g.min_width = 2;
-  g.max_width = 4;
-  g.locality_window = 24;  // rich clique-separator structure, many atoms
-  g.region_count = 8;
-  const ir::AccessStream stream = workloads::random_stream(g, rng);
-
-  assign::AssignOptions o;
-  o.module_count = 4;
-  o.strategy = assign::Strategy::kStor3;
-
-  std::printf("\n== atom-task assignment: %zu values, %zu tuples ==\n",
-              stream.value_count, stream.tuples.size());
-  const auto reference = assign::assign_modules(stream, o);
-
-  double base_ms = 0;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}, std::size_t{8}}) {
-    support::ThreadPool pool(threads - 1);
-    assign::AssignOptions po = o;
-    po.pool = &pool;
-    assign::AssignResult r;
-    const double ms = best_of([&] { r = assign::assign_modules(stream, po); });
-    if (r.placement != reference.placement) {
-      std::printf("threads=%zu: RESULT MISMATCH — bench aborted\n", threads);
-      return;
-    }
-    if (threads == 1) base_ms = ms;
-    std::printf("  threads=%zu  %8.2f ms   speedup %.2fx\n", threads, ms,
-                base_ms > 0 ? base_ms / ms : 1.0);
-  }
-}
-
 }  // namespace
 
 int main() {
   std::printf("parallel_scaling: hardware_concurrency=%u\n\n",
               std::thread::hardware_concurrency());
   bench_batch();
-  bench_atoms();
   return 0;
 }

@@ -3,9 +3,8 @@
 // transfers, and finally a cycle-accurate run against the sequential
 // reference.
 //
-// The tail of the demo recompiles the same program in the atom-parallel
-// mode (ParallelConfig) and batch-compiles the paper's workloads across the
-// thread pool, showing that thread count never changes the result.
+// The tail of the demo batch-compiles the paper's workloads across a thread
+// pool (ParallelConfig::threads), one compile per job.
 //
 //   build/examples/compile_and_run
 #include <cstdio>
@@ -108,23 +107,9 @@ int run_demo() {
   }
   std::printf("\n");
 
-  // Atom-parallel recompile: the atom tasks run inline at threads=1 and on
-  // a pool at threads=4; any thread count produces the same assignment.
+  // Batch compilation: independent programs farmed across a pool.
   analysis::PipelineOptions par = opts;
-  par.parallel.threads = 1;
-  const auto serial_tasks = analysis::compile_mc(kProgram, par);
   par.parallel.threads = 4;
-  const auto parallel_tasks = analysis::compile_mc(kProgram, par);
-  std::printf("\n== atom-parallel mode ==\n");
-  std::printf("threads=1 vs threads=4 assignments identical: %s\n",
-              serial_tasks.assignment.placement ==
-                          parallel_tasks.assignment.placement &&
-                      serial_tasks.liw.to_string() ==
-                          parallel_tasks.liw.to_string()
-                  ? "yes"
-                  : "NO (bug!)");
-
-  // Batch compilation: independent programs farmed across the same pool.
   std::vector<std::string> sources;
   for (const auto& w : parmem::workloads::all_workloads()) {
     sources.push_back(w.source);

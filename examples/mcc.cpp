@@ -14,20 +14,16 @@
 //   --emit-stream                  print the access stream (stream_io format,
 //                                  consumable by examples/assign_stream)
 //   --run                          execute and print program output + cycles
-//   --threads N                    run the assignment's atom tasks on N
-//                                  threads (default 0 = inline, like 1);
-//                                  every N gives the same output
 //   --trace FILE.json              write a Chrome trace-event file of the
 //                                  compile (+ run) — load it in Perfetto or
-//                                  chrome://tracing; pool workers get their
-//                                  own lanes
+//                                  chrome://tracing
 //   --stats                        print the phase-time summary and counter
 //                                  tables after compiling
 //   --deadline-ms N                wall-clock compile budget; on exhaustion
 //                                  the assignment degrades down the tier
 //                                  ladder instead of running long
 //   --max-steps N                  cooperative step budget (deterministic
-//                                  degradation on the serial path)
+//                                  degradation)
 //   --incremental                  atom-granular incremental recompilation
 //                                  against a persistent atom cache (default
 //                                  dir .parmem-atom-cache): unchanged atoms
@@ -61,7 +57,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: mcc FILE.mc | --workload NAME  [--strategy STORn] "
                "[--method bt|hs] [-k N] [--fu N] [--rename] [--dump-tac] "
-               "[--dump-liw] [--run] [--threads N] [--trace FILE.json] "
+               "[--dump-liw] [--run] [--trace FILE.json] "
                "[--stats] [--deadline-ms N] [--max-steps N] "
                "[--incremental] [--atom-cache DIR]\n");
   return 1;
@@ -130,8 +126,6 @@ int run_mcc(int argc, char** argv) {
       emit_stream = true;
     } else if (arg == "--run") {
       run = true;
-    } else if (arg == "--threads") {
-      opts.parallel.threads = next_count();
     } else if (arg == "--trace") {
       trace_path = next();
     } else if (arg == "--stats") {

@@ -32,7 +32,8 @@
 //                         shard a worker re-warms from after a respawn
 //   --incremental         per-worker atom caches DIR/w<i>.atoms (needs
 //                         --cache-dir)
-//   --worker-threads N    compile threads inside each worker (default 1)
+//   --worker-threads N    service threads inside each worker, one compile
+//                         each (parmemd --workers; default 1)
 //   --queue-cap N         worker admission high watermark (default 64)
 //   --inflight-high N     router per-worker in-flight high watermark
 //                         (default 32; spill above, resume at half)

@@ -33,12 +33,11 @@
 //   --atom-cache DIR        persistent atom-cache journal (implies
 //                           --incremental; default: in-memory)
 //   --atom-cache-max N      LRU cap on atom-cache entries (default 0)
-//   --workers N             service worker threads (default 2)
+//   --workers N             service worker threads, one compile each
+//                           (default 2)
 //   --queue-cap N           admission high watermark (default 64)
 //   --deadline-ms N         default deadline for requests without one
 //   --grace-ms N            watchdog grace past the deadline (default 50)
-//   --compile-threads N     execution contexts per compile (default 0 =
-//                           inline, like 1; every N gives the same bytes)
 //   --seed S                soak-mode request mix seed
 //   --trace FILE.json       write a Chrome trace-event file on exit
 //   --stats                 print phase/counter tables on exit (stderr)
@@ -112,7 +111,7 @@ int usage() {
                "[--cache-dir DIR] [--cache-max-entries N] [--incremental] "
                "[--atom-cache DIR] [--atom-cache-max N] [--workers N] "
                "[--queue-cap N] [--deadline-ms N] [--grace-ms N] "
-               "[--compile-threads N] [--seed S] [--trace FILE.json] "
+               "[--seed S] [--trace FILE.json] "
                "[--stats]\n");
   return 1;
 }
@@ -515,8 +514,6 @@ int run_parmemd(int argc, char** argv) {
       opts.default_deadline_ms = next_count();
     } else if (arg == "--grace-ms") {
       opts.watchdog_grace_ms = next_count();
-    } else if (arg == "--compile-threads") {
-      opts.compile_threads = static_cast<std::size_t>(next_count());
     } else if (arg == "--seed") {
       seed = next_count();
     } else if (arg == "--trace") {

@@ -24,7 +24,6 @@ const char* compile_status_name(CompileStatus s) {
 }
 
 Compiled compile_mc(const std::string& source, const PipelineOptions& opts,
-                    support::ThreadPool* pool,
                     const support::CancelToken* cancel) {
   PARMEM_SPAN("pipeline.compile");
   const telemetry::Snapshot before =
@@ -86,7 +85,6 @@ Compiled compile_mc(const std::string& source, const PipelineOptions& opts,
     PARMEM_SPAN("pipeline.assign");
     PARMEM_FAULT_POINT("pipeline.assign", bp);
     assign::AssignOptions assign_opts = opts.assign;
-    assign_opts.pool = pool;
     assign_opts.budget = bp;
     assign_opts.memo_store = opts.atom_memo;
     if (opts.parallel.speculate_threshold != 0) {
@@ -116,16 +114,12 @@ Compiled compile_mc(const std::string& source, const PipelineOptions& opts,
   return c;
 }
 
-Compiled compile_mc(const std::string& source, const PipelineOptions& opts) {
-  support::ThreadPool pool(pool_workers(opts.parallel.threads));
-  return compile_mc(source, opts, &pool);
-}
-
 std::vector<CompileResult> compile_batch(
     const std::vector<std::string>& sources, const PipelineOptions& opts,
     const support::CancelToken* cancel, const BatchHooks* hooks) {
   std::vector<CompileResult> out(sources.size());
-  support::ThreadPool pool(pool_workers(opts.parallel.threads));
+  const std::size_t threads = opts.parallel.threads;
+  support::ThreadPool pool(threads > 1 ? threads - 1 : 0);
   // One job: compile, trapping failures into the per-source result so a
   // poisoned input cannot take down its batch neighbours. A job that never
   // runs keeps the default kCancelled status.
@@ -134,7 +128,7 @@ std::vector<CompileResult> compile_batch(
     if (hooks != nullptr && hooks->on_job_start) hooks->on_job_start(i);
     CompileResult& r = out[i];
     try {
-      r.compiled.emplace(compile_mc(sources[i], opts, &pool, cancel));
+      r.compiled.emplace(compile_mc(sources[i], opts, cancel));
       r.status = CompileStatus::kOk;
     } catch (const support::UserError& e) {
       r.status = CompileStatus::kUserError;
@@ -149,12 +143,10 @@ std::vector<CompileResult> compile_batch(
       r.compiled.reset();
     }
   };
-  // Jobs on workers run their inner atom fan-out inline (nested
-  // parallel_for); jobs picked up by the calling thread may re-enter the
-  // pool. Either way each job is a pure function of its source, so the
-  // batch result is schedule-independent. The cancel token makes
-  // parallel_for skip un-started bodies while still joining every
-  // scheduled task, so in-flight jobs drain cleanly before we return.
+  // Each job is a pure function of its source, so the batch result is
+  // schedule-independent. The cancel token makes parallel_for skip
+  // un-started bodies while still joining every scheduled task, so
+  // in-flight jobs drain cleanly before we return.
   pool.parallel_for(sources.size(), run_one, cancel);
   return out;
 }

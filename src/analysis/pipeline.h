@@ -32,10 +32,6 @@
 #include "sched/transfer_sched.h"
 #include "telemetry/registry.h"
 
-namespace parmem::support {
-class ThreadPool;
-}
-
 namespace parmem::analysis {
 
 struct PipelineOptions {
@@ -59,17 +55,18 @@ struct PipelineOptions {
   /// Allow duplicating mutable values (each copy refreshed by a scheduled
   /// transfer after every definition). On = the paper's §2 value model.
   bool duplicate_mutables = true;
-  /// Compile-time parallelism: atom tasks inside one compile and worker
-  /// farm-out across compile_batch() jobs, sized by pool_workers().
-  /// Every thread count produces byte-identical results.
+  /// Compile-time parallelism: `parallel.threads` is compile_batch()'s job
+  /// fan-out (a compile itself always runs on its calling thread), plus the
+  /// opt-in speculative coloring knobs. Every thread count produces
+  /// byte-identical results.
   machine::ParallelConfig parallel;
   /// Compile budget (wall-clock deadline and/or step count). Default
   /// (both zero) is unlimited. On exhaustion the assignment degrades down
   /// the AssignTier ladder (assigner.h) instead of hanging or failing; the
   /// compile still completes and Compiled::degraded() reports the loss of
-  /// quality. Step-count-only budgets degrade deterministically when the
-  /// atom tasks run inline (threads 0 or 1); wall-clock deadlines trip at
-  /// machine-dependent points by nature.
+  /// quality. A step-count-only budget degrades deterministically — the
+  /// trip point is a pure function of the input; wall-clock deadlines trip
+  /// at machine-dependent points by nature.
   support::BudgetSpec budget;
   /// Atom-granular memo store for incremental recompilation (assigner.h,
   /// DESIGN.md §13). When set, the assignment phase reuses journaled
@@ -77,7 +74,9 @@ struct PipelineOptions {
   /// the dirty atoms — output stays byte-identical to a from-scratch
   /// compile. Null = every compile is from scratch. The caller owns the
   /// store (typically a cache::AtomCache) and may share it across
-  /// compiles; it must outlive the compile.
+  /// compiles, concurrent ones included (compile_batch jobs); it must
+  /// outlive them. Each compile keeps its own memo session, which is never
+  /// shared between threads.
   assign::AtomMemoStore* atom_memo = nullptr;
   /// Name used in diagnostics for this source ("<source>" when empty).
   std::string source_name;
@@ -121,7 +120,7 @@ enum class CompileStatus : std::uint8_t {
 const char* compile_status_name(CompileStatus s);
 
 struct CompileResult {
-  /// Defaults to kCancelled so jobs skipped by a cancelled pool read
+  /// Defaults to kCancelled so jobs skipped by a cancelled batch read
   /// correctly without extra bookkeeping; every executed job overwrites.
   CompileStatus status = CompileStatus::kCancelled;
   std::optional<Compiled> compiled;  // engaged iff status == kOk
@@ -129,28 +128,12 @@ struct CompileResult {
   bool ok() const { return status == CompileStatus::kOk; }
 };
 
-/// Pool workers behind `threads` execution contexts: `threads - 1`, because
-/// the calling thread joins every parallel_for, and none for 0 and 1 (the
-/// atom tasks run inline). compile_mc, compile_batch and parmemd all size
-/// their pools here.
-inline std::size_t pool_workers(std::size_t threads) {
-  return threads > 1 ? threads - 1 : 0;
-}
-
-/// Compiles MC source through the whole pipeline. Honours opts.parallel by
-/// creating a pool (pool_workers) for the duration of the call.
+/// Compiles MC source through the whole pipeline on the calling thread.
 /// Throws UserError on malformed input, InternalError on library bugs.
-Compiled compile_mc(const std::string& source, const PipelineOptions& opts);
-
-/// As above but on an externally owned pool, regardless of opts.parallel; a
-/// null pool runs the same atom tasks inline, with the same result.
-/// compile_batch uses this to share one pool across jobs; nested fan-out
-/// inside a job runs inline on its worker.
 /// `cancel` (optional) trips this compile's budget when cancelled — the
 /// assignment degrades to the cheapest tier and the compile returns early
 /// work rather than blocking.
 Compiled compile_mc(const std::string& source, const PipelineOptions& opts,
-                    support::ThreadPool* pool,
                     const support::CancelToken* cancel = nullptr);
 
 /// Lifecycle observation hooks for compile_batch. `on_job_start` fires on
@@ -163,12 +146,14 @@ struct BatchHooks {
   std::function<void(std::size_t job)> on_job_start;
 };
 
-/// Compiles independent sources, farming the jobs across a pool sized by
-/// opts.parallel. Results arrive in input order and job i depends only on
-/// sources[i] and opts, so the batch is byte-identical for every thread
-/// count. Jobs are fault-isolated: a throwing job yields a kUserError /
-/// kInternalError CompileResult with a diagnostic instead of poisoning the
-/// batch — compile_batch itself does not throw on per-source failures.
+/// Compiles independent sources, one compile_mc job per source, on
+/// `opts.parallel.threads` execution contexts: threads - 1 pool workers
+/// plus the calling thread (0 and 1 run the jobs inline, in order).
+/// Results arrive in input order and job i depends only on sources[i] and
+/// opts, so the batch is byte-identical for every thread count. Jobs are
+/// fault-isolated: a throwing job yields a kUserError / kInternalError
+/// CompileResult with a diagnostic instead of poisoning the batch —
+/// compile_batch throws only when the pool itself fails (InternalError).
 /// Cancelling `cancel` stops new jobs from starting (they report
 /// kCancelled); jobs already in flight drain cleanly before the call
 /// returns — no detached worker ever outlives the batch.

@@ -17,7 +17,6 @@
 #include "support/diagnostics.h"
 #include "support/fault_injection.h"
 #include "support/rng.h"
-#include "support/thread_pool.h"
 #include "telemetry/telemetry.h"
 
 namespace parmem::assign {
@@ -115,19 +114,19 @@ void permute(std::vector<std::vector<ir::ValueId>>& v,
   }
 }
 
-/// Runs the duplication phase as one task per atom. Every instruction's
+/// Runs the duplication phase one atom at a time. Every instruction's
 /// operand set is pairwise conflicting — a clique of the pass's conflict
 /// graph — and clique-separator decomposition never splits a clique, so each
 /// instruction lives entirely inside some atom; instructions contained in
 /// several atoms (wholly inside a separator) go to the earliest one in
 /// processing order. `insts` is stably regrouped by atom in place, so each
-/// task gets a contiguous slice, and restored to stream order before
-/// returning. Each task works on a scratch placement state exact at its
+/// atom gets a contiguous slice, and restored to stream order before
+/// returning. Each atom works on a scratch placement state exact at its
 /// operand values — the only entries the duplication kernels read — draws
 /// from its own seeded RNG, and can only *add* copies; added copies never
-/// invalidate an SDR, so resolutions from different atoms compose, which
-/// makes the stable-order merge of the per-atom deltas
-/// schedule-independent.
+/// invalidate an SDR, so resolutions from different atoms compose, and
+/// each per-atom delta is a pure function of its slice (what the
+/// incremental memo keys on) merged in stable atom order.
 bool duplicate_atoms(PassContext& ctx,
                      std::vector<std::vector<ir::ValueId>>& insts,
                      const ConflictGraph& cg,
@@ -185,10 +184,10 @@ bool duplicate_atoms(PassContext& ctx,
   // Same engagement rule as the coloring memo: never under a budget.
   MemoSession* const memo =
       (ctx.memo != nullptr && opts.budget == nullptr) ? ctx.memo : nullptr;
-  const std::thread::id caller = std::this_thread::get_id();
-  opts.pool->parallel_for(count, [&](std::size_t i) {
+  PlacementState& local = ctx.ws->placement_scratch;
+  for (std::size_t i = 0; i < count; ++i) {
     const InstSpan slice = group(i);
-    if (slice.empty()) return;
+    if (slice.empty()) continue;
     PARMEM_SPAN("assign.dup_atom");
     Delta& d = deltas[i];
     std::uint64_t key = 0, check = 0;
@@ -196,11 +195,8 @@ bool duplicate_atoms(PassContext& ctx,
       dup_closure_key(slice, *ctx.st, *ctx.removed, stream.duplicatable,
                       base_seed + i, opts.module_count, opts.method, &key,
                       &check);
-      if (memo_dup_lookup(*memo, key, check, &d)) return;
+      if (memo_dup_lookup(*memo, key, check, &d)) continue;
     }
-    AssignWorkspace& scratch = task_workspace(*ctx.ws, caller);
-    scratch.budget = opts.budget;  // Budget is thread-safe; tasks share it
-    PlacementState& local = scratch.placement_scratch;
     std::vector<ir::ValueId> values;
     for (const auto& ops : slice) {
       values.insert(values.end(), ops.begin(), ops.end());
@@ -209,7 +205,7 @@ bool duplicate_atoms(PassContext& ctx,
     values.erase(std::unique(values.begin(), values.end()), values.end());
     local.refresh_from(*ctx.st, values);
     support::SplitMix64 rng(base_seed + i);
-    const DupOutcome out = run_duplication(ctx, slice, local, rng, &scratch);
+    const DupOutcome out = run_duplication(ctx, slice, local, rng, ctx.ws);
     d.rounds = out.rounds;
     d.budget_exhausted = out.exhausted;
     for (const ir::ValueId v : values) {
@@ -217,7 +213,7 @@ bool duplicate_atoms(PassContext& ctx,
       if (extra != 0) d.added.emplace_back(v, extra);
     }
     if (memo != nullptr) memo_dup_store(*memo, key, check, d);
-  });
+  }
 
   bool exhausted = false;
   for (const Delta& d : deltas) {
@@ -295,7 +291,7 @@ void run_pass(PassContext& ctx, std::vector<std::vector<ir::ValueId>> insts) {
   for (graph::Vertex v = 0; v < n; ++v) any_skip = any_skip || skip[v];
 
   const ColorOptions copts{opts.module_count, opts.use_atoms, opts.pick,
-                           opts.pool, opts.budget, opts.speculate_threshold,
+                           opts.budget, opts.speculate_threshold,
                            opts.speculate_chunk, ctx.memo};
   ColorResult cr;
   if (!any_skip) {
@@ -382,7 +378,7 @@ void run_pass(PassContext& ctx, std::vector<std::vector<ir::ValueId>> insts) {
 
   // Duplication phase over this pass's instructions, partitioned along the
   // coloring's atoms (the skip branch above leaves cr.atoms empty, so later
-  // STOR2/3 passes over previously reduced graphs run it as one task).
+  // STOR2/3 passes over previously reduced graphs run it as one group).
   PARMEM_FAULT_POINT("assign.duplicate", opts.budget);
   bool dup_exhausted = false;
   {
@@ -458,11 +454,8 @@ std::vector<std::vector<ir::ValueId>> materialize(
 }  // namespace
 
 AssignResult assign_modules(const ir::AccessStream& stream,
-                            const AssignOptions& options) {
+                            const AssignOptions& opts) {
   PARMEM_SPAN("assign.total");
-  support::ThreadPool inline_pool(0);  // a null pool runs the tasks inline
-  AssignOptions opts = options;
-  if (opts.pool == nullptr) opts.pool = &inline_pool;
   PARMEM_CHECK(opts.module_count >= 1 && opts.module_count <= kMaxModules,
                "module count out of range");
   PARMEM_CHECK(stream.duplicatable.size() == stream.value_count &&
@@ -638,14 +631,14 @@ AssignResult assign_modules(const ir::AccessStream& stream,
   if (memo_session.has_value()) {
     const MemoSession& ms = *memo_session;
     AssignStats& s = result.stats;
-    s.memo_decomp_hits = ms.decomp_hits.load(std::memory_order_relaxed);
-    s.memo_decomp_misses = ms.decomp_misses.load(std::memory_order_relaxed);
-    s.memo_color_hits = ms.color_hits.load(std::memory_order_relaxed);
-    s.memo_color_misses = ms.color_misses.load(std::memory_order_relaxed);
-    s.memo_dup_hits = ms.dup_hits.load(std::memory_order_relaxed);
-    s.memo_dup_misses = ms.dup_misses.load(std::memory_order_relaxed);
-    s.memo_frontier = ms.frontier.load(std::memory_order_relaxed);
-    s.memo_fallbacks = ms.fallbacks.load(std::memory_order_relaxed);
+    s.memo_decomp_hits = ms.decomp_hits;
+    s.memo_decomp_misses = ms.decomp_misses;
+    s.memo_color_hits = ms.color_hits;
+    s.memo_color_misses = ms.color_misses;
+    s.memo_dup_hits = ms.dup_hits;
+    s.memo_dup_misses = ms.dup_misses;
+    s.memo_frontier = ms.frontier;
+    s.memo_fallbacks = ms.fallbacks;
 #if PARMEM_TELEMETRY_ENABLED
     PARMEM_COUNTER_ADD("assign.incremental.atoms_reused", s.memo_color_hits);
     PARMEM_COUNTER_ADD("assign.incremental.atoms_dirty",

@@ -22,7 +22,6 @@
 
 namespace parmem::support {
 class Budget;
-class ThreadPool;
 }
 
 namespace parmem::assign {
@@ -82,22 +81,13 @@ struct AssignOptions {
   bool use_atoms = true;
   ModulePick pick = ModulePick::kLeastLoaded;
   std::uint64_t seed = 0x5eedULL;
-  /// Where the atom tasks run (see ColorOptions::pool). Each pass colors
-  /// its clique-separator atoms as independent tasks and then runs the
-  /// duplication/placement phase per atom — every instruction's operand set
-  /// is a clique of the conflict graph, and cliques are never split across
-  /// atoms, so instructions partition cleanly. Per-atom tasks draw from
-  /// their own seeded RNG and only ever *add* copies, so the stable-order
-  /// merge is byte-identical for every worker count. Null (default) runs
-  /// the same tasks inline, exactly as a zero-worker pool does.
-  support::ThreadPool* pool = nullptr;
   /// Speculative intra-atom coloring (ColorOptions::speculate_threshold):
   /// atoms with at least this many undecided vertices are colored by the
-  /// optimistic chunk-parallel tier instead of the sequential urgency heap.
-  /// 0 (default) disables. Deterministic: byte-identical output for every
-  /// pool width at a given chunk size.
+  /// optimistic chunked tier instead of the sequential urgency heap.
+  /// 0 (default) disables. Deterministic: the output is a pure function of
+  /// the input and the chunk size.
   std::size_t speculate_threshold = 0;
-  /// Chunk granularity for the speculative tier (scheduling only).
+  /// Vertices per speculative chunk; part of the tier's schedule.
   std::size_t speculate_chunk = 256;
   /// Resource budget (deadline / step count), cooperatively polled by the
   /// coloring sweep and all three duplication search kernels. Null

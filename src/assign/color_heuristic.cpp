@@ -12,7 +12,6 @@
 #include "support/budget.h"
 #include "support/diagnostics.h"
 #include "support/fault_injection.h"
-#include "support/thread_pool.h"
 #include "telemetry/telemetry.h"
 
 namespace parmem::assign {
@@ -199,16 +198,15 @@ void color_atom(const ConflictGraph& cg, const std::vector<Vertex>& atom,
   }
 }
 
-/// Atom-task coloring. Atoms couple two ways: a later atom starts from the
+/// Per-atom coloring. Atoms couple two ways: a later atom starts from the
 /// separator vertices its predecessors colored, and every pick reads the
-/// shared module-load counters. Both couplings are cut at a deterministic
-/// point: all vertices shared between atoms (the union of the clique
-/// separators) are colored first, inline; each atom then colors its
-/// interior as a pure function of that frontier and a load snapshot.
-/// Interiors of distinct atoms share no edge (a vertex in exactly one atom
-/// has its whole neighborhood inside it), so the tasks are independent and
-/// the merge — applied in stable atom order — is identical for every
-/// execution schedule, a null pool (inline, in atom order) included.
+/// shared module-load counters. Both couplings are cut at a fixed point:
+/// all vertices shared between atoms (the union of the clique separators)
+/// are colored first; each atom then colors its interior as a pure function
+/// of that frontier and a load snapshot. Interiors of distinct atoms share
+/// no edge (a vertex in exactly one atom has its whole neighborhood inside
+/// it), so the atoms are independent and their deltas merge in stable atom
+/// order. The per-atom purity is what the incremental memo keys on.
 void color_atoms(const ConflictGraph& cg,
                  const std::vector<graph::Atom>& atoms,
                  const ColorOptions& opts, std::vector<bool>& decided,
@@ -240,29 +238,26 @@ void color_atoms(const ConflictGraph& cg,
   // time-dependent, and a memo must never change where one lands.
   MemoSession* const memo =
       (opts.memo != nullptr && opts.budget == nullptr) ? opts.memo : nullptr;
-  const std::thread::id caller = std::this_thread::get_id();
-  opts.pool->parallel_for(atoms.size(), [&](std::size_t i) {
+  for (std::size_t i = 0; i < atoms.size(); ++i) {
     const std::vector<Vertex>& atom = atoms[i].vertices;
     Delta& d = deltas[i];
     std::uint64_t key = 0, check = 0, content = 0;
     if (memo != nullptr) {
       color_closure_key(cg, atom, opts, result.module, decided, never_remove,
                         load, &key, &check, &content);
-      if (memo_color_lookup(*memo, key, check, content, &d)) return;
+      if (memo_color_lookup(*memo, key, check, content, &d)) continue;
     }
-    // The task's workspace also owns the frontier snapshot, which the task
-    // refreshes at the atom's vertices only: every undecided atom vertex is
-    // interior, so the sweep (and the speculative tier) read module/decided
-    // nowhere else. That keeps a task O(atom), not O(graph).
-    AssignWorkspace& scratch = task_workspace(ws, caller);
-    scratch.snapshot_atom(atom, result.module, decided, load);
+    // The workspace also owns the frontier snapshot, refreshed at the
+    // atom's vertices only: every undecided atom vertex is interior, so the
+    // sweep (and the speculative tier) read module/decided nowhere else.
+    // That keeps an atom O(atom), not O(graph).
+    ws.snapshot_atom(atom, result.module, decided, load);
     ColorResult local;
-    color_atom(cg, atom, opts, scratch.module_snapshot,
-               scratch.decided_snapshot, never_remove, scratch.load_snapshot,
-               scratch, local);
+    color_atom(cg, atom, opts, ws.module_snapshot, ws.decided_snapshot,
+               never_remove, ws.load_snapshot, ws, local);
     for (const Vertex v : atom) {
-      if (!decided[v] && scratch.module_snapshot[v] >= 0) {
-        d.colored.emplace_back(v, scratch.module_snapshot[v]);
+      if (!decided[v] && ws.module_snapshot[v] >= 0) {
+        d.colored.emplace_back(v, ws.module_snapshot[v]);
       }
     }
     d.unassigned = std::move(local.unassigned);
@@ -271,10 +266,10 @@ void color_atoms(const ConflictGraph& cg,
     d.spec = local.speculative;
     d.load_delta.resize(load.size());
     for (std::size_t m = 0; m < load.size(); ++m) {
-      d.load_delta[m] = scratch.load_snapshot[m] - load[m];
+      d.load_delta[m] = ws.load_snapshot[m] - load[m];
     }
     if (memo != nullptr) memo_color_store(*memo, key, check, content, d);
-  });
+  }
 
   for (Delta& d : deltas) {
     for (const auto& [v, m] : d.colored) {
@@ -295,14 +290,11 @@ void color_atoms(const ConflictGraph& cg,
 }  // namespace
 
 ColorResult color_conflict_graph(const ConflictGraph& cg,
-                                 const ColorOptions& options,
+                                 const ColorOptions& opts,
                                  const std::vector<std::int32_t>& precolored,
                                  const std::vector<bool>& never_remove,
                                  std::vector<std::size_t>* module_load,
                                  AssignWorkspace* ws) {
-  support::ThreadPool inline_pool(0);  // a null pool runs the tasks inline
-  ColorOptions opts = options;
-  if (opts.pool == nullptr) opts.pool = &inline_pool;
   const std::size_t n = cg.vertex_count();
   const std::size_t k = opts.module_count;
   PARMEM_CHECK(k >= 1 && k <= kMaxModules, "module count out of range");

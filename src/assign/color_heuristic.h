@@ -30,7 +30,6 @@
 
 namespace parmem::support {
 class Budget;
-class ThreadPool;
 }
 
 namespace parmem::assign {
@@ -50,31 +49,21 @@ struct ColorOptions {
   /// colors the whole graph in one sweep (the atoms-ablation bench).
   bool use_atoms = true;
   ModulePick pick = ModulePick::kLeastLoaded;
-  /// Where the atom tasks run. The separator vertices (those shared
-  /// between atoms) are colored first, inline; then every atom colors its
-  /// interior as an independent task from a snapshot of that frontier, and
-  /// the per-atom results are merged in stable atom order. Tasks are pure
-  /// functions of the snapshot, so the result is byte-identical for every
-  /// worker count. Null (default) runs the tasks inline in atom order —
-  /// exactly what a zero-worker pool does.
-  support::ThreadPool* pool = nullptr;
   /// Cooperative budget. Null = unlimited. On exhaustion mid-atom the
   /// urgency-heap sweep is abandoned and the remaining undecided vertices
   /// are finished greedily: duplicatable ones go to V_unassigned,
   /// never-remove ones are forced into their cheapest module — linear work,
   /// and the duplication tiers below clean up.
   support::Budget* budget = nullptr;
-  /// Speculative parallel coloring (speculate.h): an atom with at least this
-  /// many undecided vertices is colored by optimistic chunk-parallel rounds
-  /// with conflict repair instead of the sequential urgency heap. 0
-  /// (default) disables the tier. The schedule is deterministic: the result
-  /// is a pure function of the input and `speculate_chunk` — byte-identical
-  /// for every worker count, a null pool included.
+  /// Speculative coloring (speculate.h): an atom with at least this many
+  /// undecided vertices is colored by optimistic chunked rounds with
+  /// conflict repair instead of the sequential urgency heap. 0 (default)
+  /// disables the tier. The result is a pure function of the input and
+  /// `speculate_chunk`.
   std::size_t speculate_threshold = 0;
   /// Vertices per speculative chunk. Part of the deterministic schedule:
   /// each chunk runs its own urgency sweep over a snapshot, so a different
   /// chunk size may produce a different (still conflict-free) coloring.
-  /// Worker count never does.
   std::size_t speculate_chunk = 256;
   /// Incremental memo session (incremental.h). When set, the
   /// clique-separator decomposition is reused under a structure-only hash,
@@ -88,12 +77,12 @@ struct ColorOptions {
 inline constexpr std::int32_t kUnassignedModule = -1;
 
 /// Work accounting for the speculative coloring tier (all zeros when the
-/// tier never engaged). Scheduling-independent: every field is a pure
-/// function of the input and the (threshold, chunk) configuration.
+/// tier never engaged). Every field is a pure function of the input and the
+/// (threshold, chunk) configuration.
 struct SpeculateStats {
   std::uint64_t atoms = 0;      // atoms colored to completion by the tier
   std::uint64_t rounds = 0;     // optimistic rounds across those atoms
-  std::uint64_t chunks = 0;     // chunk tasks dispatched across all rounds
+  std::uint64_t chunks = 0;     // chunk sweeps run across all rounds
   std::uint64_t conflicts = 0;  // tentative picks rejected by a neighbor
   std::uint64_t repaired = 0;   // vertices committed after >= 1 rejection
   std::uint64_t reclaimed = 0;  // removals undone by the swap post-pass
@@ -120,7 +109,7 @@ struct ColorResult {
   std::vector<graph::Vertex> forced;
   /// Clique-separator atoms in processing order (reverse generation order),
   /// as vertex lists; empty when atoms were disabled. The assigner's
-  /// per-atom duplication tasks partition instructions along these.
+  /// per-atom duplication partitions instructions along these.
   std::vector<std::vector<graph::Vertex>> atoms;
   /// True iff the budget tripped during coloring and some vertices were
   /// finished by the greedy completion instead of the urgency heap.

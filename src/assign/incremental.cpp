@@ -190,13 +190,12 @@ const char* memo_kind_name(MemoKind k) {
 }
 
 void MemoSession::note_probe(bool hit) {
-  const std::uint64_t p = probes.fetch_add(1, std::memory_order_relaxed) + 1;
-  const std::uint64_t h =
-      probe_hits.fetch_add(hit ? 1 : 0, std::memory_order_relaxed) +
-      (hit ? 1 : 0);
-  if (p >= probe_window && h * 100 < min_hit_percent * p &&
-      probing.exchange(false, std::memory_order_relaxed)) {
-    fallbacks.fetch_add(1, std::memory_order_relaxed);
+  ++probes;
+  if (hit) ++probe_hits;
+  if (probing && probes >= probe_window &&
+      probe_hits * 100 < min_hit_percent * probes) {
+    probing = false;
+    ++fallbacks;
   }
 }
 
@@ -220,11 +219,11 @@ std::vector<graph::Atom> memo_decompose(MemoSession& s,
   if (auto hit = s.store->lookup(MemoKind::kDecomposition, key, check)) {
     std::vector<graph::Atom> atoms;
     if (decode_atoms(*hit, &atoms)) {
-      s.decomp_hits.fetch_add(1, std::memory_order_relaxed);
+      ++s.decomp_hits;
       return atoms;
     }
   }
-  s.decomp_misses.fetch_add(1, std::memory_order_relaxed);
+  ++s.decomp_misses;
   auto atoms = graph::decompose_by_clique_separators(g);
   s.store->store(MemoKind::kDecomposition, key, check, encode_atoms(atoms));
   return atoms;
@@ -287,22 +286,22 @@ void color_closure_key(const ConflictGraph& cg,
 
 bool memo_color_lookup(MemoSession& s, std::uint64_t key, std::uint64_t check,
                        std::uint64_t content, ColorAtomDelta* out) {
-  if (!s.should_probe()) {
-    s.color_misses.fetch_add(1, std::memory_order_relaxed);
+  if (!s.probing) {
+    ++s.color_misses;
     return false;
   }
   if (auto hit = s.store->lookup(MemoKind::kAtomColor, key, check)) {
     if (decode_color_delta(*hit, out)) {
-      s.color_hits.fetch_add(1, std::memory_order_relaxed);
+      ++s.color_hits;
       s.note_probe(true);
       return true;
     }
   }
-  s.color_misses.fetch_add(1, std::memory_order_relaxed);
+  ++s.color_misses;
   // Frontier accounting: the atom itself was journaled before — only its
   // observable frontier changed.
   if (s.store->lookup(MemoKind::kAtomSeen, content, content).has_value()) {
-    s.frontier.fetch_add(1, std::memory_order_relaxed);
+    ++s.frontier;
   }
   s.note_probe(false);
   return false;
@@ -345,18 +344,18 @@ void dup_closure_key(InstSpan insts,
 
 bool memo_dup_lookup(MemoSession& s, std::uint64_t key, std::uint64_t check,
                      DupAtomDelta* out) {
-  if (!s.should_probe()) {
-    s.dup_misses.fetch_add(1, std::memory_order_relaxed);
+  if (!s.probing) {
+    ++s.dup_misses;
     return false;
   }
   if (auto hit = s.store->lookup(MemoKind::kAtomDup, key, check)) {
     if (decode_dup_delta(*hit, out)) {
-      s.dup_hits.fetch_add(1, std::memory_order_relaxed);
+      ++s.dup_hits;
       s.note_probe(true);
       return true;
     }
   }
-  s.dup_misses.fetch_add(1, std::memory_order_relaxed);
+  ++s.dup_misses;
   s.note_probe(false);
   return false;
 }

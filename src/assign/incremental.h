@@ -43,7 +43,6 @@
 // output.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -70,7 +69,8 @@ enum class MemoKind : std::uint8_t {
 const char* memo_kind_name(MemoKind k);
 
 /// Storage interface for memoized per-atom results. Implementations must be
-/// thread-safe: lookups and stores are issued concurrently from pool tasks.
+/// thread-safe: one store is shared across concurrent compiles (compile_batch
+/// jobs, the service's workers).
 /// `check` is a secondary hash over the same closure bytes; a record stored
 /// under (kind, key) with a different check is a miss, which pushes the
 /// effective collision resistance of the 64-bit key to ~128 bits.
@@ -112,8 +112,9 @@ class ClosureHash {
 };
 
 /// One compile's memo state: the store plus the probe gate and the
-/// counters. Created per assign_modules() call (cheap); the store outlives
-/// sessions. Thread-safe — pool tasks update the counters concurrently.
+/// counters. Created per assign_modules() call (cheap) and used only by the
+/// thread running that compile, so it is never shared; the store outlives
+/// sessions.
 struct MemoSession {
   MemoSession(AtomMemoStore* s, std::size_t window, std::uint32_t min_percent)
       : store(s), probe_window(window), min_hit_percent(min_percent) {}
@@ -124,33 +125,29 @@ struct MemoSession {
 
   /// Probe gate: true while per-atom lookups are worth issuing. Cleared
   /// once `probe_window` probes have hit below `min_hit_percent`.
-  std::atomic<bool> probing{true};
-  std::atomic<std::uint64_t> probes{0};
-  std::atomic<std::uint64_t> probe_hits{0};
+  bool probing = true;
+  std::uint64_t probes = 0;
+  std::uint64_t probe_hits = 0;
 
-  std::atomic<std::uint64_t> decomp_hits{0};
-  std::atomic<std::uint64_t> decomp_misses{0};
-  std::atomic<std::uint64_t> color_hits{0};
-  std::atomic<std::uint64_t> color_misses{0};
-  std::atomic<std::uint64_t> dup_hits{0};
-  std::atomic<std::uint64_t> dup_misses{0};
+  std::uint64_t decomp_hits = 0;
+  std::uint64_t decomp_misses = 0;
+  std::uint64_t color_hits = 0;
+  std::uint64_t color_misses = 0;
+  std::uint64_t dup_hits = 0;
+  std::uint64_t dup_misses = 0;
   /// Color misses whose atom *content* was journaled before: the atom was
   /// clean but a neighbor's separator coloring changed — the invalidation
   /// frontier.
-  std::atomic<std::uint64_t> frontier{0};
+  std::uint64_t frontier = 0;
   /// Probe-gate trips (0 or 1 per session).
-  std::atomic<std::uint64_t> fallbacks{0};
+  std::uint64_t fallbacks = 0;
 
   /// Records a probe outcome and updates the gate.
   void note_probe(bool hit);
-  /// True when per-atom lookups should be issued.
-  bool should_probe() const {
-    return probing.load(std::memory_order_relaxed);
-  }
 };
 
 /// Per-atom coloring delta — the unit journaled under kAtomColor. Mirrors
-/// exactly what the atom-parallel merge applies, so a replayed delta is
+/// exactly what the per-atom merge applies, so a replayed delta is
 /// indistinguishable from a computed one.
 struct ColorAtomDelta {
   std::vector<std::pair<graph::Vertex, std::int32_t>> colored;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <optional>
@@ -12,7 +11,6 @@
 #include "support/diagnostics.h"
 #include "support/fault_injection.h"
 #include "support/rng.h"
-#include "support/thread_pool.h"
 #include "telemetry/telemetry.h"
 
 namespace parmem::assign {
@@ -36,7 +34,6 @@ bool speculate_color_atom(const ConflictGraph& cg, const ColorOptions& opts,
                           std::vector<std::size_t>& load, AssignWorkspace& ws,
                           ColorResult& result) {
   PARMEM_SPAN("assign.speculate");
-  PARMEM_CHECK(opts.pool != nullptr, "speculative coloring requires a pool");
   PARMEM_FAULT_POINT("assign.speculate", opts.budget);
   SpeculateStats& stats = result.speculative;
 
@@ -50,7 +47,7 @@ bool speculate_color_atom(const ConflictGraph& cg, const ColorOptions& opts,
   // Deterministic half-share of the caller's remaining allowance. All
   // charges below happen serially at round boundaries, so the trip point —
   // and therefore the fall-back decision — is a pure function of the input
-  // for a step budget, independent of threads and chunk size.
+  // for a step budget, independent of the chunk size.
   support::Budget* const parent = opts.budget;
   std::optional<support::Budget> sub;
   if (parent != nullptr) {
@@ -77,8 +74,7 @@ bool speculate_color_atom(const ConflictGraph& cg, const ColorOptions& opts,
   for (std::uint32_t i = 0; i < order.size(); ++i) pos[order[i]] = i;
 
   // Per-round urgency and surviving-option mask, recomputed in phase A from
-  // the committed state (pure per-vertex functions, so the parallel
-  // recompute is deterministic).
+  // the committed state (pure per-vertex functions of the round start).
   std::vector<std::uint64_t> urg_w(n, 0);
   std::vector<std::uint32_t> urg_kk(n, 0);
   std::vector<std::uint32_t> free_mask(n, 0);
@@ -161,7 +157,7 @@ bool speculate_color_atom(const ConflictGraph& cg, const ColorOptions& opts,
     // id-sorted, so lower position == lower vertex id).
     for (std::uint32_t i = 0; i < pending.size(); ++i) pos[pending[i]] = i;
 
-    // Phase A (parallel): each chunk runs the Fig. 4 dynamic-urgency sweep
+    // Phase A (per chunk): each chunk runs the Fig. 4 dynamic-urgency sweep
     // restricted to its own vertices — pop the most urgent unprocessed
     // member, pick it a module, propagate the pick to its intra-chunk
     // neighbors' taken-masks and urgency numerators, repeat. The chunk is a
@@ -169,11 +165,10 @@ bool speculate_color_atom(const ConflictGraph& cg, const ColorOptions& opts,
     // outranks its neighbors *before* its last modules disappear, the same
     // triage the sequential heap performs, and intra-chunk neighbors never
     // collide, so the only conflicts left for phase B are cross-chunk
-    // edges. Tasks touch chunk-local state plus per-vertex slots of their
+    // edges. A chunk touches chunk-local state plus per-vertex slots of its
     // own members (cross-chunk picks stay invisible until the barrier), so
-    // the phase is race-free and the round a pure function of
-    // (round-start state, chunk size).
-    opts.pool->parallel_for(nchunks, [&](std::size_t c) {
+    // the round is a pure function of (round-start state, chunk size).
+    for (std::size_t c = 0; c < nchunks; ++c) {
       const std::size_t lo = c * chunk;
       const std::size_t hi = std::min(pending.size(), lo + chunk);
       const std::size_t cn = hi - lo;
@@ -310,7 +305,7 @@ bool speculate_color_atom(const ConflictGraph& cg, const ColorOptions& opts,
           }
         }
       }
-    });
+    }
 
     // Serial barrier. Urgency triage already happened inside the chunks, so
     // pending keeps its id order (pos is current from the loop top); the
@@ -321,10 +316,10 @@ bool speculate_color_atom(const ConflictGraph& cg, const ColorOptions& opts,
       any_endangered |= tentative[v] >= 0 && urg_kk[v] <= kProtectAt;
     }
 
-    // Phase B pass 1 (parallel): a vertex keeps its pick iff no
+    // Phase B pass 1: a vertex keeps its pick iff no
     // lower-position neighbor picked the same module this round.
     std::vector<std::uint64_t> chunk_conflicts(nchunks, 0);
-    opts.pool->parallel_for(nchunks, [&](std::size_t c) {
+    for (std::size_t c = 0; c < nchunks; ++c) {
       const std::size_t lo = c * chunk;
       const std::size_t hi = std::min(pending.size(), lo + chunk);
       for (std::size_t i = lo; i < hi; ++i) {
@@ -345,17 +340,17 @@ bool speculate_color_atom(const ConflictGraph& cg, const ColorOptions& opts,
         win[v] = lose ? 0 : 1;
         if (lose) ++chunk_conflicts[c];
       }
-    });
+    }
 
-    // Phase B pass 2 (parallel): protection. A pass-1 winner defers when a
+    // Phase B pass 2: protection. A pass-1 winner defers when a
     // lower-position pending loser is down to its last kProtectAt modules and
     // the winner's pick is one of them — committing would push a vertex
     // that is expensive to duplicate toward removal while a cheaper,
     // less urgent one could yield instead. Reads only pass-1 state (win is
-    // never written here; deferrals land in `defer`), so the pass is
-    // race-free and deterministic.
+    // never written here; deferrals land in `defer`), so the pass's
+    // outcome does not depend on the chunk visiting order.
     if (any_endangered) {
-      opts.pool->parallel_for(nchunks, [&](std::size_t c) {
+      for (std::size_t c = 0; c < nchunks; ++c) {
         const std::size_t lo = c * chunk;
         const std::size_t hi = std::min(pending.size(), lo + chunk);
         for (std::size_t i = lo; i < hi; ++i) {
@@ -380,7 +375,7 @@ bool speculate_color_atom(const ConflictGraph& cg, const ColorOptions& opts,
             ++chunk_conflicts[c];
           }
         }
-      });
+      }
     }
     for (const std::uint64_t c : chunk_conflicts) conflicts += c;
 
@@ -410,10 +405,10 @@ bool speculate_color_atom(const ConflictGraph& cg, const ColorOptions& opts,
         // case recomputes live instead of finalizing outright).
         // Recompute the surviving option set
         // against the *current* committed state — including this barrier's
-        // earlier commits, which the parallel phases could not see. A loser
+        // earlier commits, which the chunk phases could not see. A loser
         // that is out of options finalizes now; one inside the rescue
         // guard commits serially with the sequential pick rule (waiting out
-        // another parallel round could erase its last modules); the rest
+        // another round could erase its last modules); the rest
         // re-enter the next round. Position order means a lower-id vertex
         // is rescued before a higher-id one recomputes, so when two
         // endangered neighbors want the same last module the resolution is
@@ -457,7 +452,7 @@ bool speculate_color_atom(const ConflictGraph& cg, const ColorOptions& opts,
     // Hand the tail to the serial finisher below once the survivors are a
     // minority: they sit in the saturated regions where round-granularity
     // commits cost the most quality, and a small pending set no longer
-    // amortizes two parallel dispatches per round anyway.
+    // amortizes two full passes per round anyway.
     if (pending.size() * 2 < order.size()) break;
   }
 
@@ -504,7 +499,7 @@ bool speculate_color_atom(const ConflictGraph& cg, const ColorOptions& opts,
     }
   }
 
-  // Reclaim post-pass (serial, removal order): parallel rounds saturate
+  // Reclaim post-pass (removal order): optimistic rounds saturate
   // more vertices than the one-commit-at-a-time sequential sweep, and every
   // removal costs duplicated copies downstream. For each removed vertex,
   // look for a module held by exactly one speculatively committed neighbor
@@ -522,25 +517,17 @@ bool speculate_color_atom(const ConflictGraph& cg, const ColorOptions& opts,
       aborted = !charged;
     }
     if (charged) {
-      // Exact committed-neighbor counts per (vertex, module), built in
-      // parallel (disjoint rows per chunk) and maintained incrementally as
-      // swaps commit, so every availability test below is O(k). Only the
-      // rows of vertices this call colors are built: the pass reads no
-      // other row, and the caller's `module` may be stale outside the atom.
+      // Exact committed-neighbor counts per (vertex, module), maintained
+      // incrementally as swaps commit, so every availability test below is
+      // O(k). Only the rows of vertices this call colors are built: the
+      // pass reads no other row, and the caller's `module` may be stale
+      // outside the atom.
       std::vector<std::uint16_t> cnt(n * k, 0);
-      {
-        const std::size_t nch = (order.size() + chunk - 1) / chunk;
-        opts.pool->parallel_for(nch, [&](std::size_t c) {
-          const std::size_t lo = c * chunk;
-          const std::size_t hi = std::min(order.size(), lo + chunk);
-          for (std::size_t i = lo; i < hi; ++i) {
-            const Vertex x = order[i];
-            for (const Vertex u : g.neighbors(x)) {
-              const std::int32_t m = committed_module(u);
-              if (m >= 0) ++cnt[x * k + static_cast<std::uint32_t>(m)];
-            }
-          }
-        });
+      for (const Vertex x : order) {
+        for (const Vertex u : g.neighbors(x)) {
+          const std::int32_t m = committed_module(u);
+          if (m >= 0) ++cnt[x * k + static_cast<std::uint32_t>(m)];
+        }
       }
       const auto avail_of = [&](Vertex x) {
         std::uint32_t mask = 0;

@@ -1,10 +1,10 @@
-// Speculative intra-atom parallel coloring.
+// Speculative intra-atom coloring (opt-in).
 //
-// The Fig. 4 urgency heap colors one vertex at a time; a single large atom
-// (COLOR's 6.4k-vertex core) therefore caps the scaling the atom-parallel
-// decomposition can reach. This tier adapts the optimistic template of
-// Rokos, Gorman and Kelly ("A Fast and Scalable Graph Coloring Algorithm
-// for Multi-core and Many-core Architectures") to the paper's heuristic:
+// The Fig. 4 urgency heap colors one vertex at a time. This tier adapts the
+// optimistic template of Rokos, Gorman and Kelly ("A Fast and Scalable
+// Graph Coloring Algorithm for Multi-core and Many-core Architectures") to
+// the paper's heuristic. It was built for chunk-parallel execution; a
+// compile now runs on one thread, so the chunks run one after another:
 //
 //   1. order the atom's undecided vertices once by vertex id and cut the
 //      order into fixed-size chunks (id-contiguous chunks keep most edges
@@ -13,11 +13,10 @@
 //      own members against a snapshot of the committed state — the
 //      optimistic step; intra-chunk picks propagate, so chunk members never
 //      collide with each other;
-//   3. cross-chunk conflicts are detected in parallel by scanning each
-//      vertex's CSR row for pending neighbors with a tentative pick: a
-//      vertex loses iff a *lower-position* neighbor picked the same module,
-//      and a winner defers when an endangered lower-position loser needs
-//      its pick;
+//   3. cross-chunk conflicts are detected by scanning each vertex's CSR
+//      row for pending neighbors with a tentative pick: a vertex loses iff
+//      a *lower-position* neighbor picked the same module, and a winner
+//      defers when an endangered lower-position loser needs its pick;
 //   4. at a serial barrier, winners commit in position order; losers and
 //      deferrals recompute against the live committed state — saturated
 //      ones are removed (or forced), nearly saturated ones commit serially,
@@ -28,10 +27,8 @@
 //
 // Every phase is a pure function of the round-start state and the fixed
 // chunk partition, so the result is a pure function of the input and the
-// chunk size — byte-identical for every worker count; the worker count only
-// changes who computes what, never what is computed. The lowest-position
-// pending vertex can never lose, so each round resolves at least one vertex
-// and the loop terminates.
+// chunk size. The lowest-position pending vertex can never lose, so each
+// round resolves at least one vertex and the loop terminates.
 //
 // Budget: the tier runs under a deterministic half-share of the caller's
 // remaining budget, charged serially at round boundaries (cost = one unit
@@ -48,7 +45,7 @@ namespace parmem::assign {
 /// Attempts to color one atom speculatively. `ws` must hold the atom state
 /// prepared by the sequential sweep's setup (rest/deg/s_sum/w_assigned/
 /// neighbor_mods); it is read, never written. Of `module` and `decided` it
-/// reads only the atom's entries. Requires opts.pool != nullptr.
+/// reads only the atom's entries.
 ///
 /// Returns true on success — `module`, `decided`, `load` and `result` are
 /// updated exactly as a sequential commit would. Returns false when the

@@ -4,13 +4,9 @@
 // are called once per atom / per strategy stage; with per-call O(V) or
 // O(insts) temporaries the pipeline spends more time in allocation and
 // memset than in the algorithms on atom-rich graphs. An AssignWorkspace
-// owns those buffers and is threaded through the passes:
-//
-//  * the passes themselves keep one workspace per assign_modules() call;
-//  * atom tasks use that same workspace when they run on the calling
-//    thread, and one per pool worker (thread_local) otherwise, so no
-//    synchronization is needed, reuse never crosses a task boundary
-//    mid-flight, and an inline compile keeps no scratch past its return.
+// owns those buffers and is threaded through the passes: one workspace per
+// assign_modules() call serves every pass and atom of that call, so no
+// scratch outlives the compile.
 //
 // Per-vertex and per-value state is epoch-stamped: an entry is valid only
 // if its mark equals the current epoch, so "clearing" the scratch between
@@ -20,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "assign/placement_state.h"
@@ -36,8 +31,7 @@ struct AssignWorkspace {
   /// Active resource budget for the passes running on this workspace, or
   /// null for unlimited. Unlike the scratch below this *can* change
   /// results — exhaustion makes the assigner degrade down its tier ladder
-  /// (see assigner.h) — so the assigner sets it explicitly per pass and the
-  /// atom-parallel tasks copy it into their thread-local workspaces.
+  /// (see assigner.h) — so the assigner sets it explicitly.
   support::Budget* budget = nullptr;
 
   // ---- vertex-domain scratch (Fig. 4 coloring, one atom at a time) ----
@@ -116,15 +110,15 @@ struct AssignWorkspace {
     return slot;
   }
 
-  // ---- frontier snapshot (atom coloring tasks) ----
+  // ---- frontier snapshot (per-atom coloring) ----
   std::vector<std::int32_t> module_snapshot;
   std::vector<bool> decided_snapshot;
   std::vector<std::size_t> load_snapshot;
 
   /// Copies `atom`'s entries of `module` / `decided` and the whole (k-entry)
   /// `load` into the snapshot. Entries outside the atom keep whatever an
-  /// earlier task left there: a task that reads only its atom's entries
-  /// pays O(atom), not O(graph), per refresh.
+  /// earlier atom left there: an atom that reads only its own entries pays
+  /// O(atom), not O(graph), per refresh.
   void snapshot_atom(const std::vector<graph::Vertex>& atom,
                      const std::vector<std::int32_t>& module,
                      const std::vector<bool>& decided,
@@ -140,18 +134,8 @@ struct AssignWorkspace {
     load_snapshot = load;
   }
 
-  // ---- placement scratch (atom duplication tasks) ----
+  // ---- placement scratch (per-atom duplication) ----
   PlacementState placement_scratch;
 };
-
-/// The workspace for an atom task: `caller`, the workspace of the thread
-/// that issued the tasks, when the task runs on that thread (tasks there
-/// run one at a time), else the running pool worker's own.
-inline AssignWorkspace& task_workspace(AssignWorkspace& caller,
-                                       std::thread::id caller_thread) {
-  if (std::this_thread::get_id() == caller_thread) return caller;
-  thread_local AssignWorkspace worker;
-  return worker;
-}
 
 }  // namespace parmem::assign

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/diagnostics.h"
-#include "support/thread_pool.h"
 
 namespace parmem::graph {
 
@@ -84,25 +83,11 @@ Coloring dsatur(const Graph& g, std::size_t k) {
   return coloring;
 }
 
-Coloring dsatur_components(const Graph& g, std::size_t k,
-                           support::ThreadPool* pool) {
-  const auto comps = g.components();
+Coloring dsatur_components(const Graph& g, std::size_t k) {
   Coloring coloring(g.vertex_count(), kUncolored);
-  // Each task colors its component's induced subgraph and writes only its
-  // own vertices' slots, so the result is schedule-independent.
-  std::vector<Coloring> local(comps.size());
-  const auto color_one = [&](std::size_t i) {
-    local[i] = dsatur(g.induced(comps[i]), k);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(comps.size(), color_one);
-  } else {
-    for (std::size_t i = 0; i < comps.size(); ++i) color_one(i);
-  }
-  for (std::size_t i = 0; i < comps.size(); ++i) {
-    for (std::size_t j = 0; j < comps[i].size(); ++j) {
-      coloring[comps[i][j]] = local[i][j];
-    }
+  for (const auto& comp : g.components()) {
+    const Coloring local = dsatur(g.induced(comp), k);
+    for (std::size_t j = 0; j < comp.size(); ++j) coloring[comp[j]] = local[j];
   }
   return coloring;
 }

@@ -14,10 +14,6 @@
 
 #include "graph/graph.h"
 
-namespace parmem::support {
-class ThreadPool;
-}
-
 namespace parmem::graph {
 
 /// A (possibly partial) coloring: color of vertex v, or kUncolored.
@@ -38,13 +34,10 @@ Coloring first_fit(const Graph& g, std::size_t k,
 /// DSATUR (Brelaz 1979) with k colors; uncolorable vertices left kUncolored.
 Coloring dsatur(const Graph& g, std::size_t k);
 
-/// DSATUR run independently on every connected component, with the
-/// components farmed out as tasks on `pool` (inline when pool is null or
-/// has no workers). Components share no edges, so the merged coloring is
-/// identical to plain per-component DSATUR for every worker count — the
-/// graph-level analogue of the assignment pipeline's atom-parallel mode.
-Coloring dsatur_components(const Graph& g, std::size_t k,
-                           support::ThreadPool* pool = nullptr);
+/// DSATUR run independently on every connected component (each on its
+/// induced subgraph). Components share no edges, so the merged coloring is
+/// a valid coloring of the whole graph.
+Coloring dsatur_components(const Graph& g, std::size_t k);
 
 /// Exact k-colorability by branch-and-bound with pruning; intended for
 /// graphs of up to ~30 vertices (test oracles). Returns a full coloring or

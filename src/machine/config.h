@@ -38,27 +38,24 @@ enum class ArrayPolicy : std::uint8_t {
 
 const char* array_policy_name(ArrayPolicy p);
 
-/// Compile-time parallelism knobs — how many threads the compiler itself
-/// (atom-task assignment, batch compilation) may use; nothing here affects
-/// the simulated machine.
+/// Compile-time knobs; nothing here affects the simulated machine.
 ///
-/// `threads` is the number of execution contexts: `threads - 1` pool
-/// workers plus the calling thread, with 0 and 1 both meaning inline on the
-/// caller. Assignment always runs the same atom-task decomposition
-/// (separators first, then independent per-atom tasks merged in stable atom
-/// order), so every thread count produces byte-identical output.
+/// `threads` is analysis::compile_batch()'s job fan-out: the number of
+/// execution contexts (`threads - 1` pool workers plus the calling thread,
+/// with 0 and 1 both meaning inline on the caller). A single compile always
+/// runs on its calling thread. Each job is a pure function of its source,
+/// so every thread count produces byte-identical output.
 struct ParallelConfig {
   std::size_t threads = 0;
   /// Speculative intra-atom coloring: a conflict-graph atom with at least
-  /// this many undecided vertices is colored by optimistic chunk-parallel
-  /// rounds with conflict repair instead of the sequential urgency heap
+  /// this many undecided vertices is colored by optimistic chunked rounds
+  /// with conflict repair instead of the sequential urgency heap
   /// (assign/speculate.h). 0 (default) keeps the tier off. Output is a pure
-  /// function of the input and `speculate_chunk`: byte-identical for every
-  /// thread count, but a different chunk size is a different (still
-  /// conflict-free) schedule.
+  /// function of the input and `speculate_chunk`; a different chunk size is
+  /// a different (still conflict-free) schedule.
   std::size_t speculate_threshold = 0;
   /// Vertices per speculative chunk; part of the deterministic schedule
-  /// (see above). The thread count never changes the produced assignment.
+  /// (see above).
   std::size_t speculate_chunk = 256;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "sched/ddg.h"
@@ -13,6 +14,19 @@ ir::LiwProgram schedule(const ir::TacProgram& prog, const SchedOptions& opts,
                         SchedStats* stats) {
   PARMEM_CHECK(opts.fu_count >= 1, "need at least one functional unit");
   PARMEM_CHECK(opts.module_count >= 1, "need at least one memory module");
+  // A word reads at most module_count distinct scalars, so an op reading
+  // more fits in no word: reject the program here, not as "no progress".
+  for (std::size_t i = 0; i < prog.instrs.size(); ++i) {
+    const ir::TacInstr& in = prog.instrs[i];
+    const std::size_t reads = in.value_uses().size();
+    if (reads > opts.module_count) {
+      throw support::UserError(
+          "op " + std::to_string(i) + " (" + ir::opcode_name(in.op) +
+          ") reads " + std::to_string(reads) +
+          " distinct scalars, but a word can fetch from only " +
+          std::to_string(opts.module_count) + " memory modules");
+    }
+  }
 
   const ir::RegionGraph rg = ir::RegionGraph::build(prog);
   ir::LiwProgram out;

@@ -44,7 +44,8 @@ struct SchedStats {
   }
 };
 
-/// Schedules `prog`; fills `stats` if non-null.
+/// Schedules `prog`; fills `stats` if non-null. Throws support::UserError
+/// if an op reads more distinct scalars than opts.module_count.
 ir::LiwProgram schedule(const ir::TacProgram& prog, const SchedOptions& opts,
                         SchedStats* stats = nullptr);
 

@@ -11,7 +11,6 @@
 #include "service/frame.h"
 #include "support/diagnostics.h"
 #include "support/fault_injection.h"
-#include "support/thread_pool.h"
 #include "telemetry/telemetry.h"
 
 namespace parmem::service {
@@ -342,7 +341,6 @@ CompileService::AttemptResult CompileService::run_attempt(Job& job,
     CompileResponse resp;
     resp.id = job.req.id;
     bool degraded = false;
-    support::ThreadPool pool(analysis::pool_workers(opts_.compile_threads));
     if (job.req.kind == RequestKind::kMc) {
       analysis::PipelineOptions popts;
       popts.assign.module_count = job.req.module_count;
@@ -360,7 +358,7 @@ CompileService::AttemptResult CompileService::run_attempt(Job& job,
       // Replay is byte-identical, so cached responses are unaffected.
       popts.atom_memo = atom_cache_.get();
       const analysis::Compiled c =
-          analysis::compile_mc(job.req.body, popts, &pool, &inf.token);
+          analysis::compile_mc(job.req.body, popts, &inf.token);
       resp.tier = assign::tier_name(c.assignment.tier);
       resp.body = render_mc_artifact(c);
       resp.fingerprint = analysis::compiled_fingerprint(c);
@@ -373,7 +371,6 @@ CompileService::AttemptResult CompileService::run_attempt(Job& job,
       aopts.strategy = job.req.strategy;
       aopts.method = job.req.method;
       aopts.memo_store = atom_cache_.get();
-      aopts.pool = &pool;
       support::Budget budget(spec, nullptr, &inf.token);
       if (budget.limited()) aopts.budget = &budget;
       const assign::AssignResult result = assign::assign_modules(stream, aopts);

@@ -71,10 +71,6 @@ struct ServiceOptions {
   /// LRU cap on result-cache entries (0 = unbounded). Evicted entries'
   /// journal files are unlinked.
   std::size_t cache_max_entries = 0;
-  /// Execution contexts per compile, mc and stream requests alike, sized
-  /// by analysis::pool_workers (0 and 1 = inline). Output bytes do not
-  /// depend on it.
-  std::size_t compile_threads = 0;
   /// Admission-time cap on a stream request's declared value count.
   std::uint64_t max_stream_values = std::uint64_t{1} << 20;
   /// Incremental recompilation: keep an atom-granular memo store

@@ -14,11 +14,12 @@
 //    `if (budget && !budget->charge(n))`, so the unbudgeted path executes
 //    exactly the seed instruction stream and stays byte-identical;
 //  * exhaustion latches: once charge() returns false it returns false
-//    forever, so concurrent atom tasks all observe the trip;
+//    forever, so every later poll observes the one trip;
 //  * charge() is thread-safe (relaxed atomics) and cheap — the wall clock
 //    and the parent cancel token are polled only every kPollPeriod steps;
-//  * with only a step budget (no deadline) the serial path degrades
-//    deterministically: the trip point depends on the step stream alone.
+//  * with only a step budget (no deadline) a compile degrades
+//    deterministically: it runs on one thread, so the trip point depends
+//    on the step stream alone.
 #pragma once
 
 #include <algorithm>

@@ -39,19 +39,11 @@ void ThreadPool::run_task(const Task& task) {
   tl_in_task = true;
   {
     // One span per pool task: in a trace, a worker's lane shows its task
-    // stream with the finer-grained atom spans nested inside.
+    // stream (one compile each) with the pipeline spans nested inside.
     PARMEM_SPAN("pool.task");
     task();
   }
   tl_in_task = was_in_task;
-}
-
-void ThreadPool::run_or_enqueue(Task task) {
-  if (workers_.empty() || tl_in_task) {
-    run_task(task);
-    return;
-  }
-  enqueue(std::move(task));
 }
 
 void ThreadPool::enqueue(Task task) {

@@ -1,29 +1,26 @@
-// Work-stealing thread pool for the atom-parallel assignment pipeline.
+// Work-stealing thread pool behind analysis::compile_batch's job fan-out.
 //
 // Design goals, in priority order: determinism of results, simplicity under
-// ThreadSanitizer, then throughput. Tasks are coarse (coloring one
-// clique-separator atom, one whole compile), so the pool uses per-worker
-// deques guarded by a single lock — LIFO pop of the own deque for locality,
-// FIFO steal from the others — rather than lock-free Chase-Lev deques;
-// contention is negligible at this granularity.
+// ThreadSanitizer, then throughput. Tasks are coarse (one whole compile), so
+// the pool uses per-worker deques guarded by a single lock — LIFO pop of the
+// own deque for locality, FIFO steal from the others — rather than
+// lock-free Chase-Lev deques; contention is negligible at this granularity.
 //
-// Determinism contract used throughout the repo: a parallel_for body must be
-// a pure function of its index that writes only its own output slot. Then
-// the merged result is identical for every worker count, including zero —
-// the serial fallback, which runs every body inline in index order. Nested
-// parallel_for calls (a task that itself fans out, e.g. the atom loop inside
-// a batch-compile job) execute inline on the calling task's thread, so one
-// pool serves both levels without deadlock.
+// Determinism contract: a parallel_for body must be a pure function of its
+// index that writes only its own output slot. Then the merged result is
+// identical for every worker count, including zero — the serial fallback,
+// which runs every body inline in index order. A parallel_for issued from
+// inside a pool task runs inline on that task's thread, so a nested call
+// can never deadlock waiting for workers that are all busy with its
+// parents.
 #pragma once
 
 #include <cstddef>
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "support/budget.h"
@@ -33,10 +30,10 @@ namespace parmem::support {
 class ThreadPool {
  public:
   /// Spawns `worker_count` worker threads. Zero workers is the serial
-  /// fallback: every task runs inline on the submitting thread.
+  /// fallback: every body runs inline on the calling thread.
   explicit ThreadPool(std::size_t worker_count);
 
-  /// Drains every queued task, then joins the workers.
+  /// Joins the workers (parallel_for has already joined its tasks).
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -60,23 +57,9 @@ class ThreadPool {
                     const std::function<void(std::size_t)>& body,
                     const CancelToken* cancel = nullptr);
 
-  /// Schedules a single task; exceptions propagate through the future.
-  /// With zero workers the task runs inline before returning.
-  template <typename F>
-  auto submit(F&& f) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> fut = task->get_future();
-    run_or_enqueue([task] { (*task)(); });
-    return fut;
-  }
-
  private:
   using Task = std::function<void()>;
 
-  /// Runs inline (zero workers / inside a task) or round-robins the task
-  /// onto a worker deque.
-  void run_or_enqueue(Task task);
   void enqueue(Task task);
   /// Pops the back of deque `preferred`, else steals the front of another.
   /// Caller must hold mu_. Returns false if every deque is empty.

@@ -3,7 +3,7 @@
 // The JSON form loads in chrome://tracing and Perfetto: one lane ("tid")
 // per thread that emitted events, "X" complete events for spans, "C"
 // counter samples (rendered as tracks), "i" instants, and thread_name
-// metadata so atom-parallel runs read as named per-worker lanes.
+// metadata so compile_batch runs read as named per-worker lanes.
 //
 // The text forms feed --stats and the tests: a per-span aggregate table
 // (count / total / mean / max wall ms) and a name→value metric table, both

@@ -160,11 +160,12 @@ TEST(Fuzz, RandomProgramsSurviveRandomPipelines) {
   }
 }
 
-// Atom-parallel differential fuzz: random programs through random pipeline
-// configurations, compiled at threads == 1 (inline task mode) and
-// threads == 4, must agree bit for bit; and the parallel compile must still
-// pass the machine-level divergence check against the sequential reference.
-// The failing program seed is named so violations replay directly.
+// Batch differential fuzz: random programs through random pipeline
+// configurations, compiled one by one and as the jobs of a 4-thread
+// compile_batch, must agree bit for bit; and each batch job must still
+// pass the machine-level divergence check against the sequential
+// reference. The failing program seed is named so violations replay
+// directly.
 TEST(Fuzz, ParallelPipelineMatchesSerialTaskMode) {
   support::SplitMix64 meta(20260805);
   for (int iter = 0; iter < 12; ++iter) {
@@ -173,25 +174,28 @@ TEST(Fuzz, ParallelPipelineMatchesSerialTaskMode) {
     ProgramGen gen(program_seed);
     const std::string src = gen.generate();
     PipelineOptions opts = random_options(meta);
-    opts.parallel.threads = 1;
-    PipelineOptions par = opts;
-    par.parallel.threads = 4;
+    opts.parallel.threads = 4;
 
     const Compiled serial = compile_mc(src, opts);
-    const Compiled parallel = compile_mc(src, par);
-    EXPECT_EQ(serial.assignment.placement, parallel.assignment.placement);
-    EXPECT_EQ(serial.assignment.removed, parallel.assignment.removed);
-    EXPECT_EQ(serial.assignment.stats.total_copies,
-              parallel.assignment.stats.total_copies);
-    EXPECT_EQ(serial.transfer_stats.transfers,
-              parallel.transfer_stats.transfers);
-    EXPECT_EQ(serial.liw.to_string(), parallel.liw.to_string());
-    EXPECT_TRUE(parallel.verify.ok());
+    // Two jobs of the same source, so the batch really runs concurrently.
+    const std::vector<CompileResult> batch = compile_batch({src, src}, opts);
+    for (const CompileResult& job : batch) {
+      ASSERT_TRUE(job.ok()) << job.diagnostic;
+      const Compiled& parallel = *job.compiled;
+      EXPECT_EQ(serial.assignment.placement, parallel.assignment.placement);
+      EXPECT_EQ(serial.assignment.removed, parallel.assignment.removed);
+      EXPECT_EQ(serial.assignment.stats.total_copies,
+                parallel.assignment.stats.total_copies);
+      EXPECT_EQ(serial.transfer_stats.transfers,
+                parallel.transfer_stats.transfers);
+      EXPECT_EQ(serial.liw.to_string(), parallel.liw.to_string());
+      EXPECT_TRUE(parallel.verify.ok());
 
-    machine::MachineConfig cfg;
-    cfg.module_count = par.assign.module_count;
-    cfg.fu_count = std::max(par.sched.fu_count, std::size_t{2});
-    EXPECT_NO_THROW(run_and_check(parallel, cfg));
+      machine::MachineConfig cfg;
+      cfg.module_count = opts.assign.module_count;
+      cfg.fu_count = std::max(opts.sched.fu_count, std::size_t{2});
+      EXPECT_NO_THROW(run_and_check(parallel, cfg));
+    }
   }
 }
 

@@ -411,13 +411,15 @@ class FaultSweep : public ::testing::Test {
  protected:
   void TearDown() override { support::FaultInjector::instance().reset(); }
 
+  // Records one compile run as a one-job batch: at threads >= 2 the job
+  // runs through the pool's task wrapper, which adds "pool.task".
   static std::vector<std::string> discover_sites(std::size_t threads,
                                                  bool speculate = false) {
     auto& injector = support::FaultInjector::instance();
     injector.reset();
     injector.set_recording(true);
-    compile_mc(workloads::all_workloads().front().source,
-               sweep_options(threads, speculate));
+    compile_batch({workloads::all_workloads().front().source},
+                  sweep_options(threads, speculate));
     const auto sites = injector.sites();
     injector.reset();
     return sites;
@@ -452,7 +454,7 @@ TEST_F(FaultSweep, RecordingDiscoversTheTaggedSites) {
   const auto pooled = discover_sites(2);
   EXPECT_TRUE(has(pooled, "pool.task"));
 
-  const auto speculative = discover_sites(2, /*speculate=*/true);
+  const auto speculative = discover_sites(0, /*speculate=*/true);
   EXPECT_TRUE(has(speculative, "assign.speculate"));
   EXPECT_FALSE(has(pooled, "assign.speculate"))
       << "the speculative fault point fired with the tier disabled";
@@ -470,17 +472,14 @@ TEST_F(FaultSweep, RecordingDiscoversTheTaggedSites) {
 
 TEST_F(FaultSweep, TimeoutAtEverySiteDegradesButCompletes) {
   const auto& w = workloads::all_workloads().front();
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
-    for (const std::string& site : discover_sites(threads)) {
-      SCOPED_TRACE(site + " at " + std::to_string(threads) + " threads");
-      support::FaultInjector::instance().arm(site,
-                                             support::FaultKind::kTimeout);
-      Compiled c;
-      ASSERT_NO_THROW(c = compile_mc(w.source, sweep_options(threads)))
-          << "a simulated timeout must never throw";
-      expect_well_formed(c.stream, c.assignment, site);
-      support::FaultInjector::instance().reset();
-    }
+  for (const std::string& site : discover_sites(0)) {
+    SCOPED_TRACE(site);
+    support::FaultInjector::instance().arm(site, support::FaultKind::kTimeout);
+    Compiled c;
+    ASSERT_NO_THROW(c = compile_mc(w.source, sweep_options(0)))
+        << "a simulated timeout must never throw";
+    expect_well_formed(c.stream, c.assignment, site);
+    support::FaultInjector::instance().reset();
   }
 }
 
@@ -519,18 +518,15 @@ TEST_F(FaultSweep, SpeculativeTierSurvivesEverySeededFault) {
   // hard faults propagate out of compile_mc and must be contained by
   // compile_batch exactly like every other site.
   const auto& w = workloads::all_workloads().front();
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    SCOPED_TRACE(std::to_string(threads) + " threads");
-    support::FaultInjector::instance().arm("assign.speculate",
-                                           support::FaultKind::kTimeout);
-    Compiled c;
-    ASSERT_NO_THROW(c = compile_mc(w.source, sweep_options(threads, true)));
-    EXPECT_TRUE(c.assignment.budget_exhausted);
-    EXPECT_GE(c.assignment.stats.speculative_fallbacks, 1u)
-        << "the tripped budget must be recorded as a speculative fallback";
-    expect_well_formed(c.stream, c.assignment, "speculate timeout");
-    support::FaultInjector::instance().reset();
-  }
+  support::FaultInjector::instance().arm("assign.speculate",
+                                         support::FaultKind::kTimeout);
+  Compiled c;
+  ASSERT_NO_THROW(c = compile_mc(w.source, sweep_options(0, true)));
+  EXPECT_TRUE(c.assignment.budget_exhausted);
+  EXPECT_GE(c.assignment.stats.speculative_fallbacks, 1u)
+      << "the tripped budget must be recorded as a speculative fallback";
+  expect_well_formed(c.stream, c.assignment, "speculate timeout");
+  support::FaultInjector::instance().reset();
 
   std::vector<std::string> sources = {valid_source(0), valid_source(1),
                                       valid_source(2)};
@@ -538,10 +534,10 @@ TEST_F(FaultSweep, SpeculativeTierSurvivesEverySeededFault) {
                           support::FaultKind::kInternalError}) {
     SCOPED_TRACE(support::fault_kind_name(kind));
     support::FaultInjector::instance().arm("assign.speculate", kind);
-    // threads=1 keeps a pool (the tier needs one) while running the jobs
-    // serially in index order, so the one-shot fault always lands in job 0.
+    // A serial batch runs the jobs in index order, so the one-shot fault
+    // always lands in job 0.
     std::vector<CompileResult> got;
-    ASSERT_NO_THROW(got = compile_batch(sources, sweep_options(1, true)));
+    ASSERT_NO_THROW(got = compile_batch(sources, sweep_options(0, true)));
     ASSERT_EQ(got.size(), 3u);
     EXPECT_EQ(got[0].status, CompileStatus::kInternalError);
     EXPECT_FALSE(got[0].compiled.has_value());
@@ -555,12 +551,12 @@ TEST_F(FaultSweep, SpeculativeTierSurvivesEverySeededFault) {
 
 TEST_F(FaultSweep, PoolInfrastructureFaultSurfacesAsInternalError) {
   // "pool.task" sits in the pool's own task wrapper — outside any job's
-  // try block — so it models the pool itself failing; compile_mc must
+  // try block — so it models the pool itself failing; compile_batch must
   // surface it as a typed InternalError, never a hang or a crash.
   support::FaultInjector::instance().arm("pool.task",
                                          support::FaultKind::kInternalError);
-  EXPECT_THROW(compile_mc(workloads::all_workloads().front().source,
-                          sweep_options(2)),
+  EXPECT_THROW(compile_batch({workloads::all_workloads().front().source},
+                             sweep_options(2)),
                support::InternalError);
 }
 

@@ -75,8 +75,8 @@ TEST(ColorHeuristic, NeverRemoveForcesAssignment) {
 TEST(ColorHeuristic, LeastLoadedBalancesModules) {
   // 8 independent values (no conflicts): least-loaded spreads them evenly
   // over 4 modules. The pick rule balances within one sweep; with atoms on,
-  // each isolated value would be its own atom task, and every atom task
-  // starts from the same load snapshot.
+  // each isolated value would be its own atom, and every atom starts from
+  // the same load snapshot.
   std::vector<std::vector<ir::ValueId>> tuples;
   for (ir::ValueId v = 0; v < 8; ++v) tuples.push_back({v});
   const auto s = AccessStream::from_tuples(8, tuples);

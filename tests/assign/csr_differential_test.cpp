@@ -4,7 +4,7 @@
 // implementation's atom-task mode: for every (stream, k, strategy, method)
 // cell the full AssignResult — placement, removals, and stats — was hashed
 // with FNV-1a. The current implementation must reproduce every hash
-// bit-for-bit with a null pool and at every pool width. A separate
+// bit-for-bit. A separate
 // test rebuilds conf() with a naive map and checks it against the packed
 // conf_weights()/conf_sum() arrays edge by edge.
 //
@@ -24,7 +24,6 @@
 #include "assign/assigner.h"
 #include "assign/conflict_graph.h"
 #include "result_hash.h"
-#include "support/thread_pool.h"
 #include "workloads/stream_gen.h"
 #include "workloads/workloads.h"
 
@@ -36,7 +35,7 @@ struct GoldenRow {
   std::size_t k;
   int strategy;  // static_cast<int>(Strategy)
   int method;    // static_cast<int>(DupMethod)
-  std::uint64_t pooled_hash;  // any pool width, a null pool included
+  std::uint64_t golden_hash;
 };
 
 // Captured from the seed implementation (see file comment).
@@ -232,31 +231,21 @@ void check_stream_against_goldens(const std::string& name) {
     const std::string label = name + " k=" + std::to_string(row.k) +
                               " strat=" + std::to_string(row.strategy) +
                               " method=" + std::to_string(row.method);
-    EXPECT_EQ(hash_result(assign_modules(stream, o)), row.pooled_hash)
-        << label << " (null pool)";
-    // A 4-wide pool must reproduce it too: atom order is restored by the
-    // deterministic merge regardless of worker count.
-    support::ThreadPool pool4(3);
-    AssignOptions o4 = o;
-    o4.pool = &pool4;
-    EXPECT_EQ(hash_result(assign_modules(stream, o4)), row.pooled_hash)
-        << label << " (pool width 4)";
+    EXPECT_EQ(hash_result(assign_modules(stream, o)), row.golden_hash)
+        << label;
   }
 }
 
-// Runs the speculative tier for one golden-row config at a given pool width
-// and chunk size. threshold 1 forces every atom through the speculative
-// path regardless of size, so the determinism contract is exercised on
-// small atoms too (single-chunk rounds) and large ones (multi-chunk).
+// Runs the speculative tier for one golden-row config at a given chunk
+// size. threshold 1 forces every atom through the speculative path
+// regardless of size, so the determinism contract is exercised on small
+// atoms too (single-chunk rounds) and large ones (multi-chunk).
 std::uint64_t run_speculative(const ir::AccessStream& stream,
-                              const GoldenRow& row, std::size_t workers,
-                              std::size_t chunk) {
-  support::ThreadPool pool(workers);
+                              const GoldenRow& row, std::size_t chunk) {
   AssignOptions o;
   o.module_count = row.k;
   o.strategy = static_cast<Strategy>(row.strategy);
   o.method = static_cast<DupMethod>(row.method);
-  o.pool = &pool;
   o.speculate_threshold = 1;
   o.speculate_chunk = chunk;
   return hash_result(assign_modules(stream, o));
@@ -264,10 +253,9 @@ std::uint64_t run_speculative(const ir::AccessStream& stream,
 
 // The speculative tier's determinism contract: for a fixed stream and
 // config, the full AssignResult is a pure function of the input and the
-// chunk size. Byte-identical across repeated runs and across pool widths
-// 1/2/4 — worker count only changes who computes what. The chunk size is
-// part of the schedule (each chunk runs its own urgency sweep), so each
-// chunk size gets its own reference, pinned across the same pool widths.
+// chunk size, so repeated runs are byte-identical. The chunk size is part
+// of the schedule (each chunk runs its own urgency sweep), so each chunk
+// size gets its own reference.
 void check_stream_speculative(const std::string& name) {
   const ir::AccessStream stream = make_stream(name);
   for (const GoldenRow& row : kGoldens) {
@@ -275,18 +263,10 @@ void check_stream_speculative(const std::string& name) {
     const std::string label = name + " k=" + std::to_string(row.k) +
                               " strat=" + std::to_string(row.strategy) +
                               " method=" + std::to_string(row.method);
-    const std::uint64_t ref = run_speculative(stream, row, 0, 16);
-    EXPECT_EQ(run_speculative(stream, row, 0, 16), ref)
-        << label << " (t1 c16 repeat)";
-    EXPECT_EQ(run_speculative(stream, row, 1, 16), ref)
-        << label << " (t2 c16)";
-    EXPECT_EQ(run_speculative(stream, row, 3, 16), ref)
-        << label << " (t4 c16)";
-    const std::uint64_t ref64 = run_speculative(stream, row, 0, 64);
-    EXPECT_EQ(run_speculative(stream, row, 1, 64), ref64)
-        << label << " (t2 c64)";
-    EXPECT_EQ(run_speculative(stream, row, 3, 64), ref64)
-        << label << " (t4 c64)";
+    EXPECT_EQ(run_speculative(stream, row, 16), run_speculative(stream, row, 16))
+        << label << " (c16 repeat)";
+    EXPECT_EQ(run_speculative(stream, row, 64), run_speculative(stream, row, 64))
+        << label << " (c64 repeat)";
   }
 }
 
@@ -306,30 +286,32 @@ TEST(SpeculativeDifferential, SyntheticMidDeterministic) {
 }
 
 // End-to-end: the whole Compiled artifact (LIW schedule + placement +
-// removals + tier) is identical whether the speculative pipeline runs on
-// 1, 2, or 4 threads.
+// removals + tier) of a speculative compile is identical whether it runs
+// alone or as a compile_batch job at 1, 2 or 4 threads.
 TEST(SpeculativeDifferential, CompiledOutputIdenticalAcrossThreads) {
+  analysis::PipelineOptions o;
+  o.sched.fu_count = 8;
+  o.sched.module_count = 8;
+  o.assign.module_count = 8;
+  o.rename = true;
+  o.parallel.speculate_threshold = 1;
+  o.parallel.speculate_chunk = 16;
+  std::vector<std::string> sources;
+  std::vector<std::uint64_t> alone;
   for (const auto& w : workloads::all_workloads()) {
     if (w.name != "FFT" && w.name != "SORT") continue;
-    std::uint64_t ref = 0;
-    bool have_ref = false;
-    for (const std::size_t threads : {1u, 2u, 4u}) {
-      analysis::PipelineOptions o;
-      o.sched.fu_count = 8;
-      o.sched.module_count = 8;
-      o.assign.module_count = 8;
-      o.rename = true;
-      o.parallel.threads = threads;
-      o.parallel.speculate_threshold = 1;
-      o.parallel.speculate_chunk = 16;
-      const std::uint64_t fp =
-          analysis::compiled_fingerprint(analysis::compile_mc(w.source, o));
-      if (!have_ref) {
-        ref = fp;
-        have_ref = true;
-      } else {
-        EXPECT_EQ(fp, ref) << w.name << " threads=" << threads;
-      }
+    sources.push_back(w.source);
+    alone.push_back(
+        analysis::compiled_fingerprint(analysis::compile_mc(w.source, o)));
+  }
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    o.parallel.threads = threads;
+    const auto got = analysis::compile_batch(sources, o);
+    ASSERT_EQ(got.size(), sources.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_TRUE(got[i].ok()) << got[i].diagnostic;
+      EXPECT_EQ(analysis::compiled_fingerprint(*got[i].compiled), alone[i])
+          << "job " << i << " threads=" << threads;
     }
   }
 }

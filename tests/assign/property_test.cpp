@@ -13,7 +13,6 @@
 #include "assign/conflict_graph.h"
 #include "assign/verify.h"
 #include "support/rng.h"
-#include "support/thread_pool.h"
 
 namespace parmem::assign {
 namespace {
@@ -66,7 +65,6 @@ class AssignProperty : public ::testing::TestWithParam<Config> {};
 TEST_P(AssignProperty, NoPredictableConflictSurvives) {
   const Config cfg = GetParam();
   support::SplitMix64 rng(0xfeedULL + cfg.module_count);
-  support::ThreadPool pool(2);
   for (int iter = 0; iter < 20; ++iter) {
     const std::size_t nv = 4 + rng.below(30);
     const std::size_t nt = 2 + rng.below(40);
@@ -83,7 +81,6 @@ TEST_P(AssignProperty, NoPredictableConflictSurvives) {
     // on every atom) must both satisfy the paper's invariants — the
     // speculative coloring is allowed to differ, not to be wrong.
     AssignOptions so = o;
-    so.pool = &pool;
     so.speculate_threshold = 1;
     so.speculate_chunk = 4;
     const struct {
@@ -182,10 +179,8 @@ TEST(AssignPropertyRandomized, InvariantsHoldAcrossModuleCounts) {
         for (const ModuleSet m : r.placement) EXPECT_LE(copy_count(m), k);
       };
 
-      check(assign_modules(s, o), "atom tasks");
-      support::ThreadPool pool(3);
+      check(assign_modules(s, o), "sequential");
       AssignOptions so = o;
-      so.pool = &pool;
       so.speculate_threshold = 1;
       so.speculate_chunk = 8;
       check(assign_modules(s, so), "speculative");
@@ -202,7 +197,6 @@ TEST(AssignPropertyRandomized, InvariantsHoldAcrossModuleCounts) {
 // V_unassigned.
 TEST(SpeculativeColoringProperty, ConflictFreeAgainstRawEdgeList) {
   support::SplitMix64 rng(0x5bec);
-  support::ThreadPool pool4(3);
   for (int iter = 0; iter < 8; ++iter) {
     const std::size_t nv = 24 + rng.below(60);
     const std::size_t nt = 30 + rng.below(120);
@@ -232,10 +226,9 @@ TEST(SpeculativeColoringProperty, ConflictFreeAgainstRawEdgeList) {
     }
 
     const struct {
-      support::ThreadPool* pool;
       std::size_t chunk;
       bool use_atoms;
-    } modes[] = {{nullptr, 4, true}, {&pool4, 16, true}, {&pool4, 4, false}};
+    } modes[] = {{4, true}, {16, true}, {4, false}};
     for (const auto& m : modes) {
       SCOPED_TRACE("iter=" + std::to_string(iter) + " chunk=" +
                    std::to_string(m.chunk) +
@@ -243,7 +236,6 @@ TEST(SpeculativeColoringProperty, ConflictFreeAgainstRawEdgeList) {
       ColorOptions co;
       co.module_count = k;
       co.use_atoms = m.use_atoms;
-      co.pool = m.pool;
       co.speculate_threshold = 1;
       co.speculate_chunk = m.chunk;
       const ColorResult cr = color_conflict_graph(cg, co, {}, never_remove);

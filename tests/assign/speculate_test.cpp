@@ -4,7 +4,7 @@
 // in strict urgency order, so it may legitimately produce a slightly
 // different placement than the sequential heap — but on the six paper
 // workloads it must stay within one color and 5% of the copies the
-// sequential heuristic inserts, or the tier is not worth its threads.
+// sequential heuristic inserts.
 //
 // Degradation: when the speculative tier's half-share step budget trips
 // mid-repair, every piece of speculative state is discarded and the
@@ -26,7 +26,6 @@
 #include "result_hash.h"
 #include "support/budget.h"
 #include "support/rng.h"
-#include "support/thread_pool.h"
 #include "workloads/stream_gen.h"
 #include "workloads/workloads.h"
 
@@ -62,7 +61,6 @@ std::size_t colors_used(const AssignResult& r) {
 // use at most one extra color and insert at most 5% extra copies compared
 // to the sequential Fig. 4 heuristic.
 TEST(SpeculativeQuality, PaperWorkloadsWithinBounds) {
-  support::ThreadPool pool(3);
   for (const char* name :
        {"TAYLOR1", "TAYLOR2", "EXACT", "FFT", "SORT", "COLOR"}) {
     const ir::AccessStream stream = paper_stream(name);
@@ -72,7 +70,6 @@ TEST(SpeculativeQuality, PaperWorkloadsWithinBounds) {
     const AssignResult rs = assign_modules(stream, seq);
 
     AssignOptions spec = seq;
-    spec.pool = &pool;
     spec.speculate_threshold = 1;
     spec.speculate_chunk = 16;
     const AssignResult rp = assign_modules(stream, spec);
@@ -96,12 +93,11 @@ struct BudgetedPair {
 };
 
 BudgetedPair run_budgeted(const ir::AccessStream& stream, std::size_t k,
-                          std::uint64_t max_steps, support::ThreadPool& pool) {
+                          std::uint64_t max_steps) {
   BudgetedPair out;
   AssignOptions base;
   base.module_count = k;
   base.use_atoms = false;
-  base.pool = &pool;
 
   {
     AssignOptions o = base;  // pure sequential: tier disabled
@@ -130,12 +126,11 @@ TEST(SpeculativeBudget, ExhaustionFallsBackToSequentialOutput) {
   g.region_count = 4;
   support::SplitMix64 rng(0x5bec);
   const ir::AccessStream stream = workloads::random_stream(g, rng);
-  support::ThreadPool pool(1);
 
   bool exercised = false;
   for (const std::size_t k : {2u, 4u}) {
     for (std::uint64_t m = 16; m <= (1u << 20); m = m + m / 6 + 1) {
-      const BudgetedPair p = run_budgeted(stream, k, m, pool);
+      const BudgetedPair p = run_budgeted(stream, k, m);
 
       // The interesting window: speculation tripped its half-share and fell
       // back, and the remaining budget carried the sequential path to a

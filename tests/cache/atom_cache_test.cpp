@@ -12,7 +12,6 @@
 #include "../support/journal_cases.h"
 #include "assign/assigner.h"
 #include "support/rng.h"
-#include "support/thread_pool.h"
 #include "workloads/stream_gen.h"
 
 namespace parmem::cache {
@@ -121,10 +120,8 @@ TEST_F(AtomCacheTest, WarmRestartCompileIsByteIdenticalAndReusesAtoms) {
   }
   ASSERT_EQ(added, 4);
 
-  support::ThreadPool pool(1);
   assign::AssignOptions opts;
   opts.module_count = 4;
-  opts.pool = &pool;
 
   const assign::AssignResult scratch = assign::assign_modules(edited, opts);
 

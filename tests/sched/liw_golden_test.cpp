@@ -43,7 +43,8 @@ struct Pin {
 };
 
 // EXACT has selects reading three distinct scalars; with two modules no
-// word can hold one, and the scheduler rejects the program.
+// word can hold one, and the scheduler rejects the program as a user
+// error.
 constexpr std::uint64_t kUnschedulable = 0;
 
 constexpr SchedPriority kCp = SchedPriority::kCriticalPath;
@@ -108,7 +109,7 @@ TEST(LiwGolden, PaperProgramsScheduleToPinnedWords) {
              " k=" + std::to_string(pin.module_count);
     };
     if (pin.hash == kUnschedulable) {
-      EXPECT_THROW(schedule(tac, opts), support::InternalError) << cell();
+      EXPECT_THROW(schedule(tac, opts), support::UserError) << cell();
       continue;
     }
     const std::uint64_t h = support::fnv1a64(schedule(tac, opts).to_string());

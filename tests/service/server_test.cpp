@@ -74,10 +74,9 @@ TEST_F(ServerTest, CompilesAStreamRequest) {
   EXPECT_NE(resp.fingerprint, 0u);
 }
 
-// --compile-threads N means N execution contexts for both request kinds,
-// and no N changes the bytes: each response matches the in-process
-// compile_mc / assign_modules of the same request.
-TEST_F(ServerTest, CompileThreadsNeverChangeTheArtifact) {
+// Each response matches the in-process compile_mc / assign_modules of the
+// same request, for both request kinds.
+TEST_F(ServerTest, ArtifactMatchesTheInProcessCompile) {
   std::string fft;
   for (const auto& w : workloads::all_workloads()) {
     if (w.name == "FFT") fft = w.source;
@@ -98,26 +97,21 @@ TEST_F(ServerTest, CompileThreadsNeverChangeTheArtifact) {
     placement += r.removed[v] ? "  (duplicated)\n" : "\n";
   }
 
-  for (const std::size_t threads : {0u, 1u, 4u}) {
-    SCOPED_TRACE("compile_threads=" + std::to_string(threads));
-    ServiceOptions o;
-    o.compile_threads = threads;
-    CompileService service(o);
-    CompileRequest mc;
-    mc.id = 1;
-    mc.body = fft;
-    const CompileResponse mc_resp = service.handle(mc);
-    EXPECT_EQ(mc_resp.status, ResponseStatus::kOk);
-    EXPECT_EQ(mc_resp.fingerprint, analysis::compiled_fingerprint(c));
+  CompileService service;
+  CompileRequest mc;
+  mc.id = 1;
+  mc.body = fft;
+  const CompileResponse mc_resp = service.handle(mc);
+  EXPECT_EQ(mc_resp.status, ResponseStatus::kOk);
+  EXPECT_EQ(mc_resp.fingerprint, analysis::compiled_fingerprint(c));
 
-    CompileRequest st;
-    st.id = 2;
-    st.kind = RequestKind::kStream;
-    st.body = stream_text;
-    const CompileResponse st_resp = service.handle(st);
-    EXPECT_EQ(st_resp.status, ResponseStatus::kOk);
-    EXPECT_EQ(st_resp.body.rfind(placement, 0), 0u);
-  }
+  CompileRequest st;
+  st.id = 2;
+  st.kind = RequestKind::kStream;
+  st.body = stream_text;
+  const CompileResponse st_resp = service.handle(st);
+  EXPECT_EQ(st_resp.status, ResponseStatus::kOk);
+  EXPECT_EQ(st_resp.body.rfind(placement, 0), 0u);
 }
 
 TEST_F(ServerTest, CacheHitIsByteIdenticalUnderADifferentId) {
@@ -144,6 +138,20 @@ TEST_F(ServerTest, UserErrorIsTerminalAndNeverRetried) {
   EXPECT_TRUE(resp.body.empty());
   EXPECT_EQ(service.counters().retried, 0u);
   EXPECT_EQ(service.counters().completed, 1u);
+}
+
+// EXACT's selects read three distinct scalars; at two modules no word can
+// fetch them, so the program is the caller's error, not an internal one.
+TEST_F(ServerTest, UnpackableProgramIsAUserError) {
+  CompileService service;
+  CompileRequest req = mc_request(5);
+  req.body = workloads::workload("EXACT").source;
+  req.module_count = 2;
+  const CompileResponse resp = service.handle(std::move(req));
+  EXPECT_EQ(resp.status, ResponseStatus::kUserError);
+  EXPECT_NE(resp.diagnostic.find("(select)"), std::string::npos)
+      << resp.diagnostic;
+  EXPECT_EQ(service.counters().retried, 0u);
 }
 
 TEST_F(ServerTest, RequestedStepBudgetIsTerminalAndCacheable) {

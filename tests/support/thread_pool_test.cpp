@@ -1,9 +1,8 @@
 // The pool's contract (see thread_pool.h): zero workers = inline serial
 // execution in index order; any worker count covers every index exactly
-// once; exceptions propagate (smallest index for parallel_for, through the
-// future for submit); nested parallel_for runs inline instead of
-// deadlocking; and the whole thing is clean under ThreadSanitizer (the CI
-// TSan job runs this binary).
+// once; the smallest index's exception propagates; nested parallel_for
+// runs inline instead of deadlocking; and the whole thing is clean under
+// ThreadSanitizer (the CI TSan job runs this binary).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -88,24 +87,6 @@ TEST(ThreadPool, ExceptionDoesNotAbortOtherBodies) {
   EXPECT_EQ(completed.load(), 49);
 }
 
-TEST(ThreadPool, SubmitReturnsValueThroughFuture) {
-  ThreadPool pool(2);
-  auto fut = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(fut.get(), 42);
-
-  ThreadPool serial(0);
-  auto inline_fut = serial.submit([] { return std::string("inline"); });
-  EXPECT_EQ(inline_fut.get(), "inline");
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptionThroughFuture) {
-  for (const std::size_t workers : {0u, 2u}) {
-    ThreadPool pool(workers);
-    auto fut = pool.submit([]() -> int { throw std::runtime_error("bad"); });
-    EXPECT_THROW(fut.get(), std::runtime_error);
-  }
-}
-
 TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(16 * 16);
@@ -123,9 +104,9 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
 }
 
 // ThreadSanitizer-friendly stress: many tiny tasks racing for the queues
-// across repeated waves, mixing parallel_for with submit. Any lost task,
-// double execution, or unsynchronized slot access trips the asserts (and
-// TSan in the sanitizer CI job).
+// across repeated waves. Any lost task, double execution, or
+// unsynchronized slot access trips the asserts (and TSan in the sanitizer
+// CI job).
 TEST(ThreadPool, StressManySmallTasks) {
   ThreadPool pool(4);
   std::atomic<std::uint64_t> sum{0};
@@ -134,8 +115,6 @@ TEST(ThreadPool, StressManySmallTasks) {
     const std::size_t n = 97 + static_cast<std::size_t>(wave);
     for (std::size_t i = 0; i < n; ++i) expected += i;
     pool.parallel_for(n, [&](std::size_t i) { sum.fetch_add(i); });
-    auto fut = pool.submit([wave] { return wave; });
-    EXPECT_EQ(fut.get(), wave);
   }
   EXPECT_EQ(sum.load(), expected);
 }
@@ -183,20 +162,6 @@ TEST(ThreadPool, NullCancelTokenRunsEverything) {
   std::atomic<int> ran{0};
   pool.parallel_for(64, [&](std::size_t) { ran.fetch_add(1); }, nullptr);
   EXPECT_EQ(ran.load(), 64);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedTasks) {
-  std::atomic<int> ran{0};
-  std::future<int> fut;
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 20; ++i) {
-      pool.submit([&ran] { ran.fetch_add(1); });
-    }
-    fut = pool.submit([] { return 99; });
-  }  // destructor joins after draining
-  EXPECT_EQ(ran.load(), 20);
-  EXPECT_EQ(fut.get(), 99);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Telemetry must observe, never perturb: compiling with a trace session
 // active has to produce byte-identical pipeline output to compiling with
-// telemetry quiet, with the atom tasks inline and on a pool.
+// telemetry quiet, alone and as compile_batch jobs on pool workers.
 // The counter values attached to Compiled must also agree with the stats
 // the pipeline already reports.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "analysis/pipeline.h"
 #include "telemetry/session.h"
@@ -14,12 +15,11 @@
 namespace parmem {
 namespace {
 
-analysis::PipelineOptions base_options(std::size_t threads) {
+analysis::PipelineOptions base_options() {
   analysis::PipelineOptions opts;
   opts.sched.fu_count = 8;
   opts.sched.module_count = 8;
   opts.assign.module_count = 8;
-  opts.parallel.threads = threads;
   return opts;
 }
 
@@ -40,31 +40,41 @@ std::string fingerprint(const analysis::Compiled& c) {
   return fp;
 }
 
-void check_session_invariance(const std::string& source,
-                              std::size_t threads) {
-  const analysis::PipelineOptions opts = base_options(threads);
-
-  const analysis::Compiled quiet = analysis::compile_mc(source, opts);
-
-  telemetry::TraceSession::global().start();
-  const analysis::Compiled traced = analysis::compile_mc(source, opts);
-  telemetry::TraceSession::global().stop();
-  telemetry::TraceSession::global().take();  // leave global state drained
-
-  EXPECT_EQ(fingerprint(quiet), fingerprint(traced));
-}
-
 TEST(TelemetryDifferential, SessionOnOffIdenticalSerial) {
   for (const auto& w : workloads::all_workloads()) {
     SCOPED_TRACE(w.name);
-    check_session_invariance(w.source, 0);
+    const analysis::Compiled quiet =
+        analysis::compile_mc(w.source, base_options());
+
+    telemetry::TraceSession::global().start();
+    const analysis::Compiled traced =
+        analysis::compile_mc(w.source, base_options());
+    telemetry::TraceSession::global().stop();
+    telemetry::TraceSession::global().take();  // leave global state drained
+
+    EXPECT_EQ(fingerprint(quiet), fingerprint(traced));
   }
 }
 
+// The traced run compiles every workload as a job of a 3-thread batch, so
+// pool workers emit into their own sinks while the session is live.
 TEST(TelemetryDifferential, SessionOnOffIdenticalParallel) {
-  for (const auto& w : workloads::all_workloads()) {
-    SCOPED_TRACE(w.name);
-    check_session_invariance(w.source, 2);
+  std::vector<std::string> sources;
+  for (const auto& w : workloads::all_workloads()) sources.push_back(w.source);
+  analysis::PipelineOptions opts = base_options();
+  opts.parallel.threads = 3;
+
+  telemetry::TraceSession::global().start();
+  const auto traced = analysis::compile_batch(sources, opts);
+  telemetry::TraceSession::global().stop();
+  telemetry::TraceSession::global().take();
+
+  ASSERT_EQ(traced.size(), sources.size());
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    SCOPED_TRACE(workloads::all_workloads()[i].name);
+    ASSERT_TRUE(traced[i].ok()) << traced[i].diagnostic;
+    EXPECT_EQ(fingerprint(analysis::compile_mc(sources[i], opts)),
+              fingerprint(*traced[i].compiled));
   }
 }
 
@@ -75,7 +85,7 @@ TEST(TelemetryDifferential, CompiledSnapshotMatchesPipelineStats) {
   for (const auto& w : workloads::all_workloads()) {
     SCOPED_TRACE(w.name);
     const analysis::Compiled c =
-        analysis::compile_mc(w.source, base_options(0));
+        analysis::compile_mc(w.source, base_options());
     const telemetry::Snapshot& t = c.telemetry;
     const assign::AssignStats& s = c.assignment.stats;
 
@@ -111,7 +121,7 @@ TEST(TelemetryDifferential, SnapshotEmptyWhenCompiledOut) {
     GTEST_SKIP() << "only meaningful with -DPARMEM_TELEMETRY=OFF";
   }
   const analysis::Compiled c = analysis::compile_mc(
-      workloads::all_workloads().front().source, base_options(0));
+      workloads::all_workloads().front().source, base_options());
   EXPECT_TRUE(c.telemetry.entries.empty());
 }
 
