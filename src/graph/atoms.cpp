@@ -4,6 +4,7 @@
 
 #include "graph/mcsm.h"
 #include "support/diagnostics.h"
+#include "telemetry/telemetry.h"
 
 namespace parmem::graph {
 
@@ -13,6 +14,7 @@ std::vector<Atom> decompose_by_clique_separators(const Graph& g) {
   if (n == 0) return atoms;
 
   const Triangulation tri = mcs_m(g);
+  PARMEM_COUNTER_ADD("graph.mcsm.search_edges", tri.search_edges);
 
   // Adjacency of H = G + F, as sorted neighbor lists: gather the fill
   // edges per vertex, then one sorted merge per row (tri.fill is sorted, so

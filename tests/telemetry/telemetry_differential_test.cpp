@@ -113,6 +113,7 @@ TEST(TelemetryDifferential, CompiledSnapshotMatchesPipelineStats) {
     }
     // Structural counters exist on every compile.
     EXPECT_TRUE(t.has("assign.conflict_edges"));
+    EXPECT_TRUE(t.has("graph.mcsm.search_edges"));
   }
 }
 
