@@ -26,6 +26,7 @@
 #include <queue>
 #include <set>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -948,6 +949,7 @@ void write_json(const std::string& path, const std::vector<Entry>& entries,
   w.begin_object();
   w.member("bench", "assign_hotpath");
   w.member("quick", quick);
+  w.member("nproc", std::thread::hardware_concurrency());
   w.member("module_count", 8);
   w.key("entries");
   w.begin_array();
