@@ -7,6 +7,24 @@
 
 namespace parmem::graph {
 
+void sort_pairs(std::vector<std::pair<Vertex, Vertex>>& pairs,
+                std::size_t n) {
+  std::vector<std::size_t> first_start(n + 1, 0);
+  std::vector<std::size_t> second_start(n + 1, 0);
+  for (const auto& [a, b] : pairs) {
+    PARMEM_CHECK(a < n && b < n, "sort_pairs: vertex out of range");
+    ++first_start[a + 1];
+    ++second_start[b + 1];
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    first_start[v + 1] += first_start[v];
+    second_start[v + 1] += second_start[v];
+  }
+  std::vector<std::pair<Vertex, Vertex>> by_second(pairs.size());
+  for (const auto& p : pairs) by_second[second_start[p.second]++] = p;
+  for (const auto& p : by_second) pairs[first_start[p.first]++] = p;
+}
+
 Graph::Graph(std::size_t n) : n_(n), adj_(n) {}
 
 void Graph::check_vertex(Vertex v) const {

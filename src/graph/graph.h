@@ -29,6 +29,12 @@ namespace parmem::graph {
 
 using Vertex = std::uint32_t;
 
+/// Sorts `pairs` ascending by (first, second), all ids below `n`: two
+/// stable counting passes (LSD radix — by second, then by first), O(p + n)
+/// time and one p-entry scratch array. The one pair ordering behind the
+/// conflict-graph edge list and MCS-M's fill.
+void sort_pairs(std::vector<std::pair<Vertex, Vertex>>& pairs, std::size_t n);
+
 class Graph {
  public:
   /// Creates a graph with `n` isolated vertices 0..n-1.

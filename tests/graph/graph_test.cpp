@@ -118,6 +118,26 @@ TEST(Graph, FinalizePreservesEveryQuery) {
   }
 }
 
+TEST(Graph, SortPairsMatchesComparisonSort) {
+  support::SplitMix64 rng(5);
+  for (const std::size_t n : {1u, 2u, 37u, 300u}) {
+    std::vector<std::pair<Vertex, Vertex>> pairs;
+    for (std::size_t i = 0; i < 4 * n + 3; ++i) {
+      pairs.emplace_back(static_cast<Vertex>(rng.below(n)),
+                         static_cast<Vertex>(rng.below(n)));
+    }
+    auto expect = pairs;
+    std::sort(expect.begin(), expect.end());
+    sort_pairs(pairs, n);
+    EXPECT_EQ(pairs, expect) << "n = " << n;
+  }
+  std::vector<std::pair<Vertex, Vertex>> none;
+  sort_pairs(none, 0);
+  EXPECT_TRUE(none.empty());
+  std::vector<std::pair<Vertex, Vertex>> out_of_range{{0, 3}};
+  EXPECT_THROW(sort_pairs(out_of_range, 3), support::InternalError);
+}
+
 TEST(Graph, FromSortedEdgesMatchesIncrementalBuild) {
   support::SplitMix64 rng(11);
   Graph g = Graph::random(50, 0.15, rng);
