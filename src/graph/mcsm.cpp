@@ -1,7 +1,7 @@
 #include "graph/mcsm.h"
 
 #include <algorithm>
-#include <queue>
+#include <bit>
 #include <span>
 
 #include "support/diagnostics.h"
@@ -113,7 +113,13 @@ class Mcsm {
  public:
   explicit Mcsm(const Graph& g) : n_(g.vertex_count()) {
     PARMEM_CHECK(n_ < kCompTag, "graph too large for MCS-M");
-    weight_.assign(n_, 0);
+    leaves_ = std::bit_ceil(std::max<std::size_t>(n_, 2));
+    weight_.assign(leaves_, kNumbered);  // ids >= n pad the tree
+    std::fill(weight_.begin(), weight_.begin() + n_, 0);
+    tree_.resize(leaves_);
+    for (std::size_t node = leaves_ - 1; node >= 1; --node) {
+      tree_[node] = better(winner(2 * node), winner(2 * node + 1));
+    }
     score_.assign(n_, 0);
     live_off_.assign(n_ + 1, 0);
     live_deg_.assign(n_, 0);
@@ -158,6 +164,39 @@ class Mcsm {
     live_deg_[x] = 0;
   }
 
+  // Selection: the unnumbered vertex of maximum weight, lowest id on ties,
+  // from a tournament tree over the ids. Leaf leaves_ + v stands for vertex
+  // v and internal node i (1 <= i < leaves_) holds the winner of its
+  // subtree, so tree_[1] is the next vertex to number. There are no stale
+  // entries: numbering x replays the log n matches on x's path, and an
+  // increment re-plays y's matches only while y keeps winning, which is
+  // usually one or two. Picking from per-weight buckets would still need
+  // an ordered set per weight for the lowest-id tie.
+  Vertex better(Vertex a, Vertex b) const {
+    return weight_[a] > weight_[b] || (weight_[a] == weight_[b] && a < b)
+               ? a
+               : b;
+  }
+  Vertex winner(std::size_t node) const {
+    return node >= leaves_ ? static_cast<Vertex>(node - leaves_) : tree_[node];
+  }
+  /// After weight_[y] grew: y can only win more, so it climbs while it
+  /// wins, and stops at the first node whose winner still beats it.
+  void raise(Vertex y) {
+    for (std::size_t node = (leaves_ + y) / 2; node >= 1; node /= 2) {
+      if (tree_[node] != y) {
+        if (better(y, tree_[node]) != y) return;
+        tree_[node] = y;
+      }
+    }
+  }
+  /// After x was numbered: replays every match on x's path to the root.
+  void replay(Vertex x) {
+    for (std::size_t node = (leaves_ + x) / 2; node >= 1; node /= 2) {
+      tree_[node] = better(winner(2 * node), winner(2 * node + 1));
+    }
+  }
+
   template <bool kContracted>
   void search(std::int64_t cutoff);
   void expand_component(std::uint32_t c, std::int64_t level);
@@ -170,7 +209,11 @@ class Mcsm {
   std::uint32_t find(std::uint32_t s);
 
   const std::size_t n_;
-  std::vector<std::int64_t> weight_;  // kNumbered once numbered
+  std::size_t leaves_ = 2;  // a power of two >= max(n, 2)
+  // Per id below leaves_: kNumbered once numbered, and always for the
+  // padding ids n..leaves_-1.
+  std::vector<std::int64_t> weight_;
+  std::vector<Vertex> tree_;  // leaves_ entries, [0] unused
   std::uint64_t search_edges_ = 0;
 
   // Live adjacency: a mutable copy of the rows with numbered vertices
@@ -206,6 +249,7 @@ class Mcsm {
   // so merging two searches is O(1) and the lists take O(n) in all.
   std::vector<Vertex> left_;
   std::vector<std::pair<std::uint32_t, Vertex>> starts_;
+  std::vector<Vertex> group_;  // one component's starts
   std::vector<Vertex> members_;
   struct Piece {
     VertexList members;
@@ -415,14 +459,13 @@ void Mcsm::repair() {
   }
   std::sort(starts_.begin(), starts_.end());
   starts_.erase(std::unique(starts_.begin(), starts_.end()), starts_.end());
-  std::vector<Vertex> group;
   for (std::size_t i = 0; i < starts_.size();) {
     const std::uint32_t c = starts_[i].first;
-    group.clear();
+    group_.clear();
     for (; i < starts_.size() && starts_[i].first == c; ++i) {
-      group.push_back(starts_[i].second);
+      group_.push_back(starts_[i].second);
     }
-    if (group.size() > 1) split(c, group);
+    if (group_.size() > 1) split(c, group_);
   }
 }
 
@@ -495,29 +538,13 @@ Triangulation Mcsm::run() {
   Triangulation result;
   result.order.assign(n_, 0);
 
-  // Selection heap: the unnumbered vertex of maximum weight, lowest id on
-  // ties. Weights only grow, so instead of re-keying, every increment
-  // pushes a fresh entry and stale ones (an outdated weight, or a vertex
-  // already numbered) are skipped when they surface. An entry packs
-  // (weight, -id) into one word: weight in the high half, ~id in the low.
-  const auto entry = [](std::int64_t w, Vertex v) {
-    return (static_cast<std::uint64_t>(w) << 32) | (0xFFFFFFFFu - v);
-  };
-  std::priority_queue<std::uint64_t> heap;
-  for (Vertex v = 0; v < n_; ++v) heap.push(entry(0, v));
   // adjacent_at[y] == step iff y is a live neighbor of the step's x: the
   // fill test, one mark per neighbor instead of a has_edge per reached y.
   std::vector<std::size_t> adjacent_at(n_, 0);
 
   for (std::size_t step = n_; step > 0; --step) {
-    Vertex x = 0;
-    for (;;) {
-      PARMEM_CHECK(!heap.empty(), "no unnumbered vertex left");
-      const std::uint64_t top = heap.top();
-      heap.pop();
-      x = 0xFFFFFFFFu - static_cast<Vertex>(top & 0xFFFFFFFFu);
-      if (weight_[x] != kNumbered && entry(weight_[x], x) == top) break;
-    }
+    const Vertex x = tree_[1];
+    PARMEM_CHECK(weight_[x] != kNumbered, "no unnumbered vertex left");
 
     // Number x up front: save its live row for seeding, then delete it
     // from the live adjacency so the search never sees it.
@@ -526,6 +553,7 @@ Triangulation Mcsm::run() {
     for (const Vertex w : xrow_) adjacent_at[w] = step;
     remove(x);
     weight_[x] = kNumbered;
+    replay(x);
     if (!labelled_ && search_edges_ > label_after_) {
       label();
     } else if (z_size_ > 0 && comp_[x] != kNoComp) {
@@ -546,7 +574,7 @@ Triangulation Mcsm::run() {
     }
     for (const Vertex y : reached_) {
       weight_[y] += 1;
-      heap.push(entry(weight_[y], y));
+      raise(y);
       if (adjacent_at[y] != step) {
         result.fill.emplace_back(std::min(x, y), std::max(x, y));
       }
@@ -555,7 +583,7 @@ Triangulation Mcsm::run() {
     result.order[step - 1] = x;  // numbered `step`; eliminated at step-1
   }
 
-  std::sort(result.fill.begin(), result.fill.end());
+  sort_pairs(result.fill, n_);
   result.fill.erase(std::unique(result.fill.begin(), result.fill.end()),
                     result.fill.end());
   result.search_edges = search_edges_;
