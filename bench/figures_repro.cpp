@@ -14,7 +14,7 @@ void print_allocation(const ir::AccessStream& stream,
                       const assign::AssignResult& r) {
   std::vector<std::string> header{"value"};
   for (std::size_t m = 0; m < r.module_count; ++m) {
-    header.push_back("M" + std::to_string(m + 1));
+    header.push_back(std::string("M").append(std::to_string(m + 1)));
   }
   support::TextTable table(std::move(header));
   std::vector<bool> used(stream.value_count, false);
@@ -23,7 +23,8 @@ void print_allocation(const ir::AccessStream& stream,
   }
   for (ir::ValueId v = 0; v < stream.value_count; ++v) {
     if (!used[v]) continue;
-    std::vector<std::string> row{"V" + std::to_string(v + 1)};
+    std::vector<std::string> row{
+        std::string("V").append(std::to_string(v + 1))};
     for (std::size_t m = 0; m < r.module_count; ++m) {
       row.push_back(assign::holds(r.placement[v], static_cast<std::uint32_t>(m))
                         ? "x"

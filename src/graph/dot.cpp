@@ -11,8 +11,15 @@ const char* kPalette[] = {"#4477aa", "#ee6677", "#228833", "#ccbb44",
                           "#66ccee", "#aa3377", "#bbbbbb", "#44aa99"};
 constexpr std::size_t kPaletteSize = sizeof(kPalette) / sizeof(kPalette[0]);
 
+/// `prefix` followed by decimal `n`. Appended, not `"v" + std::to_string(n)`:
+/// GCC 12 at -O3 flags that temporary's prepend with a false -Wrestrict.
+std::string numbered(std::string prefix, std::size_t n) {
+  prefix += std::to_string(n);
+  return prefix;
+}
+
 std::string vertex_label(const DotOptions& o, Vertex v) {
-  return o.label ? o.label(v) : "v" + std::to_string(v);
+  return o.label ? o.label(v) : numbered("v", v);
 }
 
 void emit_vertex(std::ostringstream& os, const DotOptions& o, Vertex v,
@@ -37,7 +44,7 @@ std::string to_dot(const Graph& g, const DotOptions& options) {
   os << "graph " << options.graph_name << " {\n"
      << "  node [shape=circle, fontsize=11];\n";
   for (Vertex v = 0; v < g.vertex_count(); ++v) {
-    emit_vertex(os, options, v, "n" + std::to_string(v));
+    emit_vertex(os, options, v, numbered("n", v));
   }
   for (Vertex v = 0; v < g.vertex_count(); ++v) {
     for (const Vertex w : g.neighbors(v)) {
@@ -62,7 +69,7 @@ std::string atoms_to_dot(const Graph& g, const std::vector<Atom>& atoms,
     os << "  subgraph cluster_atom" << a << " {\n"
        << "    label=\"atom " << a << "\";\n";
     const auto name = [&](Vertex v) {
-      return "a" + std::to_string(a) + "_n" + std::to_string(v);
+      return numbered(numbered("a", a) + "_n", v);
     };
     for (const Vertex v : atoms[a].vertices) {
       const bool is_sep =

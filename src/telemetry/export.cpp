@@ -180,8 +180,9 @@ std::string phase_summary(const std::vector<Lane>& lanes) {
   }
   std::string out = t.render();
   if (dropped > 0) {
-    out += "(" + std::to_string(dropped) +
-           " events dropped by full ring buffers)\n";
+    out += '(';
+    out += std::to_string(dropped);
+    out += " events dropped by full ring buffers)\n";
   }
   return out;
 }

@@ -44,7 +44,9 @@ class ProgramGen {
   static constexpr int kVars = 5;
   static constexpr int kArrayLen = 8;
 
-  std::string var() { return "v" + std::to_string(rng_.below(kVars)); }
+  std::string var() {
+    return std::string("v").append(std::to_string(rng_.below(kVars)));
+  }
 
   std::string expr(int depth) {
     if (depth == 0 || rng_.below(3) == 0) {

@@ -29,7 +29,9 @@ TEST(Dot, CustomLabelsAndEdgeLabels) {
   Graph g(2);
   g.add_edge(0, 1);
   DotOptions o;
-  o.label = [](Vertex v) { return "V" + std::to_string(v + 1); };
+  o.label = [](Vertex v) {
+    return std::string("V").append(std::to_string(v + 1));
+  };
   o.edge_label = [](Vertex, Vertex) { return "7"; };
   const std::string dot = to_dot(g, o);
   EXPECT_NE(dot.find("label=\"V1\""), std::string::npos);

@@ -20,10 +20,10 @@ LiwProgram two_word_program() {
   vi.name = "a";
   vi.single_assignment = true;
   const ValueId a = p.values.add(vi);
-  vi.name = "b";
+  vi.name = std::string("b");
   vi.single_assignment = false;
   const ValueId b = p.values.add(vi);
-  vi.name = "c";
+  vi.name = std::string("c");
   vi.single_assignment = true;
   const ValueId c = p.values.add(vi);
 

@@ -24,7 +24,7 @@ LoopProg make_loop() {
   vi.name = "i";
   vi.single_assignment = false;
   lp.i = lp.p.values.add(vi);
-  vi.name = "c";
+  vi.name = std::string("c");
   lp.c = lp.p.values.add(vi);
   auto& ins = lp.p.instrs;
   {

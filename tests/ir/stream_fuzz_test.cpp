@@ -141,7 +141,10 @@ TEST(StreamFuzz, HugeOperandListsAreHandled) {
   // Thousands of repeated operands on one tuple: dedup keeps it linear and
   // the parse succeeds.
   std::string text = "stream 8\ntuple";
-  for (int i = 0; i < 20'000; ++i) text += " " + std::to_string(i % 8);
+  for (int i = 0; i < 20'000; ++i) {
+    text += ' ';
+    text += std::to_string(i % 8);
+  }
   text += "\n";
   const AccessStream s = parse_stream(text);
   ASSERT_EQ(s.tuples.size(), 1u);

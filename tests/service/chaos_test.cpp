@@ -43,7 +43,8 @@ std::string stream_body(support::SplitMix64& rng) {
   for (std::uint64_t t = 0; t < tuples; ++t) {
     body += "tuple";
     for (std::uint64_t w = 0; w < width; ++w) {
-      body += " " + std::to_string(v++);
+      body += ' ';
+      body += std::to_string(v++);
     }
     body += "\n";
   }
