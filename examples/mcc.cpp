@@ -213,6 +213,7 @@ int run_mcc(int argc, char** argv) {
           c.verify.ok() ? "conflict-free" : "RESIDUAL CONFLICTS");
       if (atom_cache != nullptr) {
         const auto& s = c.assignment.stats;
+        atom_cache->flush();  // stores are write-behind: settle the counts
         const auto cs = atom_cache->stats();
         std::printf(
             "incremental: atoms reused %llu recolored %llu (frontier %llu), "

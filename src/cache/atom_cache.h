@@ -44,6 +44,9 @@ class AtomCache final : public assign::AtomMemoStore {
     journal_.store(journal_key(kind, key), check, payload);
   }
 
+  /// Returns once every store made before the call is on disk.
+  void flush() { journal_.flush(); }
+
   std::size_t size() const { return journal_.size(); }
   const std::string& dir() const { return journal_.dir(); }
   std::size_t max_entries() const { return journal_.max_entries(); }

@@ -194,6 +194,17 @@ void Router::submit(service::CompileRequest req, Callback done) {
                                    "router is draining"));
     return;
   }
+  try {
+    // A worker would reject this request's payload under id 0, which reads
+    // as a codec desync: answer it here instead.
+    service::check_machine(p->req);
+  } catch (const support::UserError& e) {
+    const std::uint64_t id = p->req.id;
+    finish(std::move(p),
+           service::error_response(id, service::ResponseStatus::kUserError,
+                                   e.what()));
+    return;
+  }
   bump(&Counters::accepted);
   PARMEM_COUNTER_ADD("route.submitted", 1);
   route(std::move(p), /*fresh=*/true);

@@ -52,6 +52,9 @@ class ResultCache {
     journal_.store({0, key}, kOutputVersion, cached_part);
   }
 
+  /// Returns once every store made before the call is on disk.
+  void flush() { journal_.flush(); }
+
   std::size_t size() const { return journal_.size(); }
   const std::string& dir() const { return journal_.dir(); }
   std::size_t max_entries() const { return journal_.max_entries(); }

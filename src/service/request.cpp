@@ -1,6 +1,7 @@
 #include "service/request.h"
 
 #include "support/diagnostics.h"
+#include "support/matching.h"
 #include "support/text.h"
 
 namespace parmem::service {
@@ -229,7 +230,19 @@ CompileRequest parse_request(std::string_view payload) {
   if (!c.at_end()) {
     payload_error(c.what, c.line_no, "trailing bytes after body");
   }
+  check_machine(req);
   return req;
+}
+
+void check_machine(const CompileRequest& req) {
+  if (req.module_count < 1 || req.module_count > support::kMaxModules) {
+    throw support::UserError("request k " + std::to_string(req.module_count) +
+                             " is outside 1.." +
+                             std::to_string(support::kMaxModules));
+  }
+  if (req.fu_count == 0) {
+    throw support::UserError("request fu 0: a word needs a functional unit");
+  }
 }
 
 std::uint64_t cache_key(const CompileRequest& req) {

@@ -69,8 +69,16 @@ struct CompileRequest {
 /// Canonical serialization; parse_request(format_request(r)) == r.
 std::string format_request(const CompileRequest& req);
 
-/// Throws support::UserError on any malformed payload.
+/// Throws support::UserError on any malformed payload, and on a machine
+/// check_machine() rejects.
 CompileRequest parse_request(std::string_view payload);
+
+/// Throws support::UserError unless the request names a machine the
+/// compiler can target: 1 <= k <= support::kMaxModules and fu >= 1. Outside
+/// those bounds the assigner and scheduler would fail an internal check,
+/// which the service retries as transient; a caller's error must be
+/// answered as one.
+void check_machine(const CompileRequest& req);
 
 /// Content-hash cache key: FNV-1a 64 over the canonical encoding with the
 /// id zeroed, so equal compile inputs share a key regardless of request id.

@@ -109,6 +109,10 @@ void CompileService::drain() {
   }
   watchdog_cv_.notify_all();
   if (watchdog_.joinable()) watchdog_.join();
+  // Stores are write-behind: once drain returns, every answered entry is
+  // on disk for the shard migrator, a warm restart and the printed counts.
+  cache_.flush();
+  if (atom_cache_) atom_cache_->flush();
 }
 
 void CompileService::publish_queue_depth_locked() {
@@ -125,6 +129,17 @@ void CompileService::submit(CompileRequest req, Callback done) {
       ++counters_.completed;
     }
     done(error_response(req.id, ResponseStatus::kInternalError, e.what()));
+    return;
+  }
+
+  try {
+    check_machine(req);
+  } catch (const support::UserError& e) {
+    {
+      std::lock_guard<std::mutex> lk(counters_mu_);
+      ++counters_.completed;
+    }
+    done(error_response(req.id, ResponseStatus::kUserError, e.what()));
     return;
   }
 

@@ -5,7 +5,8 @@
 //
 // Lifecycle of a request (DESIGN.md §12):
 //
-//   submit --> cache hit? ----------------------------> respond (cache_hit)
+//   submit --> k or fu out of bounds (check_machine) --> respond kUserError
+//          --> cache hit? ----------------------------> respond (cache_hit)
 //          --> draining / queue above high watermark --> respond kOverloaded
 //          --> enqueue (accepted)
 //   worker --> deadline already gone? ----------------> respond kCancelled
@@ -121,8 +122,8 @@ class CompileService {
   CompileResponse handle(CompileRequest req);
 
   /// Stops admission, completes every queued and in-flight request (all
-  /// terminal responses still fire), joins workers and watchdog.
-  /// Idempotent; also run by the destructor.
+  /// terminal responses still fire), joins workers and watchdog, and
+  /// flushes both journals. Idempotent; also run by the destructor.
   void drain();
 
   std::size_t queue_depth() const;

@@ -86,12 +86,23 @@ Journal::Journal(std::string dir, std::size_t max_entries,
   if (dir_.empty()) return;
   if (ensure_directory(dir_)) {
     load();
+    writer_ = std::thread([this] { writer_loop(); });
   } else {
     // An unusable dir degrades to memory-only; the owner keeps serving and
     // the failure shows up in stats().
     ++stats_.load_errors;
     dir_.clear();
   }
+}
+
+Journal::~Journal() {
+  if (!writer_.joinable()) return;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    stop_ = true;
+  }
+  work_cv_.notify_one();
+  writer_.join();
 }
 
 void Journal::load() {
@@ -190,7 +201,6 @@ std::optional<std::string> Journal::lookup(Key k, std::uint64_t check) {
 }
 
 void Journal::store(Key k, std::uint64_t check, std::string_view payload) {
-  std::vector<Key> victims;
   {
     std::lock_guard<std::mutex> lk(mu_);
     const auto [it, inserted] = entries_.try_emplace(k);
@@ -209,45 +219,71 @@ void Journal::store(Key k, std::uint64_t check, std::string_view payload) {
     it->second.seq = next_seq_++;
     recency_.emplace(it->second.seq, k);
     ++stats_.stores;
-    victims = evict_locked();
+    const std::vector<Key> victims = evict_locked();
+    if (dir_.empty()) return;
+    for (const Key& victim : victims) enqueue_locked(victim);
+    enqueue_locked(k);
   }
-  if (dir_.empty()) return;
-  for (const Key& victim : victims) sync_file(victim);
-  sync_file(k);
+  work_cv_.notify_one();
 }
 
-void Journal::sync_file(Key k) {
-  // File I/O runs outside mu_, so a concurrent store can evict `k` while
-  // its file is being written, or re-insert it while it is being unlinked.
-  // Every state change is followed by a sync of the key it touched, and
-  // the stripe lock orders the syncs of one key, each reading residency
-  // afresh: the last sync leaves the file matching memory. Without that a
-  // write could land after its entry's eviction, leaving more files than
-  // max_entries and resurrecting the victim on the next warm load.
-  std::lock_guard<std::mutex> file_lk(file_mu_[KeyHash{}(k) % file_mu_.size()]);
-  std::string bytes;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
+void Journal::enqueue_locked(Key k) {
+  // A key still waiting in the queue needs no second sync: the writer
+  // reads its residency when it dequeues it.
+  if (!queued_.insert(k).second) return;
+  queue_.push_back(k);
+  ++enqueued_;
+}
+
+void Journal::flush() {
+  std::unique_lock<std::mutex> lk(mu_);
+  const std::uint64_t target = enqueued_;
+  synced_cv_.wait(lk, [&] { return synced_ >= target; });
+}
+
+void Journal::writer_loop() {
+  std::unique_lock<std::mutex> lk(mu_);
+  for (;;) {
+    work_cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stopped, and every queued key synced
+    const Key k = queue_.front();
+    queue_.pop_front();
+    queued_.erase(k);
+    // Residency is read under the hold that dequeues the key, so a later
+    // store or eviction queues it again and that sync lands after this
+    // one: the last sync leaves the file matching memory. Without that a
+    // write could land after its entry's eviction, leaving more files than
+    // max_entries and resurrecting the victim on the next warm load.
     const auto it = entries_.find(k);
-    if (it != entries_.end()) {
-      bytes = encode_entry(k.kind, it->second.check, it->second.payload);
+    const bool resident = it != entries_.end();
+    std::string bytes;
+    bool ok = true;
+    try {
+      if (resident) {
+        bytes = encode_entry(k.kind, it->second.check, it->second.payload);
+      }
+    } catch (...) {
+      ok = false;
     }
+    lk.unlock();
+    if (!resident) {
+      remove_file(entry_path(k));
+    } else if (ok) {
+      ok = write_entry(k, bytes);
+    }
+    lk.lock();
+    if (!ok) ++stats_.store_errors;
+    ++synced_;
+    synced_cv_.notify_all();
   }
-  const std::string path = entry_path(k);
-  if (bytes.empty()) {
-    remove_file(path);
-    return;
-  }
-  bool ok = false;
+}
+
+bool Journal::write_entry(Key k, const std::string& bytes) const {
   try {
     if (fault_site_ != nullptr) PARMEM_FAULT_POINT(fault_site_, nullptr);
-    ok = write_file_atomic(path, bytes);
+    return write_file_atomic(entry_path(k), bytes);
   } catch (...) {
-    ok = false;
-  }
-  if (!ok) {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.store_errors;
+    return false;
   }
 }
 
@@ -258,7 +294,9 @@ std::size_t Journal::size() const {
 
 Journal::Stats Journal::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return stats_;
+  Stats out = stats_;
+  out.pending = enqueued_ - synced_;
+  return out;
 }
 
 }  // namespace parmem::support

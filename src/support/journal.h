@@ -26,16 +26,30 @@
 // miss, and a store under a different check replaces the entry (it could
 // never serve that check); `max_entries` (0 = unbounded) caps the entry
 // count with LRU eviction, and an evicted entry's file is unlinked.
+//
+// Write-behind: store() updates memory (insert, LRU eviction) and returns,
+// so the next lookup hits at once; the file work runs on one writer thread
+// per on-disk journal. The writer drains a FIFO of deduplicated keys and
+// makes each key's file match its residency at the time it is dequeued:
+// the payload is encoded from the resident entry, an evicted key's file is
+// unlinked. One thread orders every file operation of the journal, so the
+// last sync of a key always wins. flush() waits for every key queued before
+// it, and the destructor drains the queue. A process SIGKILLed while a key
+// is queued loses that entry (a later cold miss), never tears it.
+// Memory-only journals start no thread.
 #pragma once
 
-#include <array>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace parmem::support {
@@ -57,6 +71,7 @@ class Journal {
     std::uint64_t loaded = 0;        // entries recovered at construction
     std::uint64_t load_errors = 0;   // corrupt/orphaned files skipped
     std::uint64_t evicted = 0;       // LRU victims dropped (file unlinked)
+    std::uint64_t pending = 0;       // keys queued for the writer, not synced
   };
 
   /// Memory-only when `dir` is empty; otherwise creates `dir` as needed and
@@ -65,6 +80,8 @@ class Journal {
   /// none); a fault there costs that one entry.
   Journal(std::string dir, std::size_t max_entries, std::string_view suffix,
           const char* fault_site);
+  /// Drains the writer's queue, then joins it.
+  ~Journal();
 
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
@@ -75,9 +92,14 @@ class Journal {
 
   /// First-writer-wins insert; re-storing a present key under the same
   /// check only refreshes its recency, under another check replaces it.
-  /// Persists when a dir is configured; a persist failure keeps the
-  /// in-memory entry and counts store_errors. Thread-safe.
+  /// Updates memory before it returns; when a dir is configured, queues
+  /// the file work for the writer. A persist failure keeps the in-memory
+  /// entry and counts store_errors. Thread-safe.
   void store(Key k, std::uint64_t check, std::string_view payload);
+
+  /// Returns once every key queued before the call is synced to its file.
+  /// Thread-safe; immediate for a memory-only journal.
+  void flush();
 
   std::size_t size() const;
   const std::string& dir() const { return dir_; }
@@ -114,9 +136,15 @@ class Journal {
   /// Evicts LRU entries until size <= max_entries_; returns the victims.
   /// Caller holds mu_.
   std::vector<Key> evict_locked();
-  /// Makes k's file match its residency: writes a resident entry, unlinks
-  /// a non-resident one.
-  void sync_file(Key k);
+  /// Queues `k` for the writer unless it is already waiting. Caller holds
+  /// mu_.
+  void enqueue_locked(Key k);
+  /// The writer thread: makes each queued key's file match its residency,
+  /// in FIFO order, until stopped and drained.
+  void writer_loop();
+  /// Publishes k's encoded entry; false (counted by the caller) when the
+  /// write fails or the fault site fires.
+  bool write_entry(Key k, const std::string& bytes) const;
 
   std::string dir_;
   std::size_t max_entries_;
@@ -127,8 +155,18 @@ class Journal {
   std::map<std::uint64_t, Key> recency_;  // seq -> key, oldest first
   std::uint64_t next_seq_ = 1;
   Stats stats_;
-  /// Serialises the file operations of the keys hashed to each stripe.
-  std::array<std::mutex, 16> file_mu_;
+
+  // Write-behind queue, under mu_. `queued_` holds the keys in `queue_`,
+  // which are not yet dequeued; a key dequeued and being synced may be
+  // queued again, since its file must catch up with the later change.
+  std::deque<Key> queue_;
+  std::unordered_set<Key, KeyHash> queued_;
+  std::uint64_t enqueued_ = 0;  // keys ever queued
+  std::uint64_t synced_ = 0;    // keys ever synced, in queue order
+  bool stop_ = false;
+  std::condition_variable work_cv_;    // writer: queue non-empty or stop_
+  std::condition_variable synced_cv_;  // flush(): synced_ advanced
+  std::thread writer_;
 };
 
 }  // namespace parmem::support

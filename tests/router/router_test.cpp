@@ -118,6 +118,23 @@ TEST(Router, ResponseCarriesTheClientIdNotTheWireId) {
   rt.drain();
 }
 
+// A worker rejects an out-of-bounds machine's payload under id 0, which the
+// router would read as a codec desync and kill the worker for: the router
+// answers such a request itself, under the client's id.
+TEST(Router, OutOfBoundsMachineIsAUserErrorWithoutReachingAWorker) {
+  Router rt(fast_options(1), inprocess_factory());
+  CompileRequest req = tiny_stream(77);
+  req.module_count = 33;
+  const CompileResponse resp = rt.handle(req);
+  EXPECT_EQ(resp.id, 77u);
+  EXPECT_EQ(resp.status, ResponseStatus::kUserError);
+  EXPECT_TRUE(rt.handle(tiny_stream(78)).ok());
+  const auto c = rt.counters();
+  EXPECT_EQ(c.worker_down, 0u);
+  EXPECT_EQ(c.protocol_errors, 0u);
+  rt.drain();
+}
+
 TEST(Router, EqualKeysStickToTheRingOwner) {
   Router rt(fast_options(3), inprocess_factory());
   const CompileRequest req = tiny_stream(1);

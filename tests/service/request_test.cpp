@@ -91,6 +91,29 @@ TEST(RequestCodec, MalformedPayloadsAreUserErrors) {
   }
 }
 
+// k and fu outside the machines the compiler targets are the caller's
+// error at admission, not an internal check failure deep in the compile.
+TEST(RequestCodec, MachineOutsideTheBoundsIsAUserError) {
+  for (const char* field : {"k 0", "k 33", "k 18446744073709551615", "fu 0"}) {
+    SCOPED_TRACE(field);
+    const std::string payload =
+        std::string("parmem-request 1\n") + field + "\nbody 0\n\n";
+    EXPECT_THROW(parse_request(payload), support::UserError);
+  }
+  try {
+    parse_request("parmem-request 1\nk 33\nbody 0\n\n");
+    FAIL() << "expected UserError";
+  } catch (const support::UserError& e) {
+    EXPECT_NE(std::string(e.what()).find("k 33"), std::string::npos);
+  }
+  for (const char* field : {"k 1", "k 32", "fu 1"}) {
+    SCOPED_TRACE(field);
+    const std::string payload =
+        std::string("parmem-request 1\n") + field + "\nbody 0\n\n";
+    EXPECT_NO_THROW(parse_request(payload));
+  }
+}
+
 TEST(RequestCodec, ErrorsCarryTheLineNumber) {
   try {
     parse_request("parmem-request 1\nid 1\nwat 3\nbody 0\n\n");

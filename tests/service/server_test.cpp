@@ -11,12 +11,15 @@
 #include <string>
 #include <vector>
 
+#include "../support/journal_cases.h"
 #include "analysis/pipeline.h"
 #include "assign/assigner.h"
 #include "ir/stream_io.h"
 #include "service/frame.h"
 #include "service/request.h"
 #include "support/fault_injection.h"
+#include "support/file_io.h"
+#include "support/journal.h"
 #include "workloads/workloads.h"
 
 namespace parmem::service {
@@ -313,6 +316,83 @@ TEST_F(ServerTest, OversizeStreamHeaderIsAUserError) {
   const CompileResponse resp = service.handle(std::move(req));
   EXPECT_EQ(resp.status, ResponseStatus::kUserError);
   EXPECT_FALSE(resp.diagnostic.empty());
+}
+
+// A machine outside 1..kMaxModules modules, or without a functional unit,
+// is the caller's error: answered user_error at once and never retried
+// (the compile's own internal checks would fail as a transient fault).
+TEST_F(ServerTest, OutOfBoundsMachineIsAUserErrorAndNeverRetried) {
+  CompileRequest req;
+  req.id = 4;
+  req.kind = RequestKind::kStream;
+  req.module_count = 33;
+  req.body = "stream 4\ntuple 0 1\ntuple 2 3\n";
+
+  // Over the wire, parse_request rejects the payload at admission.
+  MemoryStream wire;
+  write_frame(wire, format_request(req));
+  MemoryStream conn(wire.output());
+  CompileService service;
+  EXPECT_EQ(serve(conn, service), 1u);
+  MemoryStream replies(conn.output());
+  std::string payload;
+  ASSERT_TRUE(read_frame(replies, payload));
+  const CompileResponse wire_resp = parse_response(payload);
+  EXPECT_EQ(wire_resp.status, ResponseStatus::kUserError);
+  EXPECT_NE(wire_resp.diagnostic.find("k 33"), std::string::npos)
+      << wire_resp.diagnostic;
+
+  // In process, submit applies the same bounds and keeps the request id.
+  const CompileResponse resp = service.handle(req);
+  EXPECT_EQ(resp.id, 4u);
+  EXPECT_EQ(resp.status, ResponseStatus::kUserError);
+  req.module_count = 4;
+  req.fu_count = 0;
+  EXPECT_EQ(service.handle(req).status, ResponseStatus::kUserError);
+  EXPECT_EQ(service.counters().retried, 0u);
+  EXPECT_EQ(service.counters().accepted, 0u);
+}
+
+// Journal stores are write-behind; drain() flushes both journals, so once
+// it returns every resident entry has its file and no evicted one does.
+using ServerJournalTest = support::journal_cases::TempDirTest;
+
+TEST_F(ServerJournalTest, DrainLeavesOneFilePerResidentEntry) {
+  ServiceOptions opts;
+  opts.cache_dir = (dir_ / "results").string();
+  opts.cache_max_entries = 4;
+  opts.incremental = true;
+  opts.atom_cache_dir = (dir_ / "atoms").string();
+  CompileService service(opts);
+  std::vector<std::uint64_t> keys;
+  for (std::size_t i = 0; i < 8; ++i) {
+    const CompileRequest req = mc_request(i + 1, i);
+    keys.push_back(cache_key(req));
+    ASSERT_EQ(service.handle(req).status, ResponseStatus::kOk);
+  }
+  service.drain();
+
+  const auto files = [](const std::string& dir, std::string_view suffix) {
+    std::size_t n = 0;
+    for (const std::string& name : support::list_directory(dir)) {
+      EXPECT_TRUE(support::Journal::parse_entry_name(name, suffix).has_value())
+          << name;
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(service.cache().size(), 4u);
+  EXPECT_EQ(files(opts.cache_dir, ResultCache::kSuffix), 4u);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    // LRU keeps the four most recent results.
+    EXPECT_EQ(std::filesystem::exists(service.cache().entry_path(keys[i])),
+              i >= 4)
+        << i;
+  }
+  EXPECT_GT(service.atom_cache()->size(), 0u);
+  EXPECT_EQ(files(opts.atom_cache_dir, ".atom"), service.atom_cache()->size());
+  EXPECT_EQ(service.cache().stats().pending, 0u);
+  EXPECT_EQ(service.atom_cache()->stats().pending, 0u);
 }
 
 #if PARMEM_FAULT_INJECTION_ENABLED

@@ -4,7 +4,8 @@
 // shapes, which checks that each shape maps its keys onto the store.
 //
 // A Shape adapter provides:
-//   using Store = ...;  // constructible as Store(dir, max_entries)
+//   using Store = ...;  // constructible as Store(dir, max_entries); has
+//                       // flush(), which waits out write-behind stores
 //   static void put(Store&, std::uint64_t key, std::string_view payload);
 //   static std::optional<std::string> get(Store&, std::uint64_t key);
 //   static std::string path(const Store&, std::uint64_t key);
@@ -75,6 +76,7 @@ void survives_a_restart(const fs::path& dir) {
     typename Shape::Store s(dir.string(), 0);
     Shape::put(s, 0xabcdefULL, payload);
     Shape::put(s, 0x123456ULL, "second entry");
+    s.flush();
     EXPECT_TRUE(fs::exists(Shape::path(s, 0xabcdefULL)));
   }
   // A fresh store over the same directory serves the exact bytes.
@@ -161,6 +163,7 @@ void lru_eviction_caps_entries_and_unlinks_files(const fs::path& dir) {
   EXPECT_TRUE(Shape::get(s, 1).has_value());
   EXPECT_FALSE(Shape::get(s, 2).has_value());
   EXPECT_FALSE(Shape::get(s, 3).has_value());
+  s.flush();
   EXPECT_FALSE(fs::exists(Shape::path(s, 2)));
   EXPECT_FALSE(fs::exists(Shape::path(s, 3)));
   EXPECT_TRUE(fs::exists(Shape::path(s, 5)));
@@ -171,6 +174,7 @@ void warm_restart_rebuilds_recency_from_mtime(const fs::path& dir) {
   {
     typename Shape::Store s(dir.string(), 0);
     for (std::uint64_t k = 1; k <= 4; ++k) Shape::put(s, k, "entry");
+    s.flush();
     // Make entry 1 the newest on disk and 3 the oldest, whatever the write
     // order was.
     const auto now = fs::last_write_time(Shape::path(s, 2));

@@ -1,7 +1,8 @@
 // Journal store semantics (support/journal.h): the shared cases of
 // journal_cases.h run against the bare store, plus what only the store
-// sees: the entry-name codec, kind and format checks on warm load, and
-// concurrent stores racing eviction against file publishing.
+// sees: the entry-name codec, kind and format checks on warm load,
+// concurrent stores racing eviction against file publishing, and the
+// write-behind contract (memory first, flush, drain on destruction).
 #include "support/journal.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "journal_cases.h"
+#include "support/fault_injection.h"
 #include "support/file_io.h"
 
 namespace parmem::support {
@@ -107,9 +109,9 @@ TEST(JournalNames, EncodeAndParseAreInverse) {
   }
 }
 
-// Stores publish their file after dropping the store lock, so a concurrent
-// store can evict an entry while its file is being written. The file of an
-// evicted entry must not land afterwards: once the stores are done, the
+// Stores publish their file on the writer thread, so a concurrent store can
+// evict an entry while its file is being written. The file of an evicted
+// entry must not land afterwards: once the stores are flushed, the
 // directory holds exactly one file per resident entry and no temp debris.
 TEST_F(JournalTest, ConcurrentStoresLeaveOneFilePerResidentEntry) {
   for (int round = 0; round < 20; ++round) {
@@ -124,6 +126,7 @@ TEST_F(JournalTest, ConcurrentStoresLeaveOneFilePerResidentEntry) {
       });
     }
     for (std::thread& th : threads) th.join();
+    j.flush();
     std::size_t entry_files = 0;
     for (const std::string& name : list_directory(dir_str())) {
       ASSERT_TRUE(Journal::parse_entry_name(name, kSuffix).has_value())
@@ -134,6 +137,77 @@ TEST_F(JournalTest, ConcurrentStoresLeaveOneFilePerResidentEntry) {
     ASSERT_EQ(entry_files, j.size()) << "round " << round;
   }
 }
+
+std::size_t entry_files(const std::string& dir) {
+  std::size_t n = 0;
+  for (const std::string& name : list_directory(dir)) {
+    if (Journal::parse_entry_name(name, kSuffix).has_value()) ++n;
+  }
+  return n;
+}
+
+// The destructor drains the writer's queue: a journal destroyed right after
+// its stores leaves every entry for the next warm load.
+TEST_F(JournalTest, DestructorDrainsTheQueue) {
+  constexpr std::uint64_t kEntries = 64;
+  {
+    TestJournal j(dir_str(), 0);
+    for (std::uint64_t k = 0; k < kEntries; ++k) j.store({0, k}, 0, "entry");
+  }
+  TestJournal warm(dir_str(), 0);
+  EXPECT_EQ(warm.stats().loaded, kEntries);
+  EXPECT_EQ(warm.stats().load_errors, 0u);
+}
+
+// store() updates memory before it returns: the next lookup hits whether or
+// not the writer has published the file yet.
+TEST_F(JournalTest, LookupHitsRightAfterStore) {
+  TestJournal j(dir_str(), 0);
+  for (std::uint64_t k = 0; k < 32; ++k) {
+    j.store({0, k}, 0, "payload " + std::to_string(k));
+    EXPECT_EQ(j.lookup({0, k}, 0).value(), "payload " + std::to_string(k));
+  }
+  j.flush();
+  EXPECT_EQ(entry_files(dir_str()), 32u);
+}
+
+TEST_F(JournalTest, PendingReturnsToZeroAfterFlush) {
+  TestJournal j(dir_str(), /*max_entries=*/4);
+  for (std::uint64_t k = 0; k < 16; ++k) j.store({0, k}, 0, "entry");
+  j.flush();
+  EXPECT_EQ(j.stats().pending, 0u);
+  EXPECT_EQ(entry_files(dir_str()), 4u);
+
+  TestJournal memory("", 0);
+  memory.store({0, 1}, 0, "ram");
+  EXPECT_EQ(memory.stats().pending, 0u);
+  memory.flush();  // nothing queued: returns at once
+}
+
+#if PARMEM_FAULT_INJECTION_ENABLED
+
+// A fault on the writer costs the one entry it was publishing: the write is
+// counted in store_errors, the entry stays served from memory, and the
+// writer keeps publishing later stores.
+TEST_F(JournalTest, WriterFaultCostsOneEntryAndLaterStoresPersist) {
+  FaultInjector::instance().arm("test.journal_write",
+                                FaultKind::kInternalError);
+  Journal j(dir_str(), 0, kSuffix, "test.journal_write");
+  j.store({0, 1}, 0, "lost on disk");
+  j.flush();
+  EXPECT_EQ(j.stats().store_errors, 1u);
+  EXPECT_EQ(j.lookup({0, 1}, 0).value(), "lost on disk");
+  EXPECT_FALSE(fs::exists(j.entry_path({0, 1})));
+
+  j.store({0, 2}, 0, "persisted");
+  j.flush();
+  FaultInjector::instance().reset();
+  EXPECT_EQ(j.stats().store_errors, 1u);
+  EXPECT_TRUE(fs::exists(j.entry_path({0, 2})));
+  EXPECT_EQ(entry_files(dir_str()), 1u);
+}
+
+#endif  // PARMEM_FAULT_INJECTION_ENABLED
 
 }  // namespace
 }  // namespace parmem::support
