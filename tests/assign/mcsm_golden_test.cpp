@@ -8,7 +8,8 @@
 // programs; the two large perfbench streams at their generator seeds
 // (without the per-seed relabelling) and the fixed service edit base; and
 // one combined hash over seeded uniform, band, cyclic-band and block
-// graphs of 50-750 vertices. McsmWork bounds the search work counter.
+// graphs of 50-750 vertices. McsmWork bounds the search work counter on
+// the large streams and the edit base.
 // FrontHalfGolden pins the other stages before colouring on the same
 // inputs: the parsed stream, the conflict graph, the atoms, and the large
 // streams' placement and copy count.
@@ -119,15 +120,29 @@ TEST(McsmGolden, LargeStreams) {
 
 // The search work counter is deterministic, so this is a structural bound,
 // not a timing: on the locality graph it stays linear-ish in the graph's
-// size (about 21 (n + 2m)) where a search that floods the untouched region
+// size (about 20 (n + 2m)) where a search that floods the untouched region
 // scans about 1,950 (n + 2m).
-TEST(McsmWork, SynMonolithicSearchStaysNearLinear) {
-  const auto cg = assign::ConflictGraph::build(syn_monolithic());
+void expect_near_linear_work(const ir::AccessStream& stream) {
+  const auto cg = assign::ConflictGraph::build(stream);
   const Graph& g = cg.graph();
   const Triangulation tri = mcs_m(g);
   const std::uint64_t size = g.vertex_count() + 2 * g.edge_count();
   EXPECT_GT(tri.search_edges, size);
   EXPECT_LE(tri.search_edges, 64 * size);
+}
+
+TEST(McsmWork, SynMonolithicSearchStaysNearLinear) {
+  expect_near_linear_work(syn_monolithic());
+}
+
+// The block-structured streams label too, and split their untouched
+// region at every bridge.
+TEST(McsmWork, SynModularSearchStaysNearLinear) {
+  expect_near_linear_work(syn_modular());
+}
+
+TEST(McsmWork, EditBaseSearchStaysNearLinear) {
+  expect_near_linear_work(edit_base());
 }
 
 // Edges {i, j} for i < j <= i + width with probability p; `cyclic` wraps j
