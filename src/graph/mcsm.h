@@ -32,19 +32,19 @@ struct Triangulation {
 
 /// Runs MCS-M over the whole graph: n steps, each a minimax-path search
 /// over the unnumbered graph (Dial's buckets) plus the pick of the next
-/// vertex from a tournament tree over the ids (O(log n) per step, and
-/// usually O(1) per weight increment, with no stale entries). The search
-/// treats each connected region that no numbered vertex touches yet as a
-/// single node, so it walks only the touched frontier. A step can still
-/// cost O(m) when little of the graph is untouched, as on uniform wide
-/// streams, so the whole run is O(n·m) in the worst case. The fill is
-/// sorted by two counting passes (graph::sort_pairs). Timings (Release
-/// build, shared 4-vCPU x86 box, best of 9): COLOR (6,384 vertices, no
-/// fill) about 1.3 ms; perfbench's syn_monolithic stream (4,093 vertices,
-/// 44,197 edges, 28,289 fill edges) 16-17 ms; a uniform width-8 stream of
-/// 3,000 values (83,243 edges, 3.7 M fill edges) about 1.0 s. With the
-/// lazy max-heap pick and a comparison sort of the fill these were 3.0-3.3
-/// ms, 24-30 ms and 2.1-2.4 s.
+/// vertex from a tournament tree of packed (weight, id) ranks (O(log n)
+/// per step, and usually O(1) per weight increment, with no stale
+/// entries). The search treats each connected region that no numbered
+/// vertex touches yet as a single node, scored in the same array as the
+/// vertices, so it walks only the touched frontier. A step can still cost
+/// O(m) when little of the graph is untouched, as on uniform wide streams,
+/// so the whole run is O(n·m) in the worst case. The fill is sorted by two
+/// counting passes (graph::sort_pairs). Timings (Release build, shared
+/// 4-vCPU x86 box, best of 31 in each of two rounds): COLOR (6,384
+/// vertices, no fill) 0.7-1.1 ms; perfbench's syn_monolithic stream (4,093
+/// vertices, 44,197 edges, 28,289 fill edges) 10.0-10.1 ms and syn_modular
+/// 9.6-12.1 ms; a uniform width-8 stream of 3,000 values (3.7 M fill
+/// edges) about 0.7 s. DESIGN.md §9 has the earlier searches' figures.
 Triangulation mcs_m(const Graph& g);
 
 /// True iff `order` is a perfect elimination ordering of `g` (i.e. g is
