@@ -318,6 +318,7 @@ void run_pass(PassContext& ctx, std::vector<std::vector<ir::ValueId>> insts) {
     reduced.reserve(insts.size());
     for (const auto& ops : insts) {
       std::vector<ir::ValueId> keep;
+      keep.reserve(ops.size());
       for (const ir::ValueId v : ops) {
         const auto vx = cg.vertex_of(v);
         if (vx < 0 || !skip[static_cast<std::size_t>(vx)]) keep.push_back(v);
@@ -454,8 +455,10 @@ std::vector<std::vector<ir::ValueId>> materialize(
   std::vector<std::vector<ir::ValueId>> insts;
   insts.reserve(tuples.size());
   for (const std::uint32_t ti : tuples) {
+    const std::vector<ir::ValueId>& operands = stream.tuples[ti].operands;
     std::vector<ir::ValueId> ops;
-    for (const ir::ValueId v : stream.tuples[ti].operands) {
+    ops.reserve(operands.size());
+    for (const ir::ValueId v : operands) {
       if (value_filter == nullptr || (*value_filter)[v]) ops.push_back(v);
     }
     if (!ops.empty()) insts.push_back(std::move(ops));

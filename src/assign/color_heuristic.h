@@ -120,10 +120,10 @@ struct ColorResult {
 
 /// Max-urgency comparison over heap entries (Fig. 4 ordering): U = w/kk with
 /// kk == 0 treated as +inf; ties break on larger s, then smaller vertex id.
-/// Shared between the sequential urgency heap and the speculative tier's
-/// per-chunk sweeps; inline because it is the comparator of every heap
-/// operation both make — an out-of-line call per comparison dominates the
-/// sweep on large atoms.
+/// Shared between the sequential sweep's indexed urgency heap and the
+/// speculative tier's serial-tail sort; inline because it is the comparator
+/// of every sift the heap makes — an out-of-line call per comparison
+/// dominates the sweep on large atoms.
 inline bool less_urgent(const AssignWorkspace::HeapEntry& a,
                         const AssignWorkspace::HeapEntry& b) {
   const bool a_inf = a.kk == 0, b_inf = b.kk == 0;

@@ -18,9 +18,9 @@ namespace {
 /// the generated stream — the same sequence a std::set would iterate, minus
 /// the per-insert node allocation and tree rebalancing).
 ///
-/// Only instructions that still conflict are enumerated. Every subset of a
-/// conflict-free operand set is conflict-free, and copies are only ever
-/// added, so a conflict-free instruction can contribute no conflicting
+/// Only instructions flagged in `conflicting` are enumerated. Every subset
+/// of a conflict-free operand set is conflict-free, and copies are only
+/// ever added, so a conflict-free instruction can contribute no conflicting
 /// combination now or in any later round: the caller sees exactly the
 /// conflicting combinations, in the same order, as a full enumeration.
 ///
@@ -28,15 +28,16 @@ namespace {
 /// so the deadline is polled while a wide instruction is still being
 /// enumerated) and returns nullopt as soon as the budget trips.
 std::optional<std::vector<std::vector<ir::ValueId>>> combinations_of_size(
-    const PlacementState& st, InstSpan insts, std::size_t num,
-    support::Budget* budget) {
+    InstSpan insts, const std::vector<std::uint8_t>& conflicting,
+    std::size_t num, support::Budget* budget) {
   constexpr std::size_t kChargeChunk = 1024;
   std::vector<std::vector<ir::ValueId>> combos;
   std::vector<ir::ValueId> current;
   std::vector<std::size_t> idx(num);
   std::size_t uncharged = 0;
-  for (const auto& ops : insts) {
-    if (ops.size() < num || st.combination_conflict_free(ops)) continue;
+  for (std::size_t t = 0; t < insts.size(); ++t) {
+    const auto& ops = insts[t];
+    if (ops.size() < num || !conflicting[t]) continue;
     // Operands are sorted, so generated combinations are canonical.
     const std::size_t n = ops.size();
     // Iterative combination enumeration via index vector.
@@ -95,13 +96,19 @@ HittingSetOutcome hitting_set_duplicate(
     }
   }
 
+  // One conflict flag per instruction for the whole call: copies are only
+  // added, and only by place_copies, which clears the flags its copies
+  // resolve, so the flags stay exact until the fix-up below.
+  auto& conflicting = w.conflicting;
+  mark_conflicting(st, insts, conflicting);
+
   // Fig. 7: Place(V_unassigned) — first copies — then Place(V_unassigned)
   // again so that every pair combination is conflict free (two copies in
   // two distinct modules always satisfy any pair).
-  out.copies_added +=
-      place_copies(st, insts, need_first, in_unassigned, rng, &w);
-  out.copies_added +=
-      place_copies(st, insts, need_second, in_unassigned, rng, &w);
+  out.copies_added += place_copies(st, insts, need_first, in_unassigned,
+                                   conflicting, rng, &w);
+  out.copies_added += place_copies(st, insts, need_second, in_unassigned,
+                                   conflicting, rng, &w);
 
   std::size_t max_width = 0;
   for (const auto& ops : insts) max_width = std::max(max_width, ops.size());
@@ -113,7 +120,7 @@ HittingSetOutcome hitting_set_duplicate(
       out.budget_exhausted = true;
       break;
     }
-    auto combos = combinations_of_size(st, insts, num, budget);
+    auto combos = combinations_of_size(insts, conflicting, num, budget);
     if (!combos.has_value()) {
       out.budget_exhausted = true;
       break;
@@ -146,8 +153,8 @@ HittingSetOutcome hitting_set_duplicate(
 
       const auto hs = greedy_hitting_set(cand_sets);
       std::vector<ir::ValueId> to_place(hs.begin(), hs.end());
-      const std::size_t added =
-          place_copies(st, insts, to_place, in_unassigned, rng, &w);
+      const std::size_t added = place_copies(st, insts, to_place, in_unassigned,
+                                             conflicting, rng, &w);
       out.copies_added += added;
       if (added == 0) break;  // saturated: fall through to the fix-up
     }
@@ -157,8 +164,10 @@ HittingSetOutcome hitting_set_duplicate(
   // per-instruction backtracking treatment over its duplicable operands.
   // When the budget tripped, the unbounded enumeration is skipped and the
   // conflicting instructions are reported for the caller's capped fix-up.
+  // resolve_instruction adds copies behind the flags' back, so a flagged
+  // instruction is tested again before it is treated.
   for (std::size_t i = 0; i < insts.size(); ++i) {
-    if (st.combination_conflict_free(insts[i])) continue;
+    if (!conflicting[i] || st.combination_conflict_free(insts[i])) continue;
     if (out.budget_exhausted) {
       out.unresolved.push_back(i);
       continue;

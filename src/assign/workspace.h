@@ -46,9 +46,12 @@ struct AssignWorkspace {
   std::vector<std::uint64_t> atom_mark;      // in current atom iff == epoch
   std::vector<std::uint32_t> deg;            // atom-local degree
   std::vector<std::uint64_t> s_sum;          // static weight sum S(v)
-  std::vector<std::uint64_t> w_assigned;     // Σ wt(assigned → v)
+  std::vector<std::uint64_t> w_assigned;     // Σ wt(assigned → v) at start
   std::vector<std::uint32_t> neighbor_mods;  // modules taken around v
-  std::vector<HeapEntry> heap;               // urgency heap storage
+  /// Indexed urgency heap: one entry per undecided atom vertex, and
+  /// heap_pos[v] the index of v's entry while v is in the heap.
+  std::vector<HeapEntry> heap;
+  std::vector<std::uint32_t> heap_pos;
   std::vector<graph::Vertex> rest;           // undecided atom vertices
 
   /// Starts scratch for a new atom of a graph with `n` vertices. All
@@ -61,6 +64,7 @@ struct AssignWorkspace {
       s_sum.resize(n);
       w_assigned.resize(n);
       neighbor_mods.resize(n);
+      heap_pos.resize(n);
     }
     heap.clear();
     rest.clear();
@@ -82,7 +86,8 @@ struct AssignWorkspace {
   std::vector<std::uint32_t> value_slot;  // slot of a marked value
   /// Per slot: indices of the instructions mentioning the value, ascending.
   std::vector<std::vector<std::uint32_t>> occurrences;
-  std::vector<std::uint8_t> conflicting;  // per instruction, current call
+  /// Per instruction: lacks an SDR (hitting_set_duplicate's flags).
+  std::vector<std::uint8_t> conflicting;
   /// Fig. 6 grouping: instruction indices by duplicable-operand count.
   std::vector<std::vector<std::uint32_t>> inst_groups;
 

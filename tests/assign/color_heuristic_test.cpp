@@ -1,8 +1,11 @@
 #include "assign/color_heuristic.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "graph/coloring.h"
+#include "support/budget.h"
 
 namespace parmem::assign {
 namespace {
@@ -115,6 +118,30 @@ TEST(ColorHeuristic, AtomsOnAndOffAgreeOnValidity) {
       expect_valid(cg, r, 4);
     }
   }
+}
+
+TEST(ColorHeuristic, ChargesOneStepPerDecidedVertex) {
+  // A dense graph, so most vertices see several neighbour updates before
+  // they are decided; a budget that never trips must still read exactly
+  // one step per vertex after the sweep.
+  support::SplitMix64 rng(23);
+  std::vector<std::vector<ir::ValueId>> tuples;
+  for (int t = 0; t < 60; ++t) {
+    std::vector<ir::ValueId> ops;
+    while (ops.size() < 4) {
+      const auto v = static_cast<ir::ValueId>(rng.below(40));
+      if (std::find(ops.begin(), ops.end(), v) == ops.end()) ops.push_back(v);
+    }
+    tuples.push_back(ops);
+  }
+  const auto s = AccessStream::from_tuples(40, tuples);
+  const auto cg = ConflictGraph::build(s);
+  support::Budget budget(support::BudgetSpec{0, 1'000'000});
+  const auto r = color_conflict_graph(
+      cg, {.module_count = 3, .use_atoms = false, .budget = &budget});
+  EXPECT_FALSE(r.budget_exhausted);
+  EXPECT_FALSE(r.unassigned.empty());
+  EXPECT_EQ(budget.steps_used(), cg.vertex_count());
 }
 
 TEST(ColorHeuristic, RejectsBadModuleCount) {
