@@ -16,6 +16,7 @@
 //   --quick  paper workloads + syn_small only, one rep (CI smoke)
 //   --out    JSON report path (default BENCH_assign.json)
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -447,6 +448,22 @@ ColorResult color_conflict_graph(const LegacyConflictGraph& cg,
 
 // ---- seed Fig. 10 placement (std::find scans over all instructions) ----
 
+/// The seed's per-candidate test: is `ops` conflict-free with one extra
+/// copy of `extra_v` in `extra_m`?
+bool conflict_free_with_extra(const PlacementState& st,
+                              const std::vector<ir::ValueId>& ops,
+                              ir::ValueId extra_v, std::uint32_t extra_m) {
+  if (ops.size() > st.module_count()) return false;
+  std::array<ModuleSet, kMaxModules> masks;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    masks[i] = st.placement(ops[i]);
+    if (ops[i] == extra_v) masks[i] |= module_bit(extra_m);
+    if (masks[i] == 0) return false;
+  }
+  return support::has_distinct_representatives({masks.data(), ops.size()},
+                                               st.module_count());
+}
+
 std::size_t place_copies(PlacementState& st,
                          const std::vector<std::vector<ir::ValueId>>& insts,
                          const std::vector<ir::ValueId>& to_place,
@@ -516,7 +533,7 @@ std::size_t place_copies(PlacementState& st,
       const std::size_t grp = group_of(ops);
       if (grp == 0) continue;
       for (std::size_t c = 0; c < candidates.size(); ++c) {
-        if (st.conflict_free_with_extra(ops, v, candidates[c])) {
+        if (conflict_free_with_extra(st, ops, v, candidates[c])) {
           ++resolved[c][grp];
         }
       }

@@ -52,10 +52,14 @@ class PlacementState {
   /// As above for an arbitrary operand combination.
   bool combination_conflict_free(const std::vector<ir::ValueId>& ops) const;
 
-  /// Same test with a hypothetical extra copy of `extra_v` in `extra_m`.
-  bool conflict_free_with_extra(const std::vector<ir::ValueId>& ops,
-                                ir::ValueId extra_v,
-                                std::uint32_t extra_m) const;
+  /// The modules m among `candidates` for which `ops` would be
+  /// conflict-free with one extra copy of `v` in m; `v` must be exactly
+  /// one of `ops`. One matching of the other operands answers every
+  /// candidate at once: a copy in m helps iff some SDR of the others
+  /// leaves m free, i.e. m is free in the matching or reachable from a
+  /// free module by an alternating path.
+  ModuleSet extra_copy_fixes(const std::vector<ir::ValueId>& ops,
+                             ir::ValueId v, ModuleSet candidates) const;
 
   /// Indices of tuples currently conflicting (no SDR).
   std::vector<std::uint32_t> conflicting_tuples() const;
