@@ -26,6 +26,11 @@ inline ModuleSet module_bit(std::uint32_t m) {
   return ModuleSet{1} << m;
 }
 
+/// Every module below k.
+inline ModuleSet all_modules(std::size_t k) {
+  return k >= kMaxModules ? ~ModuleSet{0} : (ModuleSet{1} << k) - 1;
+}
+
 inline bool holds(ModuleSet s, std::uint32_t m) {
   return (s & module_bit(m)) != 0;
 }
