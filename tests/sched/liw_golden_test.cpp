@@ -14,6 +14,7 @@
 #include "lower/ifconvert.h"
 #include "lower/lower.h"
 #include "lower/opt.h"
+#include "lower/rename.h"
 #include "sched/list_scheduler.h"
 #include "support/diagnostics.h"
 #include "support/fnv.h"
@@ -114,6 +115,69 @@ TEST(LiwGolden, PaperProgramsScheduleToPinnedWords) {
     }
     const std::uint64_t h = support::fnv1a64(schedule(tac, opts).to_string());
     EXPECT_EQ(h, pin.hash) << cell() << " got 0x" << std::hex << h;
+  }
+}
+
+// Optimizer pins: the FNV-1a of the optimized TAC text and the optimizer's
+// propagation and removal totals for the six paper programs, with renaming
+// off and on and if-conversion at its default and disabled. The pass count
+// is deliberately not pinned: a faster optimizer may reach the same fixed
+// point in fewer sweeps.
+struct TacPin {
+  const char* program;
+  bool rename;
+  bool if_convert;
+  std::uint64_t hash;
+  std::size_t copies_propagated;
+  std::size_t instructions_removed;
+};
+
+// clang-format off
+constexpr TacPin kTacPins[] = {
+    {"TAYLOR1", false, true, 0xd18426c289115462ull, 312, 113},
+    {"TAYLOR1", false, false, 0xd18426c289115462ull, 312, 113},
+    {"TAYLOR1", true, true, 0xbdf31af21c3368afull, 312, 113},
+    {"TAYLOR1", true, false, 0xbdf31af21c3368afull, 312, 113},
+    {"TAYLOR2", false, true, 0xb3fb33c3815e3a1ull, 118, 39},
+    {"TAYLOR2", false, false, 0x9124d2fcea349e1full, 92, 26},
+    {"TAYLOR2", true, true, 0xf85025e90bd2b1c0ull, 118, 40},
+    {"TAYLOR2", true, false, 0x838a1be83dd07673ull, 92, 27},
+    {"EXACT", false, true, 0x559593f7d20671a0ull, 372, 207},
+    {"EXACT", false, false, 0xc90641b9d4ef2c8ull, 360, 204},
+    {"EXACT", true, true, 0x559593f7d20671a0ull, 372, 207},
+    {"EXACT", true, false, 0xc90641b9d4ef2c8ull, 360, 204},
+    {"FFT", false, true, 0xdead70198a680c14ull, 394, 221},
+    {"FFT", false, false, 0xdead70198a680c14ull, 394, 221},
+    {"FFT", true, true, 0x9975464350f89eb9ull, 394, 302},
+    {"FFT", true, false, 0x9975464350f89eb9ull, 394, 302},
+    {"SORT", false, true, 0x90eceb3531f9fb7bull, 138, 102},
+    {"SORT", false, false, 0x90eceb3531f9fb7bull, 138, 102},
+    {"SORT", true, true, 0x3a35f785cee33e1cull, 138, 103},
+    {"SORT", true, false, 0x3a35f785cee33e1cull, 138, 103},
+    {"COLOR", false, true, 0x51a213ade9e0c198ull, 4264, 2026},
+    {"COLOR", false, false, 0x51a213ade9e0c198ull, 4264, 2026},
+    {"COLOR", true, true, 0x57a47a773e3ae7f4ull, 4264, 2210},
+    {"COLOR", true, false, 0x57a47a773e3ae7f4ull, 4264, 2210},
+};
+// clang-format on
+
+TEST(TacGolden, PaperProgramsOptimizeToPinnedTac) {
+  for (const TacPin& pin : kTacPins) {
+    frontend::Program ast =
+        frontend::parse(workloads::workload(pin.program).source);
+    frontend::sema(ast);
+    frontend::unroll_loops(ast, {});
+    ir::TacProgram tac = lower::lower_program(ast, {});
+    if (pin.rename) lower::rename_locals(tac);
+    if (pin.if_convert) lower::if_convert(tac, {});
+    const lower::OptStats stats = lower::optimize(tac);
+    const std::uint64_t h = support::fnv1a64(tac.to_string());
+    const std::string cell = std::string(pin.program) +
+                             (pin.rename ? " rename" : " no-rename") +
+                             (pin.if_convert ? " if-convert" : " no-if-convert");
+    EXPECT_EQ(h, pin.hash) << cell << " got 0x" << std::hex << h;
+    EXPECT_EQ(stats.copies_propagated, pin.copies_propagated) << cell;
+    EXPECT_EQ(stats.instructions_removed, pin.instructions_removed) << cell;
   }
 }
 
