@@ -1,6 +1,5 @@
 #include "ir/liw.h"
 
-#include <set>
 #include <sstream>
 
 #include "support/diagnostics.h"
@@ -33,7 +32,6 @@ void validate_liw(const LiwProgram& prog, std::size_t fu_count) {
                  "word " + std::to_string(w) + " is empty");
     PARMEM_CHECK(word.ops.size() <= fu_count,
                  "word " + std::to_string(w) + " exceeds functional units");
-    std::set<ValueId> defined;
     for (std::size_t s = 0; s < word.ops.size(); ++s) {
       const TacInstr& op = word.ops[s];
       if (is_terminator(op.op)) {
@@ -47,9 +45,12 @@ void validate_liw(const LiwProgram& prog, std::size_t fu_count) {
         }
       }
       if (has_dst(op.op)) {
-        PARMEM_CHECK(defined.insert(op.dst).second,
-                     "two ops define the same value in word " +
-                         std::to_string(w));
+        // A word holds at most fu_count ops: scan the earlier ones.
+        for (std::size_t t = 0; t < s; ++t) {
+          PARMEM_CHECK(!has_dst(word.ops[t].op) || word.ops[t].dst != op.dst,
+                       "two ops define the same value in word " +
+                           std::to_string(w));
+        }
       }
     }
   }

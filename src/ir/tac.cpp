@@ -44,85 +44,6 @@ const char* opcode_name(Opcode op) {
   PARMEM_UNREACHABLE("bad opcode");
 }
 
-bool is_terminator(Opcode op) {
-  return op == Opcode::kBr || op == Opcode::kBrTrue ||
-         op == Opcode::kBrFalse || op == Opcode::kHalt;
-}
-
-int operand_arity(Opcode op) {
-  switch (op) {
-    case Opcode::kNop:
-    case Opcode::kBr:
-    case Opcode::kHalt:
-      return 0;
-    case Opcode::kMov:
-    case Opcode::kNeg:
-    case Opcode::kNot:
-    case Opcode::kToReal:
-    case Opcode::kToInt:
-    case Opcode::kSqrt:
-    case Opcode::kSin:
-    case Opcode::kCos:
-    case Opcode::kAbs:
-    case Opcode::kLoad:   // a = index
-    case Opcode::kXfer:   // a = the value being copied
-    case Opcode::kBrTrue:
-    case Opcode::kBrFalse:
-    case Opcode::kPrint:
-      return 1;
-    case Opcode::kAdd:
-    case Opcode::kSub:
-    case Opcode::kMul:
-    case Opcode::kDiv:
-    case Opcode::kMod:
-    case Opcode::kCmpEq:
-    case Opcode::kCmpNe:
-    case Opcode::kCmpLt:
-    case Opcode::kCmpLe:
-    case Opcode::kCmpGt:
-    case Opcode::kCmpGe:
-    case Opcode::kAnd:
-    case Opcode::kOr:
-    case Opcode::kStore:  // a = index, b = stored value
-      return 2;
-    case Opcode::kSelect:  // a = condition, b = then, c = else
-      return 3;
-  }
-  PARMEM_UNREACHABLE("bad opcode");
-}
-
-bool has_dst(Opcode op) {
-  switch (op) {
-    case Opcode::kNop:
-    case Opcode::kStore:
-    case Opcode::kXfer:
-    case Opcode::kBr:
-    case Opcode::kBrTrue:
-    case Opcode::kBrFalse:
-    case Opcode::kPrint:
-    case Opcode::kHalt:
-      return false;
-    default:
-      return true;
-  }
-}
-
-ValueUses TacInstr::value_uses() const {
-  ValueUses uses;
-  const auto push_unique = [&uses](const Operand& o) {
-    if (!o.is_value()) return;
-    for (const ValueId u : uses) {
-      if (u == o.value) return;
-    }
-    uses.push_back(o.value);
-  };
-  const int arity = operand_arity(op);
-  if (arity >= 1) push_unique(a);
-  if (arity >= 2) push_unique(b);
-  if (arity >= 3) push_unique(c);
-  return uses;
-}
-
 namespace {
 
 std::string operand_to_string(const Operand& o, const TacProgram& prog) {

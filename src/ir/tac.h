@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "ir/value.h"
+#include "support/diagnostics.h"
 
 namespace parmem::ir {
 
@@ -55,14 +56,74 @@ enum class Opcode : std::uint8_t {
 
 const char* opcode_name(Opcode op);
 
+// The opcode predicates below run for every op in every pass and are
+// defined inline.
+
 /// True for kBr/kBrTrue/kBrFalse/kHalt.
-bool is_terminator(Opcode op);
+inline bool is_terminator(Opcode op) {
+  return op == Opcode::kBr || op == Opcode::kBrTrue ||
+         op == Opcode::kBrFalse || op == Opcode::kHalt;
+}
 
 /// Number of source operand slots the opcode consumes (0..3).
-int operand_arity(Opcode op);
+inline int operand_arity(Opcode op) {
+  switch (op) {
+    case Opcode::kNop:
+    case Opcode::kBr:
+    case Opcode::kHalt:
+      return 0;
+    case Opcode::kMov:
+    case Opcode::kNeg:
+    case Opcode::kNot:
+    case Opcode::kToReal:
+    case Opcode::kToInt:
+    case Opcode::kSqrt:
+    case Opcode::kSin:
+    case Opcode::kCos:
+    case Opcode::kAbs:
+    case Opcode::kLoad:   // a = index
+    case Opcode::kXfer:   // a = the value being copied
+    case Opcode::kBrTrue:
+    case Opcode::kBrFalse:
+    case Opcode::kPrint:
+      return 1;
+    case Opcode::kAdd:
+    case Opcode::kSub:
+    case Opcode::kMul:
+    case Opcode::kDiv:
+    case Opcode::kMod:
+    case Opcode::kCmpEq:
+    case Opcode::kCmpNe:
+    case Opcode::kCmpLt:
+    case Opcode::kCmpLe:
+    case Opcode::kCmpGt:
+    case Opcode::kCmpGe:
+    case Opcode::kAnd:
+    case Opcode::kOr:
+    case Opcode::kStore:  // a = index, b = stored value
+      return 2;
+    case Opcode::kSelect:  // a = condition, b = then, c = else
+      return 3;
+  }
+  PARMEM_UNREACHABLE("bad opcode");
+}
 
 /// True if the opcode defines `dst`.
-bool has_dst(Opcode op);
+inline bool has_dst(Opcode op) {
+  switch (op) {
+    case Opcode::kNop:
+    case Opcode::kStore:
+    case Opcode::kXfer:
+    case Opcode::kBr:
+    case Opcode::kBrTrue:
+    case Opcode::kBrFalse:
+    case Opcode::kPrint:
+    case Opcode::kHalt:
+      return false;
+    default:
+      return true;
+  }
+}
 
 /// A source operand: a data value or an immediate.
 struct Operand {
@@ -124,7 +185,21 @@ struct TacInstr {
 
   /// Distinct scalar value ids read by this instruction (0..3 entries), in
   /// operand order.
-  ValueUses value_uses() const;
+  ValueUses value_uses() const {
+    ValueUses uses;
+    const auto push_unique = [&uses](const Operand& o) {
+      if (!o.is_value()) return;
+      for (const ValueId u : uses) {
+        if (u == o.value) return;
+      }
+      uses.push_back(o.value);
+    };
+    const int arity = operand_arity(op);
+    if (arity >= 1) push_unique(a);
+    if (arity >= 2) push_unique(b);
+    if (arity >= 3) push_unique(c);
+    return uses;
+  }
 };
 
 /// A lowered compilation unit: a flat instruction list plus its value and

@@ -9,7 +9,7 @@ namespace parmem::sched {
 DdgBuilder::DdgBuilder(const ir::TacProgram& prog)
     : prog_(prog),
       last_def_(prog.values.size(), kNone),
-      uses_since_def_(prog.values.size()),
+      last_use_(prog.values.size(), kNone),
       last_store_(prog.arrays.size(), kNone),
       loads_since_store_(prog.arrays.size()) {}
 
@@ -31,6 +31,7 @@ const BlockDdg& DdgBuilder::build(const ir::Region& region) {
   last_target_.assign(ddg.count, kNone);
   edge_from_.clear();
   edge_to_.clear();
+  uses_.clear();
 
   std::uint32_t last_output = kNone;  // print ordering
 
@@ -40,7 +41,8 @@ const BlockDdg& DdgBuilder::build(const ir::Region& region) {
     // RAW: uses depend on the latest def.
     for (const ir::ValueId u : in.value_uses()) {
       if (last_def_[u] != kNone) add_edge(last_def_[u], n);
-      uses_since_def_[u].push_back(n);
+      uses_.push_back({n, last_use_[u]});
+      last_use_[u] = static_cast<std::uint32_t>(uses_.size() - 1);
     }
 
     if (ir::has_dst(in.op)) {
@@ -48,8 +50,10 @@ const BlockDdg& DdgBuilder::build(const ir::Region& region) {
       // WAW.
       if (last_def_[d] != kNone) add_edge(last_def_[d], n);
       // WAR: all uses since the previous def precede this def.
-      for (const std::uint32_t u : uses_since_def_[d]) add_edge(u, n);
-      uses_since_def_[d].clear();
+      for (std::uint32_t r = last_use_[d]; r != kNone; r = uses_[r].prev) {
+        add_edge(uses_[r].node, n);
+      }
+      last_use_[d] = kNone;
       last_def_[d] = n;
     }
 
@@ -85,7 +89,7 @@ const BlockDdg& DdgBuilder::build(const ir::Region& region) {
   // Reset the per-value and per-array state this block set, for the next.
   for (std::uint32_t n = 0; n < ddg.count; ++n) {
     const ir::TacInstr& in = prog_.instrs[region.first + n];
-    for (const ir::ValueId u : in.value_uses()) uses_since_def_[u].clear();
+    for (const ir::ValueId u : in.value_uses()) last_use_[u] = kNone;
     if (ir::has_dst(in.op)) last_def_[in.dst] = kNone;
     if (in.op == ir::Opcode::kLoad || in.op == ir::Opcode::kStore) {
       last_store_[in.array] = kNone;

@@ -69,7 +69,15 @@ class DdgBuilder {
   std::vector<std::uint32_t> last_target_;
 
   std::vector<std::uint32_t> last_def_;  // per value
-  std::vector<std::vector<std::uint32_t>> uses_since_def_;
+  // The uses of each value since its latest def, as a list threaded
+  // through the block's use records: last_use_[v] indexes the newest, and
+  // each record links to the one before it.
+  struct UseRecord {
+    std::uint32_t node;
+    std::uint32_t prev;
+  };
+  std::vector<std::uint32_t> last_use_;  // per value
+  std::vector<UseRecord> uses_;
   std::vector<std::uint32_t> last_store_;  // per array
   std::vector<std::vector<std::uint32_t>> loads_since_store_;
 };

@@ -43,8 +43,6 @@ ir::LiwProgram schedule(const ir::TacProgram& prog, const SchedOptions& opts,
   // program index for kSourceOrder. Both are strict total orders, so the
   // list always equals a fresh sort of the ready set.
   std::vector<std::uint32_t> ready;
-  std::vector<std::uint32_t> arrived;  // became ready during this word
-  std::vector<std::uint32_t> merged;
   std::vector<std::uint32_t> remaining_preds;
   std::vector<std::uint32_t> taken;
   std::vector<ir::ValueId> reads;  // distinct scalar reads of the word
@@ -122,20 +120,17 @@ ir::LiwProgram schedule(const ir::TacProgram& prog, const SchedOptions& opts,
         }
       }
 
-      arrived.clear();
+      // A word releases a few ops into a list of dozens: binary-insert
+      // each, rather than merging the whole list.
       for (const std::uint32_t n : taken) {
         for (const std::uint32_t s : ddg.succs(n)) {
-          if (--remaining_preds[s] == 0) arrived.push_back(s);
+          if (--remaining_preds[s] == 0) {
+            ready.insert(
+                std::lower_bound(ready.begin(), ready.end(), s, before), s);
+          }
         }
       }
       left -= taken.size();
-      if (!arrived.empty()) {
-        std::sort(arrived.begin(), arrived.end(), before);
-        merged.resize(ready.size() + arrived.size());
-        std::merge(ready.begin(), ready.end(), arrived.begin(), arrived.end(),
-                   merged.begin(), before);
-        ready.swap(merged);
-      }
       out.words.push_back(std::move(word));
     }
   }
