@@ -57,6 +57,9 @@ Compiled compile_mc(const std::string& source, const PipelineOptions& opts,
   {
     PARMEM_SPAN("pipeline.lower");
     c.tac = lower::lower_program(ast, opts.lower);
+    // Nothing reads the AST after lowering; tear it down inside this span
+    // rather than after every stage has run.
+    ast = frontend::Program{};
   }
   if (opts.rename) {
     PARMEM_SPAN("pipeline.rename");
