@@ -104,7 +104,7 @@ class Parser {
   }
 
   StmtPtr make_stmt(Stmt::Kind k) {
-    auto s = std::make_unique<Stmt>();
+    auto s = std::make_shared<Stmt>();
     s->kind = k;
     s->line = cur().line;
     return s;

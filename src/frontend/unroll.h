@@ -9,7 +9,8 @@
 //
 // Only `for i = <int-lit> to <int-lit>` loops with trip count in
 // (0, limit] are unrolled; each copy becomes `i = <const>; body...` so
-// semantics (including the final value of i) are preserved exactly. Nested
+// semantics (including the final value of i) are preserved exactly. The
+// copies share the body's statements rather than cloning them. Nested
 // eligible loops unroll recursively, inner first, subject to a whole-
 // function expansion budget.
 #pragma once
