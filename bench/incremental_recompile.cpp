@@ -1,13 +1,14 @@
-// Incremental recompilation bench: full compile vs dirty-atom recoloring
-// against a warm atom memo, edit class by edit class (DESIGN.md §13).
+// Incremental recompilation bench: full compile vs a compile that reuses
+// the journaled clique-separator decomposition, edit class by edit class
+// (DESIGN.md §13).
 //
 // For every stream the harness compiles a base version once to prime an
 // in-memory memo store, then times two compiles of each *edited* stream:
 // a from-scratch run (no store) and an incremental run against a copy of
 // the primed store. The incremental result must be byte-identical to the
 // from-scratch result — any divergence aborts the bench — and the report
-// records the latency ratio plus the reuse counters (atoms replayed /
-// recolored / frontier) for each cell.
+// records the latency ratio plus the decomposition-memo counters (reused /
+// computed) for each cell.
 //
 // Edit classes (all weight-only: duplicated tuples change conflict weights
 // without adding values or edges, the shape of a re-run after a small
@@ -17,15 +18,18 @@
 //                   (mid-stream for streams without block structure)
 //   edit_10pct      duplicate every 10th tuple, spread over the stream
 //
+// Every edit keeps the conflict graph's structure, so every incremental
+// compile reuses the base compile's decomposition and skips MCS-M and the
+// clique-separator split; colouring and duplication recompute.
+//
 // Streams: the six paper workloads, syn_large — the block-structured
 // workloads::modular_stream at its syn_large-class defaults (16 blocks x
-// 256 values x 1200 tuples, seed 0xabc3), whose ~80 clique-separator atoms
-// are the incremental unit — and, in full mode, syn_large_monolithic (the
-// sliding-window random stream of assign_hotpath, same value/tuple budget):
-// its conflict graph has no clique separators, so it decomposes into one
-// giant atom and is the honest worst case where incremental reuse cannot
-// help. --quick swaps syn_large for a smaller modular stream and drops the
-// monolith (CI smoke).
+// 256 values x 1200 tuples, seed 0xabc3, ~80 clique-separator atoms) —
+// and, in full mode, syn_large_monolithic (the sliding-window random
+// stream of assign_hotpath, same value/tuple budget): its conflict graph
+// has no clique separators, so it decomposes into one giant atom. --quick
+// swaps syn_large for a smaller modular stream and drops the monolith (CI
+// smoke).
 //
 // The acceptance gate rides in full mode: syn_large edit_one_atom must be
 // >= 5x faster incrementally than from scratch, or the bench exits 1.
@@ -47,8 +51,10 @@
 
 #include "analysis/pipeline.h"
 #include "assign/assigner.h"
+#include "assign/conflict_graph.h"
 #include "assign/incremental.h"
 #include "bench_json.h"
+#include "graph/atoms.h"
 #include "support/json.h"
 #include "support/rng.h"
 #include "workloads/stream_gen.h"
@@ -152,19 +158,16 @@ struct Cell {
   std::size_t added_tuples = 0;
   double full_ms = 0;
   double incremental_ms = 0;
-  std::uint64_t color_reused = 0;
-  std::uint64_t color_recolored = 0;
-  std::uint64_t frontier = 0;
-  std::uint64_t dup_reused = 0;
   std::uint64_t decomp_reused = 0;
+  std::uint64_t decomp_computed = 0;
   bool identical = false;
 
   double speedup() const {
     return incremental_ms > 0 ? full_ms / incremental_ms : 0.0;
   }
   double reuse_ratio() const {
-    const auto total = color_reused + color_recolored;
-    return total > 0 ? static_cast<double>(color_reused) /
+    const auto total = decomp_reused + decomp_computed;
+    return total > 0 ? static_cast<double>(decomp_reused) /
                            static_cast<double>(total)
                      : 0.0;
   }
@@ -207,11 +210,8 @@ Cell bench_cell(const char* edit_name, const ir::AccessStream& edited,
     const double ms = ms_since(t0);
     c.incremental_ms = r == 0 ? ms : std::min(c.incremental_ms, ms);
     if (r == 0) {
-      c.color_reused = inc.stats.memo_color_hits;
-      c.color_recolored = inc.stats.memo_color_misses;
-      c.frontier = inc.stats.memo_frontier;
-      c.dup_reused = inc.stats.memo_dup_hits;
       c.decomp_reused = inc.stats.memo_decomp_hits;
+      c.decomp_computed = inc.stats.memo_decomp_misses;
       c.identical = same_result(inc, scratch);
     }
   }
@@ -224,6 +224,9 @@ Entry bench_stream(const BenchStream& b, const AssignOptions& opts,
   e.name = b.name;
   e.values = b.stream.value_count;
   e.tuples = b.stream.tuples.size();
+  e.atoms = graph::decompose_by_clique_separators(
+                ConflictGraph::build(b.stream).graph())
+                .size();
 
   // Prime the store with the base compile (untimed) — this is the
   // "previous build" whose journal the edited compiles replay from.
@@ -231,8 +234,7 @@ Entry bench_stream(const BenchStream& b, const AssignOptions& opts,
   {
     AssignOptions mo = opts;
     mo.memo_store = &primed;
-    const AssignResult base = assign_modules(b.stream, mo);
-    e.atoms = base.stats.memo_color_hits + base.stats.memo_color_misses;
+    assign_modules(b.stream, mo);
   }
 
   e.cells.push_back(bench_cell("edit_one_line", edit_one_line(b.stream),
@@ -281,11 +283,8 @@ void write_json(const std::string& path, const std::vector<Entry>& entries,
       w.member_fixed("full_ms", c.full_ms, 3);
       w.member_fixed("incremental_ms", c.incremental_ms, 3);
       w.member_fixed("speedup", c.speedup(), 2);
-      w.member("atoms_reused", c.color_reused);
-      w.member("atoms_recolored", c.color_recolored);
-      w.member("frontier", c.frontier);
-      w.member("dup_reused", c.dup_reused);
       w.member("decomp_reused", c.decomp_reused);
+      w.member("decomp_computed", c.decomp_computed);
       w.member_fixed("reuse_ratio", c.reuse_ratio(), 3);
       w.member("identical", c.identical);
       w.end_object();

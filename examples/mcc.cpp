@@ -24,12 +24,13 @@
 //                                  ladder instead of running long
 //   --max-steps N                  cooperative step budget (deterministic
 //                                  degradation)
-//   --incremental                  atom-granular incremental recompilation
-//                                  against a persistent atom cache (default
-//                                  dir .parmem-atom-cache): unchanged atoms
-//                                  replay from the journal, only dirty ones
-//                                  recolor; output is byte-identical to a
-//                                  from-scratch compile (DESIGN.md §13)
+//   --incremental                  incremental recompilation against a
+//                                  persistent atom cache (default dir
+//                                  .parmem-atom-cache): a conflict graph of
+//                                  unchanged structure reuses its journaled
+//                                  clique-separator decomposition; output is
+//                                  byte-identical to a from-scratch compile
+//                                  (DESIGN.md §13)
 //   --atom-cache DIR               atom-cache journal directory (implies
 //                                  --incremental)
 //
@@ -156,9 +157,9 @@ int run_mcc(int argc, char** argv) {
   if (source.empty()) return usage();
   opts.source_name = source_name;
 
-  // The persistent atom cache carries per-atom assignments across mcc
-  // invocations; a recompile after a small edit replays the clean atoms
-  // and recolors only the dirty ones (byte-identical output).
+  // The persistent atom cache carries clique-separator decompositions
+  // across mcc invocations; a recompile after an edit that keeps the
+  // conflict graph's structure skips MCS-M (byte-identical output).
   std::unique_ptr<cache::AtomCache> atom_cache;
   if (incremental) {
     if (atom_cache_dir.empty()) atom_cache_dir = ".parmem-atom-cache";
@@ -216,16 +217,11 @@ int run_mcc(int argc, char** argv) {
         atom_cache->flush();  // stores are write-behind: settle the counts
         const auto cs = atom_cache->stats();
         std::printf(
-            "incremental: atoms reused %llu recolored %llu (frontier %llu), "
-            "dup reused %llu, decomp reused %llu; cache %zu entries "
-            "(%llu loaded) at %s\n",
-            (unsigned long long)s.memo_color_hits,
-            (unsigned long long)s.memo_color_misses,
-            (unsigned long long)s.memo_frontier,
-            (unsigned long long)s.memo_dup_hits,
+            "incremental: decomposition reused %llu computed %llu; cache %zu "
+            "entries (%llu loaded) at %s\n",
             (unsigned long long)s.memo_decomp_hits,
-            atom_cache->size(), (unsigned long long)cs.loaded,
-            atom_cache_dir.c_str());
+            (unsigned long long)s.memo_decomp_misses, atom_cache->size(),
+            (unsigned long long)cs.loaded, atom_cache_dir.c_str());
       }
     }
 

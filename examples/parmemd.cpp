@@ -27,9 +27,10 @@
 //   --cache-dir DIR         persistent result-cache journal (default: none)
 //   --cache-max-entries N   LRU cap on result-cache entries (default 0 =
 //                           unbounded; evicted journal files are unlinked)
-//   --incremental           atom-granular incremental recompilation: reuse
-//                           per-atom assignments whose inputs are unchanged
-//                           (byte-identical output, DESIGN.md §13)
+//   --incremental           incremental recompilation: reuse the journaled
+//                           clique-separator decomposition of a conflict
+//                           graph of unchanged structure (byte-identical
+//                           output, DESIGN.md §13)
 //   --atom-cache DIR        persistent atom-cache journal (implies
 //                           --incremental; default: in-memory)
 //   --atom-cache-max N      LRU cap on atom-cache entries (default 0)
@@ -290,7 +291,7 @@ int run_soak(service::ServiceOptions opts, std::uint64_t seconds,
   // edits across the soak. With --incremental this is the workload the
   // atom cache exists for — successive compiles of a slightly-edited
   // program — and the from-scratch identity check at the end holds the
-  // incremental replays to byte-identity.
+  // reused decompositions to byte-identity.
   struct Evolving {
     std::uint64_t values;
     std::string text;
@@ -426,9 +427,9 @@ int run_soak(service::ServiceOptions opts, std::uint64_t seconds,
     warm.drain();
   }
 
-  // With incremental on, sampled responses may have been assembled from
-  // replayed atom memos; recompile them on a cacheless, non-incremental
-  // service and demand the same bytes — the tentpole's identity invariant,
+  // With incremental on, sampled responses may have been compiled from
+  // reused decompositions; recompile them on a cacheless, non-incremental
+  // service and demand the same bytes — the memo's identity invariant,
   // end to end.
   std::uint64_t scratch_checked = 0, scratch_mismatch = 0;
   if (opts.incremental && !samples.empty()) {

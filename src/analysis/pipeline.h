@@ -68,15 +68,13 @@ struct PipelineOptions {
   /// trip point is a pure function of the input; wall-clock deadlines trip
   /// at machine-dependent points by nature.
   support::BudgetSpec budget;
-  /// Atom-granular memo store for incremental recompilation (assigner.h,
-  /// DESIGN.md §13). When set, the assignment phase reuses journaled
-  /// per-atom results whose input closure is unchanged and recolors only
-  /// the dirty atoms — output stays byte-identical to a from-scratch
-  /// compile. Null = every compile is from scratch. The caller owns the
-  /// store (typically a cache::AtomCache) and may share it across
-  /// compiles, concurrent ones included (compile_batch jobs); it must
-  /// outlive them. Each compile keeps its own memo session, which is never
-  /// shared between threads.
+  /// Decomposition memo store for incremental recompilation (assigner.h,
+  /// DESIGN.md §13). When set, the assignment phase reuses a journaled
+  /// clique-separator decomposition whenever the conflict graph's structure
+  /// is unchanged — output stays byte-identical to a from-scratch compile.
+  /// Null = every compile is from scratch. The caller owns the store
+  /// (typically a cache::AtomCache) and may share it across compiles,
+  /// concurrent ones included (compile_batch jobs); it must outlive them.
   assign::AtomMemoStore* atom_memo = nullptr;
   /// Name used in diagnostics for this source ("<source>" when empty).
   std::string source_name;

@@ -9,7 +9,6 @@
 #include "assign/conflict_graph.h"
 #include "assign/exact.h"
 #include "assign/hitting_set_approach.h"
-#include "assign/incremental.h"
 #include "assign/placement_state.h"
 #include "assign/workspace.h"
 #include "support/budget.h"
@@ -68,7 +67,6 @@ struct PassContext {
   AssignWorkspace* ws;  // pass-level scratch, reused across passes
   AssignTier* tier;     // weakest ladder tier used so far (result-level)
   bool* exhausted;      // result-level budget_exhausted flag
-  MemoSession* memo;    // incremental memo session (null = off)
 };
 
 void degrade(PassContext& ctx, AssignTier t) {
@@ -124,14 +122,13 @@ void permute(std::vector<std::vector<ir::ValueId>>& v,
 /// operand values — the only entries the duplication kernels read — draws
 /// from its own seeded RNG, and can only *add* copies; added copies never
 /// invalidate an SDR, so resolutions from different atoms compose, and
-/// each per-atom delta is a pure function of its slice (what the
-/// incremental memo keys on) merged in stable atom order.
+/// each atom's added copies are a pure function of its slice, merged in
+/// stable atom order.
 bool duplicate_atoms(PassContext& ctx,
                      std::vector<std::vector<ir::ValueId>>& insts,
                      const ConflictGraph& cg,
                      const std::vector<std::vector<graph::Vertex>>& atoms) {
   const ir::AccessStream& stream = *ctx.stream;
-  const AssignOptions& opts = *ctx.opts;
   const std::size_t count = atoms.size();
 
   std::vector<std::vector<std::uint32_t>> member(cg.vertex_count());
@@ -179,16 +176,13 @@ bool duplicate_atoms(PassContext& ctx,
     return InstSpan(insts).subspan(first[a], first[a + 1] - first[a]);
   };
 
-  // The per-atom delta is the incremental layer's DupAtomDelta so a
-  // journaled delta replays through exactly the merge loop below.
-  using Delta = DupAtomDelta;
-  std::vector<Delta> deltas(count);
   // One pass-RNG draw seeds every atom stream, keeping the pass stream's
-  // consumption independent of the atom count (and of memo hits).
+  // consumption independent of the atom count.
   const std::uint64_t base_seed = ctx.rng->next();
-  // Same engagement rule as the coloring memo: never under a budget.
-  MemoSession* const memo =
-      (ctx.memo != nullptr && opts.budget == nullptr) ? ctx.memo : nullptr;
+  // Copies the atoms add, applied only after the loop: every atom reads the
+  // placements as they stood before it.
+  std::vector<std::pair<ir::ValueId, ModuleSet>> added;
+  bool exhausted = false;
   PlacementState& local = ctx.ws->placement_scratch;
   std::vector<ir::ValueId> values;
   std::vector<std::uint32_t> seen_in(stream.value_count, 0);  // atom + 1
@@ -196,14 +190,6 @@ bool duplicate_atoms(PassContext& ctx,
     const InstSpan slice = group(i);
     if (slice.empty()) continue;
     PARMEM_SPAN("assign.dup_atom");
-    Delta& d = deltas[i];
-    std::uint64_t key = 0, check = 0;
-    if (memo != nullptr) {
-      dup_closure_key(slice, *ctx.st, *ctx.removed, stream.duplicatable,
-                      base_seed + i, opts.module_count, opts.method, &key,
-                      &check);
-      if (memo_dup_lookup(*memo, key, check, &d)) continue;
-    }
     // The slice's distinct operand values, ascending: deduplicated by a
     // per-atom stamp, so only the distinct ones are sorted.
     values.clear();
@@ -218,22 +204,15 @@ bool duplicate_atoms(PassContext& ctx,
     local.refresh_from(*ctx.st, values);
     support::SplitMix64 rng(base_seed + i);
     const DupOutcome out = run_duplication(ctx, slice, local, rng, ctx.ws);
-    d.rounds = out.rounds;
-    d.budget_exhausted = out.exhausted;
+    ctx.stats->duplication_rounds += out.rounds;
+    exhausted = exhausted || out.exhausted;
     for (const ir::ValueId v : values) {
       const ModuleSet extra = local.placement(v) & ~ctx.st->placement(v);
-      if (extra != 0) d.added.emplace_back(v, extra);
+      if (extra != 0) added.emplace_back(v, extra);
     }
-    if (memo != nullptr) memo_dup_store(*memo, key, check, d);
   }
-
-  bool exhausted = false;
-  for (const Delta& d : deltas) {
-    for (const auto& [v, extra] : d.added) {
-      for (const std::uint32_t m : modules_of(extra)) ctx.st->add_copy(v, m);
-    }
-    ctx.stats->duplication_rounds += d.rounds;
-    exhausted = exhausted || d.budget_exhausted;
+  for (const auto& [v, extra] : added) {
+    for (const std::uint32_t m : modules_of(extra)) ctx.st->add_copy(v, m);
   }
   if (!group(count).empty()) {
     const DupOutcome out =
@@ -304,7 +283,7 @@ void run_pass(PassContext& ctx, std::vector<std::vector<ir::ValueId>> insts) {
 
   const ColorOptions copts{opts.module_count, opts.use_atoms, opts.pick,
                            opts.budget, opts.speculate_threshold,
-                           opts.speculate_chunk, ctx.memo};
+                           opts.speculate_chunk, opts.memo_store};
   ColorResult cr;
   if (!any_skip) {
     PARMEM_SPAN("assign.color");
@@ -341,6 +320,8 @@ void run_pass(PassContext& ctx, std::vector<std::vector<ir::ValueId>> insts) {
         cg2, copts, pre2, nr2, ctx.module_load, ctx.ws);
     cr.budget_exhausted = cr2.budget_exhausted;
     cr.speculative = cr2.speculative;
+    cr.memo_decomp_hits = cr2.memo_decomp_hits;
+    cr.memo_decomp_misses = cr2.memo_decomp_misses;
     // Map back onto the full-graph indexing.
     cr.module.assign(n, kUnassignedModule);
     for (graph::Vertex v = 0; v < n2; ++v) {
@@ -380,6 +361,8 @@ void run_pass(PassContext& ctx, std::vector<std::vector<ir::ValueId>> insts) {
   ctx.stats->speculative_conflicts += cr.speculative.conflicts;
   ctx.stats->speculative_repaired += cr.speculative.repaired;
   ctx.stats->speculative_fallbacks += cr.speculative.fallbacks;
+  ctx.stats->memo_decomp_hits += cr.memo_decomp_hits;
+  ctx.stats->memo_decomp_misses += cr.memo_decomp_misses;
   if (cr.speculative.fallbacks > 0) {
     // The speculative tier burned its budget share and was discarded; the
     // sequential heuristic produced this pass's coloring. Quality is intact
@@ -485,21 +468,11 @@ AssignResult assign_modules(const ir::AccessStream& stream,
   AssignWorkspace workspace;  // pass-level scratch shared by every pass below
   workspace.budget = opts.budget;
 
-  // Incremental memo session: one per compile, sharing the caller's store.
-  // The session is the probe gate + counters; hits/misses land in
-  // result.stats at the end.
-  std::optional<MemoSession> memo_session;
-  if (opts.memo_store != nullptr) {
-    memo_session.emplace(opts.memo_store, opts.memo_probe_window,
-                         opts.memo_min_hit_percent);
-  }
-
   AssignResult result;
   result.module_count = opts.module_count;
   PassContext ctx{&stream,       &opts, &st,           &decided,
                   &removed,      &module_load, &rng,   &result.stats,
-                  &workspace,    &result.tier, &result.budget_exhausted,
-                  memo_session.has_value() ? &*memo_session : nullptr};
+                  &workspace,    &result.tier, &result.budget_exhausted};
 
   std::vector<std::uint32_t> all_tuples(stream.tuples.size());
   for (std::uint32_t i = 0; i < all_tuples.size(); ++i) all_tuples[i] = i;
@@ -643,33 +616,9 @@ AssignResult assign_modules(const ir::AccessStream& stream,
   result.placement = st.placements();
   result.removed = std::move(removed);
 
-  if (memo_session.has_value()) {
-    const MemoSession& ms = *memo_session;
-    AssignStats& s = result.stats;
-    s.memo_decomp_hits = ms.decomp_hits;
-    s.memo_decomp_misses = ms.decomp_misses;
-    s.memo_color_hits = ms.color_hits;
-    s.memo_color_misses = ms.color_misses;
-    s.memo_dup_hits = ms.dup_hits;
-    s.memo_dup_misses = ms.dup_misses;
-    s.memo_frontier = ms.frontier;
-    s.memo_fallbacks = ms.fallbacks;
-#if PARMEM_TELEMETRY_ENABLED
-    PARMEM_COUNTER_ADD("assign.incremental.atoms_reused", s.memo_color_hits);
-    PARMEM_COUNTER_ADD("assign.incremental.atoms_dirty",
-                       s.memo_color_misses - s.memo_frontier);
-    PARMEM_COUNTER_ADD("assign.incremental.frontier", s.memo_frontier);
-    PARMEM_COUNTER_ADD("assign.incremental.dup_reused", s.memo_dup_hits);
+  if (opts.memo_store != nullptr) {
     PARMEM_COUNTER_ADD("assign.incremental.decomp_reused",
-                       s.memo_decomp_hits);
-    PARMEM_COUNTER_ADD("assign.incremental.fallbacks", s.memo_fallbacks);
-    const std::uint64_t probes = s.memo_color_hits + s.memo_color_misses +
-                                 s.memo_dup_hits + s.memo_dup_misses;
-    const std::uint64_t hits = s.memo_color_hits + s.memo_dup_hits;
-    PARMEM_GAUGE_SET(
-        "assign.incremental.hit_percent",
-        probes == 0 ? 0 : static_cast<std::int64_t>(hits * 100 / probes));
-#endif
+                       result.stats.memo_decomp_hits);
   }
 
   // The paper's evaluation counters, once per assignment. Conflicts-before

@@ -105,19 +105,12 @@ struct AssignOptions {
   std::size_t exact_value_limit = 16;
   /// Search-node cap for the exact attempt (0 = the solver's default).
   std::uint64_t exact_node_budget = 0;
-  /// Incremental recompilation (incremental.h): memo store journaling
-  /// per-atom results across compiles. When set, the clique-separator
-  /// decomposition is reused under a structure-only hash and — with no
-  /// budget — per-atom coloring and duplication deltas replay when
-  /// their input closures are unchanged. Pure memoization: the result is
-  /// byte-identical to a memo-less run for any store state. Null = off.
+  /// Incremental recompilation (incremental.h): memo store journaling the
+  /// clique-separator decomposition across compiles under a structure-only
+  /// hash, so an edit that changes only conflict weights skips MCS-M. Pure
+  /// memoization: the result is byte-identical to a memo-less run for any
+  /// store state. Null = off.
   AtomMemoStore* memo_store = nullptr;
-  /// Probe gate for the memo: stop issuing per-atom lookups when fewer than
-  /// memo_min_hit_percent of the first memo_probe_window probes hit (a cold
-  /// or heavily-invalidated cache falls back to a full compile that still
-  /// warms the journal). Performance-only; never affects output.
-  std::size_t memo_probe_window = 8;
-  std::uint32_t memo_min_hit_percent = 25;
 };
 
 struct AssignStats {
@@ -135,20 +128,11 @@ struct AssignStats {
   std::uint64_t speculative_conflicts = 0;
   std::uint64_t speculative_repaired = 0;
   std::uint64_t speculative_fallbacks = 0;
-  // Incremental-memo accounting (zeros unless memo_store was set). Like the
-  // speculative stats, never part of a golden hash.
+  // Decomposition-memo accounting: hits + misses is the number of passes
+  // decomposed (zeros unless memo_store was set). Like the speculative
+  // stats, never part of a golden hash.
   std::uint64_t memo_decomp_hits = 0;
   std::uint64_t memo_decomp_misses = 0;
-  std::uint64_t memo_color_hits = 0;    // atoms reused verbatim
-  std::uint64_t memo_color_misses = 0;  // atoms recolored (dirty + frontier)
-  std::uint64_t memo_dup_hits = 0;
-  std::uint64_t memo_dup_misses = 0;
-  /// Color misses whose atom content was journaled before: clean atoms
-  /// recolored because a neighbor's separator coloring changed.
-  std::uint64_t memo_frontier = 0;
-  /// Probe-gate trips: the session stopped probing mid-compile (cold or
-  /// heavily-invalidated cache) and fell back to full compilation.
-  std::uint64_t memo_fallbacks = 0;
 };
 
 struct AssignResult {

@@ -245,8 +245,8 @@ void color_atom(const ConflictGraph& cg, const std::vector<Vertex>& atom,
 /// are colored first; each atom then colors its interior as a pure function
 /// of that frontier and a load snapshot. Interiors of distinct atoms share
 /// no edge (a vertex in exactly one atom has its whole neighborhood inside
-/// it), so the atoms are independent and their deltas merge in stable atom
-/// order. The per-atom purity is what the incremental memo keys on.
+/// it), so the atoms are independent and their results merge in stable atom
+/// order.
 void color_atoms(const ConflictGraph& cg,
                  const std::vector<graph::Atom>& atoms,
                  const ColorOptions& opts, std::vector<bool>& decided,
@@ -270,23 +270,13 @@ void color_atoms(const ConflictGraph& cg,
                ws, result);
   }
 
-  // The per-atom delta is the incremental layer's ColorAtomDelta so a
-  // journaled delta replays through exactly the merge loop below.
-  using Delta = ColorAtomDelta;
-  std::vector<Delta> deltas(atoms.size());
-  // Per-atom memoization engages only without a budget: budget trips are
-  // time-dependent, and a memo must never change where one lands.
-  MemoSession* const memo =
-      (opts.memo != nullptr && opts.budget == nullptr) ? opts.memo : nullptr;
-  for (std::size_t i = 0; i < atoms.size(); ++i) {
-    const std::vector<Vertex>& atom = atoms[i].vertices;
-    Delta& d = deltas[i];
-    std::uint64_t key = 0, check = 0, content = 0;
-    if (memo != nullptr) {
-      color_closure_key(cg, atom, opts, result.module, decided, never_remove,
-                        load, &key, &check, &content);
-      if (memo_color_lookup(*memo, key, check, content, &d)) continue;
-    }
+  // Every atom reads the load vector as it stood before the loop: the loads
+  // the atoms add are summed apart and applied after it. Module and decided
+  // changes apply at once, since they land on the atom's interior, which no
+  // other atom reads.
+  std::vector<std::size_t> added_load(load.size(), 0);
+  for (const graph::Atom& a : atoms) {
+    const std::vector<Vertex>& atom = a.vertices;
     // The workspace also owns the frontier snapshot, refreshed at the
     // atom's vertices only: every undecided atom vertex is interior, so the
     // sweep (and the speculative tier) read module/decided nowhere else.
@@ -297,34 +287,23 @@ void color_atoms(const ConflictGraph& cg,
                never_remove, ws.load_snapshot, ws, local);
     for (const Vertex v : atom) {
       if (!decided[v] && ws.module_snapshot[v] >= 0) {
-        d.colored.emplace_back(v, ws.module_snapshot[v]);
+        result.module[v] = ws.module_snapshot[v];
+        decided[v] = true;
       }
     }
-    d.unassigned = std::move(local.unassigned);
-    d.forced = std::move(local.forced);
-    d.budget_exhausted = local.budget_exhausted;
-    d.spec = local.speculative;
-    d.load_delta.resize(load.size());
-    for (std::size_t m = 0; m < load.size(); ++m) {
-      d.load_delta[m] = ws.load_snapshot[m] - load[m];
-    }
-    if (memo != nullptr) memo_color_store(*memo, key, check, content, d);
-  }
-
-  for (Delta& d : deltas) {
-    for (const auto& [v, m] : d.colored) {
-      result.module[v] = m;
-      decided[v] = true;
-    }
-    for (const Vertex v : d.unassigned) {
+    for (const Vertex v : local.unassigned) {
       decided[v] = true;
       result.unassigned.push_back(v);
     }
-    for (const Vertex v : d.forced) result.forced.push_back(v);
-    result.budget_exhausted = result.budget_exhausted || d.budget_exhausted;
-    result.speculative.merge(d.spec);
-    for (std::size_t m = 0; m < load.size(); ++m) load[m] += d.load_delta[m];
+    result.forced.insert(result.forced.end(), local.forced.begin(),
+                         local.forced.end());
+    result.budget_exhausted = result.budget_exhausted || local.budget_exhausted;
+    result.speculative.merge(local.speculative);
+    for (std::size_t m = 0; m < load.size(); ++m) {
+      added_load[m] += ws.load_snapshot[m] - load[m];
+    }
   }
+  for (std::size_t m = 0; m < load.size(); ++m) load[m] += added_load[m];
 }
 
 }  // namespace
@@ -372,8 +351,13 @@ ColorResult color_conflict_graph(const ConflictGraph& cg,
       // The decomposition reads only the graph structure, so the memo can
       // reuse it across compiles whenever the structure hash matches —
       // valid under a budget too (nothing in the decomposition polls it).
-      if (opts.memo != nullptr) return memo_decompose(*opts.memo, cg);
-      return graph::decompose_by_clique_separators(cg.graph());
+      if (opts.memo_store == nullptr) {
+        return graph::decompose_by_clique_separators(cg.graph());
+      }
+      bool reused = false;
+      auto memo_atoms = memo_decompose(*opts.memo_store, cg, &reused);
+      ++(reused ? result.memo_decomp_hits : result.memo_decomp_misses);
+      return memo_atoms;
     }();
     // Reverse generation order: each atom then meets the already-colored
     // part exactly in its clique separator (see atoms.h).

@@ -34,7 +34,7 @@ class Budget;
 
 namespace parmem::assign {
 
-struct MemoSession;  // incremental.h
+class AtomMemoStore;  // incremental.h
 
 /// How the heuristic picks among several admissible modules
 /// ("ASSIGN(n_next) = one of the available modules", Fig. 4).
@@ -65,13 +65,11 @@ struct ColorOptions {
   /// each chunk runs its own urgency sweep over a snapshot, so a different
   /// chunk size may produce a different (still conflict-free) coloring.
   std::size_t speculate_chunk = 256;
-  /// Incremental memo session (incremental.h). When set, the
-  /// clique-separator decomposition is reused under a structure-only hash,
-  /// and — with no budget — each atom's coloring delta is replayed from
-  /// the store when its input closure is unchanged. Null (default) = off.
-  /// Pure memoization: output is byte-identical to a memo-less run for any
-  /// store state.
-  MemoSession* memo = nullptr;
+  /// Decomposition memo (incremental.h). When set, the clique-separator
+  /// decomposition is reused under a structure-only hash. Null (default) =
+  /// off. Pure memoization: output is byte-identical to a memo-less run for
+  /// any store state.
+  AtomMemoStore* memo_store = nullptr;
 };
 
 inline constexpr std::int32_t kUnassignedModule = -1;
@@ -116,6 +114,10 @@ struct ColorResult {
   bool budget_exhausted = false;
   /// Speculative-tier accounting (zeros unless speculate_threshold engaged).
   SpeculateStats speculative;
+  /// Decomposition-memo accounting: one of the two is 1 when memo_store was
+  /// set and the graph was decomposed, both are 0 otherwise.
+  std::uint64_t memo_decomp_hits = 0;
+  std::uint64_t memo_decomp_misses = 0;
 };
 
 /// Max-urgency comparison over heap entries (Fig. 4 ordering): U = w/kk with

@@ -1,10 +1,9 @@
 // Persistent atom-granular memo store for incremental recompilation.
 //
 // AtomCache is the durable backend behind assign::AtomMemoStore: every
-// per-unit memo the assigner produces (decomposition, per-atom coloring
-// delta, per-atom duplication delta, seen-marker) is journaled to disk so
-// the *next* compile — in this process or after a daemon restart — can
-// replay the untouched units verbatim and recolor only the dirty ones.
+// clique-separator decomposition the assigner computes is journaled to disk
+// so the *next* compile — in this process or after a daemon restart — whose
+// conflict graph has the same structure skips MCS-M and the split.
 //
 // A thin key shape over support::Journal (journal.h has the format and the
 // crash-safety, eviction and warm-load rules): the MemoKind is the journal

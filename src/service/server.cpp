@@ -368,10 +368,8 @@ CompileService::AttemptResult CompileService::run_attempt(Job& job,
       // A fixed source name keeps diagnostics (and so the cacheable bytes)
       // independent of the request id.
       popts.source_name = "<service>";
-      // The shared atom cache serves the decomposition memo only: this
-      // attempt runs under a budget (the cancel token at least), which
-      // turns the per-atom memos off. Replay is byte-identical, so cached
-      // responses are unaffected.
+      // The shared atom cache serves the decomposition memo. Replay is
+      // byte-identical, so cached responses are unaffected.
       popts.atom_memo = atom_cache_.get();
       const analysis::Compiled c =
           analysis::compile_mc(job.req.body, popts, &inf.token);

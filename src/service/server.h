@@ -74,13 +74,11 @@ struct ServiceOptions {
   std::size_t cache_max_entries = 0;
   /// Admission-time cap on a stream request's declared value count.
   std::uint64_t max_stream_values = std::uint64_t{1} << 20;
-  /// Incremental recompilation: keep an atom-granular memo store
-  /// (cache::AtomCache, DESIGN.md §13). Every service compile runs under a
-  /// budget (at least its cancel token), and the per-atom coloring and
-  /// duplication memos engage only without one, so the store serves the
-  /// decomposition memo: a compile whose conflict graph was seen before
-  /// reuses its atoms. Output bytes are identical to from-scratch compiles,
-  /// so the result cache's byte-identity contract is unaffected.
+  /// Incremental recompilation: keep the decomposition memo store
+  /// (cache::AtomCache, DESIGN.md §13). A compile whose conflict graph has
+  /// the structure of one seen before reuses its clique-separator atoms and
+  /// skips MCS-M. Output bytes are identical to from-scratch compiles, so
+  /// the result cache's byte-identity contract is unaffected.
   bool incremental = false;
   /// Atom-cache journal directory ("" = memory-only; only meaningful with
   /// `incremental`).

@@ -1,22 +1,18 @@
 // Incremental recompilation differential suite (assign/incremental.h).
 //
 // The contract under test: assign_modules with a memo store attached — cold,
-// warm, or primed with a *different* stream's entries — produces bytes
-// identical to a memo-less run. The paper-workload cells are additionally
-// pinned to the golden hashes captured from
-// the seed implementation (the same constants as csr_differential_test), so
-// a memo hit that replays stale bytes cannot hide behind a self-consistent
-// diff. On top of identity, the suite checks the reuse machinery itself:
-// warm runs replay clean atoms, weight-only edits reuse the decomposition,
-// frontier misses are accounted, and the probe gate degrades to store-only
-// without touching the output.
-//
-// Per-atom memos engage only without a budget. Builds with -DPARMEM_FAULT_INJECTION=ON force a budget into
-// every compile, which disables the per-atom memos by design — the reuse
-// assertions are skipped there, the identity assertions are not.
+// warm, primed with a *different* stream's entries, or holding a damaged
+// decomposition — produces bytes identical to a memo-less run. The
+// paper-workload cells are additionally pinned to the golden hashes
+// captured from the seed implementation (the same constants as
+// csr_differential_test), so a memo hit that replays stale bytes cannot
+// hide behind a self-consistent diff. On top of identity, the suite checks
+// the reuse itself: warm runs and weight-only edits reuse the
+// decomposition, and foreign or damaged entries are misses.
 #include "assign/incremental.h"
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -30,7 +26,6 @@
 #include "analysis/pipeline.h"
 #include "assign/assigner.h"
 #include "result_hash.h"
-#include "support/fault_injection.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
 #include "workloads/stream_gen.h"
@@ -38,10 +33,6 @@
 
 namespace parmem::assign {
 namespace {
-
-// Per-atom memos stay out of budgeted compiles; fault-injection builds
-// force a budget everywhere, so reuse-counting assertions cannot hold.
-constexpr bool kPerAtomMemosActive = PARMEM_FAULT_INJECTION_ENABLED == 0;
 
 // Minimal thread-safe in-memory store: the journal semantics (first-writer
 // -wins, check-hash guard) without any filesystem behind them.
@@ -169,10 +160,8 @@ TEST(IncrementalDifferential, PaperWorkloadsMatchSeedGoldensColdAndWarm) {
     EXPECT_EQ(hash_result(cold), row.golden_hash) << label << " cold";
     const AssignResult warm = run(stream, 4, row.strategy, row.method, &store);
     EXPECT_EQ(hash_result(warm), row.golden_hash) << label << " warm";
-    if (kPerAtomMemosActive) {
-      EXPECT_GT(warm.stats.memo_decomp_hits + warm.stats.memo_color_hits, 0u)
-          << label << " warm run reused nothing";
-    }
+    EXPECT_GT(warm.stats.memo_decomp_hits, 0u)
+        << label << " warm run reused nothing";
   }
 }
 
@@ -205,9 +194,9 @@ TEST(IncrementalDifferential, ModularSyntheticIdenticalAcrossWidths) {
   }
 }
 
-// An interior edit leaves most atoms' closures unchanged: the recompile
-// replays them from the store and recolors only the dirty block, and the
-// result still matches a from-scratch compile of the edited stream.
+// An interior edit changes conflict weights, not the graph's structure:
+// the recompile reuses the journaled decomposition, and the result still
+// matches a from-scratch compile of the edited stream.
 TEST(IncrementalDifferential, EditedStreamReusesCleanAtoms) {
   const ir::AccessStream base = modular_base();
   const ir::AccessStream edited =
@@ -221,88 +210,31 @@ TEST(IncrementalDifferential, EditedStreamReusesCleanAtoms) {
   EXPECT_EQ(inc.placement, scratch.placement);
   EXPECT_EQ(inc.removed, scratch.removed);
   EXPECT_EQ(hash_result(inc), hash_result(scratch));
-  if (kPerAtomMemosActive) {
-    EXPECT_EQ(inc.stats.memo_decomp_hits, 1u);  // weight-only edit
-    EXPECT_GT(inc.stats.memo_color_hits, inc.stats.memo_color_misses);
-    EXPECT_GT(inc.stats.memo_dup_hits, 0u);
-  }
+  EXPECT_EQ(inc.stats.memo_decomp_hits, 1u);  // weight-only edit
+  EXPECT_EQ(inc.stats.memo_decomp_misses, 0u);
 }
 
-// When an edit flips a dirty atom's coloring, every atom downstream of it
-// observes a different frontier/load snapshot and recomputes. Those misses
-// are clean atoms (their content hash was journaled before) and must be
-// counted as frontier, and the output must still match from-scratch.
-TEST(IncrementalDifferential, FrontierMissesAreAccounted) {
-  const ir::AccessStream base = modular_base();
-  // Block 2 at k=4 is the known cascade case for this seed: the doubled
-  // weights change the block's coloring, invalidating the downstream
-  // closures.
-  const ir::AccessStream edited =
-      duplicate_block_interior(base, /*block=*/2, 64, 4);
-
-  MapStore store;
-  run(base, 4, 0, 1, &store);
-  const AssignResult inc = run(edited, 4, 0, 1, &store);
-  const AssignResult scratch = run(edited, 4, 0, 1, nullptr);
-
-  EXPECT_EQ(hash_result(inc), hash_result(scratch));
-  if (kPerAtomMemosActive) {
-    EXPECT_GT(inc.stats.memo_frontier, 0u);
-    EXPECT_LE(inc.stats.memo_frontier, inc.stats.memo_color_misses);
-  }
-}
-
-// The probe gate: with an unreachable hit threshold the session stops
-// probing after the window, records the fallback, keeps journaling — and
-// the output is untouched. Gating is a performance decision only.
-TEST(IncrementalDifferential, ProbeGateFallsBackWithoutChangingOutput) {
-  const ir::AccessStream stream = modular_base();
-  const std::uint64_t ref = hash_result(run(stream, 4, 0, 1, nullptr));
-
-  MapStore store;
-  AssignOptions o;
-  o.module_count = 4;
-  o.strategy = static_cast<Strategy>(0);
-  o.method = static_cast<DupMethod>(1);
-  o.memo_store = &store;
-  o.memo_probe_window = 4;
-  o.memo_min_hit_percent = 101;  // unsatisfiable: gate must trip
-  const AssignResult first = assign_modules(stream, o);
-  EXPECT_EQ(hash_result(first), ref);
-  // Second run: the store is warm, but the gate still trips (101% is
-  // unreachable) and the result is still byte-identical.
-  const AssignResult second = assign_modules(stream, o);
-  EXPECT_EQ(hash_result(second), ref);
-  if (kPerAtomMemosActive) {
-    EXPECT_EQ(first.stats.memo_fallbacks, 1u);
-    EXPECT_EQ(second.stats.memo_fallbacks, 1u);
-    // Post-gate lookups are counted as misses without touching the store.
-    EXPECT_GT(second.stats.memo_color_misses, 0u);
-  }
-}
-
-// Every compile runs its atom tasks inline on the calling thread: repeat
-// memo-less runs agree byte for byte, and a warm store replays every atom.
-TEST(IncrementalDifferential, NullPoolReplaysPerAtomMemo) {
+// Every compile runs on the calling thread: repeat memo-less runs agree
+// byte for byte, a cold store computes the decomposition and a warm one
+// reuses it.
+TEST(IncrementalDifferential, WarmStoreReusesTheDecomposition) {
   const ir::AccessStream stream = modular_base();
   const std::uint64_t ref = hash_result(run(stream, 4, 0, 1, nullptr));
   EXPECT_EQ(hash_result(run(stream, 4, 0, 1, nullptr)), ref);
   MapStore store;
-  EXPECT_EQ(hash_result(run(stream, 4, 0, 1, &store)), ref);
+  const AssignResult cold = run(stream, 4, 0, 1, &store);
+  EXPECT_EQ(hash_result(cold), ref);
+  EXPECT_EQ(cold.stats.memo_decomp_hits, 0u);
+  EXPECT_EQ(cold.stats.memo_decomp_misses, 1u);
   const AssignResult warm = run(stream, 4, 0, 1, &store);
   EXPECT_EQ(hash_result(warm), ref);
-  if (kPerAtomMemosActive) {
-    EXPECT_EQ(warm.stats.memo_decomp_hits, 1u);
-    EXPECT_GT(warm.stats.memo_color_hits, 0u);
-    EXPECT_EQ(warm.stats.memo_color_misses, 0u);
-    EXPECT_GT(warm.stats.memo_dup_hits, 0u);
-    EXPECT_EQ(warm.stats.memo_dup_misses, 0u);
-  }
+  EXPECT_EQ(warm.stats.memo_decomp_hits, 1u);
+  EXPECT_EQ(warm.stats.memo_decomp_misses, 0u);
 }
 
-// A store primed by one stream never contaminates another: closure hashing
-// keys every entry by its full input, so compiling a different stream
-// against the warm store is pure misses — and correct.
+// A store primed by one stream never contaminates another: the
+// decomposition is keyed by the whole graph structure, so compiling a
+// different stream against the warm store is a miss — and correct.
 TEST(IncrementalDifferential, ForeignEntriesNeverLeakAcrossStreams) {
   const ir::AccessStream a = modular_base();
   workloads::ModularStreamOptions g;
@@ -317,29 +249,61 @@ TEST(IncrementalDifferential, ForeignEntriesNeverLeakAcrossStreams) {
   const AssignResult with_foreign = run(b, 4, 0, 1, &store);
   const AssignResult clean = run(b, 4, 0, 1, nullptr);
   EXPECT_EQ(hash_result(with_foreign), hash_result(clean));
-  if (kPerAtomMemosActive) {
-    EXPECT_EQ(with_foreign.stats.memo_color_hits, 0u);
-    EXPECT_EQ(with_foreign.stats.memo_decomp_hits, 0u);
-  }
+  EXPECT_EQ(with_foreign.stats.memo_decomp_hits, 0u);
 }
 
-// assign_modules_incremental is a thin driver over the same machinery;
-// its output obeys the same identity, and its config reaches the session.
-TEST(IncrementalDifferential, DriverMatchesAssignModules) {
-  const ir::AccessStream stream = modular_base();
-  AssignOptions o;
-  o.module_count = 4;
-  const std::uint64_t ref = hash_result(assign_modules(stream, o));
-
-  MapStore store;
-  IncrementalConfig cfg;
-  cfg.store = &store;
-  EXPECT_EQ(hash_result(assign_modules_incremental(stream, o, cfg)), ref);
-  const AssignResult warm = assign_modules_incremental(stream, o, cfg);
-  EXPECT_EQ(hash_result(warm), ref);
-  if (kPerAtomMemosActive) {
-    EXPECT_GT(warm.stats.memo_color_hits, 0u);
+// A store that answers every decomposition lookup with one fixed payload,
+// whatever the key: the shape of a damaged or hostile atom-cache directory,
+// which is input from outside the program.
+struct PoisonStore final : AtomMemoStore {
+  explicit PoisonStore(std::string p) : payload(std::move(p)) {}
+  std::optional<std::string> lookup(MemoKind kind, std::uint64_t,
+                                    std::uint64_t) override {
+    if (kind != MemoKind::kDecomposition) return std::nullopt;
+    return payload;
   }
+  void store(MemoKind, std::uint64_t, std::uint64_t,
+             std::string_view) override {}
+  std::string payload;
+};
+
+// The little-endian u64 words of a journaled decomposition payload.
+std::string words(std::initializer_list<std::uint64_t> ws) {
+  std::string out;
+  for (const std::uint64_t w : ws) {
+    for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(w >> (8 * i)));
+  }
+  return out;
+}
+
+// Runs the modular stream against a poisoned store: the compile must read
+// the payload as a miss and produce the memo-less bytes.
+void expect_poison_is_a_miss(const std::string& payload) {
+  const ir::AccessStream stream = modular_base();
+  const AssignResult clean = run(stream, 4, 0, 1, nullptr);
+  PoisonStore store(payload);
+  const AssignResult poisoned = run(stream, 4, 0, 1, &store);
+  EXPECT_EQ(poisoned.placement, clean.placement);
+  EXPECT_EQ(poisoned.removed, clean.removed);
+  EXPECT_EQ(hash_result(poisoned), hash_result(clean));
+  EXPECT_EQ(poisoned.stats.memo_decomp_hits, 0u);
+  EXPECT_EQ(poisoned.stats.memo_decomp_misses, 1u);
+}
+
+// An atom count far beyond what the payload's bytes can hold must not
+// reach an allocation.
+TEST(IncrementalDifferential, HugeAtomCountInAJournaledDecompositionIsAMiss) {
+  expect_poison_is_a_miss(words({std::uint64_t{1} << 62}));
+}
+
+// One atom whose only vertex id is out of range (2^32 would truncate to
+// vertex 0): the colouring indexes per-vertex arrays by these ids and must
+// see every vertex in some atom.
+TEST(IncrementalDifferential,
+     OutOfRangeVertexInAJournaledDecompositionIsAMiss) {
+  expect_poison_is_a_miss(
+      words({/*atoms=*/1, /*vertices=*/1, std::uint64_t{1} << 32,
+             /*separator=*/0}));
 }
 
 }  // namespace

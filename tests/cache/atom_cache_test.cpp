@@ -1,8 +1,8 @@
 // AtomCache key shape (cache/atom_cache.h): the journal store's shared
-// cases (tests/support/journal_cases.h) run through AtomCache, kinds
-// partitioning the key space, the check hash as a collision guard that
-// survives a restart, and the end-to-end assigner integration: a warm
-// restart over the journal reproduces a from-scratch compile byte for byte.
+// cases (tests/support/journal_cases.h) run through AtomCache, the check
+// hash as a collision guard that survives a restart, and the end-to-end
+// assigner integration: a warm restart over the journal reproduces a
+// from-scratch compile byte for byte.
 #include "cache/atom_cache.h"
 
 #include <gtest/gtest.h>
@@ -20,17 +20,18 @@ namespace {
 namespace cases = support::journal_cases;
 using assign::MemoKind;
 
-// Every shared case runs under one kind, with the key doubling as check.
+// Every shared case runs under the one kind, with the key doubling as
+// check.
 struct AtomShape {
   using Store = AtomCache;
   static void put(Store& s, std::uint64_t key, std::string_view payload) {
-    s.store(MemoKind::kAtomColor, key, key, payload);
+    s.store(MemoKind::kDecomposition, key, key, payload);
   }
   static std::optional<std::string> get(Store& s, std::uint64_t key) {
-    return s.lookup(MemoKind::kAtomColor, key, key);
+    return s.lookup(MemoKind::kDecomposition, key, key);
   }
   static std::string path(const Store& s, std::uint64_t key) {
-    return s.entry_path(MemoKind::kAtomColor, key);
+    return s.entry_path(MemoKind::kDecomposition, key);
   }
 };
 
@@ -59,26 +60,16 @@ TEST_F(AtomCacheTest, WarmRestartRebuildsRecencyFromMtime) {
   cases::warm_restart_rebuilds_recency_from_mtime<AtomShape>(dir_);
 }
 
-TEST_F(AtomCacheTest, KindsPartitionTheKeySpace) {
-  AtomCache cache;
-  cache.store(MemoKind::kAtomColor, 42, 1, "color");
-  cache.store(MemoKind::kAtomDup, 42, 1, "dup");
-  cache.store(MemoKind::kAtomSeen, 42, 42, "");
-  EXPECT_EQ(cache.lookup(MemoKind::kAtomColor, 42, 1).value(), "color");
-  EXPECT_EQ(cache.lookup(MemoKind::kAtomDup, 42, 1).value(), "dup");
-  EXPECT_EQ(cache.lookup(MemoKind::kAtomSeen, 42, 42).value(), "");
-  EXPECT_FALSE(cache.lookup(MemoKind::kDecomposition, 42, 1).has_value());
-}
-
 TEST_F(AtomCacheTest, CheckHashMismatchIsAMissNotACollision) {
   AtomCache cache;
-  cache.store(MemoKind::kAtomColor, 9, /*check=*/111, "payload");
+  cache.store(MemoKind::kDecomposition, 9, /*check=*/111, "payload");
   // Same 64-bit key, different secondary hash: a key collision between two
   // different closures. Must read as a miss, never the wrong payload.
-  EXPECT_FALSE(cache.lookup(MemoKind::kAtomColor, 9, 222).has_value());
+  EXPECT_FALSE(cache.lookup(MemoKind::kDecomposition, 9, 222).has_value());
   EXPECT_EQ(cache.stats().check_mismatches, 1u);
   // First writer wins: the stored entry is untouched.
-  EXPECT_EQ(cache.lookup(MemoKind::kAtomColor, 9, 111).value(), "payload");
+  EXPECT_EQ(cache.lookup(MemoKind::kDecomposition, 9, 111).value(),
+            "payload");
 
   // The check is journaled with the payload, so the guard survives a
   // restart.
@@ -94,7 +85,7 @@ TEST_F(AtomCacheTest, CheckHashMismatchIsAMissNotACollision) {
 // End-to-end: a compile populates the journal; a *new process* (modelled by
 // a fresh AtomCache over the same directory) recompiles an edited stream
 // and must produce bytes identical to a from-scratch compile, reusing the
-// clean atoms from disk.
+// decomposition from disk.
 TEST_F(AtomCacheTest, WarmRestartCompileIsByteIdenticalAndReusesAtoms) {
   workloads::ModularStreamOptions g;
   g.block_count = 6;
@@ -105,7 +96,7 @@ TEST_F(AtomCacheTest, WarmRestartCompileIsByteIdenticalAndReusesAtoms) {
 
   // Edit: duplicate a handful of tuples from one block's interior. The
   // duplicates double some conflict weights inside the block without adding
-  // edges, so only that block's atoms change content; the rest replay.
+  // edges, so the graph's structure, and with it the decomposition, stays.
   ir::AccessStream edited = base;
   int added = 0;
   for (std::size_t t = 0; t < base.tuples.size() && added < 4; ++t) {
@@ -141,10 +132,8 @@ TEST_F(AtomCacheTest, WarmRestartCompileIsByteIdenticalAndReusesAtoms) {
 
   EXPECT_EQ(inc.placement, scratch.placement);
   EXPECT_EQ(inc.removed, scratch.removed);
-  EXPECT_GT(inc.stats.memo_color_hits, 0u);
-  EXPECT_GT(inc.stats.memo_dup_hits, 0u);
-  // Most atoms are untouched by the single-block edit.
-  EXPECT_GT(inc.stats.memo_color_hits, inc.stats.memo_color_misses);
+  EXPECT_EQ(inc.stats.memo_decomp_hits, 1u);
+  EXPECT_EQ(inc.stats.memo_decomp_misses, 0u);
 }
 
 }  // namespace
