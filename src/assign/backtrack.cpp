@@ -98,6 +98,9 @@ std::optional<std::size_t> resolve_instruction(
     support::Budget* budget, std::uint64_t node_cap) {
   if (st.combination_conflict_free(ops)) return 0;
   PARMEM_FAULT_POINT("assign.backtrack", budget);
+  // A leaf needs |ops| distinct modules, so a tuple wider than k can never
+  // reach one: skip the k!-node search (no rng draw, so no output moves).
+  if (ops.size() > st.module_count()) return std::nullopt;
 
   std::vector<ir::ValueId> flex_ops;
   std::vector<ir::ValueId> fixed_ops;

@@ -109,6 +109,9 @@ std::vector<graph::Atom> memo_decompose(AtomMemoStore& store,
       *reused = true;
       return atoms;
     }
+    // Undecodable: drop it, or first-writer-wins keeps it over the store
+    // below and every later compile of this structure misses again.
+    store.erase(MemoKind::kDecomposition, key);
   }
   *reused = false;
   auto atoms = graph::decompose_by_clique_separators(g);

@@ -57,6 +57,11 @@ class AtomMemoStore {
   /// (key, check) is only ever bound to one payload).
   virtual void store(MemoKind kind, std::uint64_t key, std::uint64_t check,
                      std::string_view payload) = 0;
+
+  /// Drops the entry under (kind, key), so the next store binds a fresh
+  /// payload. Used when a resident payload fails to decode: first writer
+  /// wins, so it would otherwise shadow every later store.
+  virtual void erase(MemoKind kind, std::uint64_t key) = 0;
 };
 
 /// Dual-accumulator FNV-1a 64: digest() is the primary key, check() an
@@ -86,8 +91,9 @@ class ClosureHash {
 /// reads them). Computes and journals on a miss. A journaled payload that
 /// is not a decomposition of this graph — undecodable, a vertex id out of
 /// range or repeated within an atom, a vertex in no atom — is a miss too:
-/// the store's directory is input from outside the program. `*reused`
-/// reports whether the atoms came from the store.
+/// the store's directory is input from outside the program. Such an entry
+/// is erased and replaced by the fresh encoding, so the next compile hits.
+/// `*reused` reports whether the atoms came from the store.
 std::vector<graph::Atom> memo_decompose(AtomMemoStore& store,
                                         const ConflictGraph& cg,
                                         bool* reused);

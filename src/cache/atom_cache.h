@@ -42,6 +42,9 @@ class AtomCache final : public assign::AtomMemoStore {
              std::string_view payload) override {
     journal_.store(journal_key(kind, key), check, payload);
   }
+  void erase(assign::MemoKind kind, std::uint64_t key) override {
+    journal_.erase(journal_key(kind, key));
+  }
 
   /// Returns once every store made before the call is on disk.
   void flush() { journal_.flush(); }

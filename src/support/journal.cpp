@@ -227,6 +227,19 @@ void Journal::store(Key k, std::uint64_t check, std::string_view payload) {
   work_cv_.notify_one();
 }
 
+void Journal::erase(Key k) {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    const auto it = entries_.find(k);
+    if (it == entries_.end()) return;
+    recency_.erase(it->second.seq);
+    entries_.erase(it);
+    if (dir_.empty()) return;
+    enqueue_locked(k);
+  }
+  work_cv_.notify_one();
+}
+
 void Journal::enqueue_locked(Key k) {
   // A key still waiting in the queue needs no second sync: the writer
   // reads its residency when it dequeues it.

@@ -25,7 +25,8 @@
 // byte-identical; a lookup whose check differs from the stored one is a
 // miss, and a store under a different check replaces the entry (it could
 // never serve that check); `max_entries` (0 = unbounded) caps the entry
-// count with LRU eviction, and an evicted entry's file is unlinked.
+// count with LRU eviction, and an evicted entry's file is unlinked, as is
+// an erased one's.
 //
 // Write-behind: store() updates memory (insert, LRU eviction) and returns,
 // so the next lookup hits at once; the file work runs on one writer thread
@@ -96,6 +97,13 @@ class Journal {
   /// the file work for the writer. A persist failure keeps the in-memory
   /// entry and counts store_errors. Thread-safe.
   void store(Key k, std::uint64_t check, std::string_view payload);
+
+  /// Drops the entry under `k`, if resident, so the next store binds a
+  /// fresh payload (a resident payload its reader found unusable is never
+  /// replaced otherwise). When a dir is configured, queues the key for the
+  /// writer, which unlinks its file as it does an evicted key's, unless a
+  /// later store has made it resident again by then. Thread-safe.
+  void erase(Key k);
 
   /// Returns once every key queued before the call is synced to its file.
   /// Thread-safe; immediate for a memory-only journal.

@@ -10,7 +10,7 @@
 // Usage:
 //   JsonWriter w;
 //   w.begin_object();
-//   w.member("bench", "assign_hotpath");
+//   w.member("bench", "incremental_recompile");
 //   w.key("entries");
 //   w.begin_array();
 //   ...

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "assign/verify.h"
+#include "support/budget.h"
 
 namespace parmem::assign {
 namespace {
@@ -123,6 +124,29 @@ TEST(Assigner, StatsAreConsistent) {
   std::size_t copies = 0;
   for (const ModuleSet m : r.placement) copies += copy_count(m);
   EXPECT_EQ(copies, r.stats.total_copies);
+}
+
+TEST(Assigner, TupleWiderThanModulesSkipsTheEnumerator) {
+  // 17 duplicatable values in one tuple cannot sit in 16 distinct modules,
+  // so the Fig. 6 enumerator can never reach a leaf. Without the pigeonhole
+  // gate it walks ~16! nodes and trips a 10^6-step budget; with it the
+  // compile stays at full effort and spends almost nothing of the budget.
+  std::vector<ir::ValueId> wide(17);
+  for (ir::ValueId v = 0; v < 17; ++v) wide[v] = v;
+  const auto s = AccessStream::from_tuples(17, {wide});
+  for (const DupMethod method : {DupMethod::kHittingSet,
+                                 DupMethod::kBacktracking}) {
+    support::Budget budget(support::BudgetSpec{0, 1'000'000});
+    AssignOptions o;
+    o.module_count = 16;
+    o.method = method;
+    o.budget = &budget;
+    const auto r = assign_modules(s, o);
+    EXPECT_FALSE(r.budget_exhausted) << dup_method_name(method);
+    EXPECT_EQ(r.tier, AssignTier::kHeuristic) << dup_method_name(method);
+    EXPECT_EQ(r.stats.residual_conflict_tuples, 1u)
+        << dup_method_name(method);
+  }
 }
 
 TEST(Assigner, RejectsBadOptions) {

@@ -9,8 +9,8 @@
 // conf_weights()/conf_sum() arrays edge by edge.
 //
 // syn_large (V=4096, 20k tuples) was part of the golden matrix when it was
-// captured but is omitted here to keep the suite fast; the bench harness
-// (bench/assign_hotpath) asserts identity on it instead.
+// captured but is omitted here to keep the suite fast; its STOR1 / hs / k=8
+// cell is pinned by FrontHalfGolden.LargeStreamAssign instead.
 #include <algorithm>
 #include <cstdint>
 #include <string>

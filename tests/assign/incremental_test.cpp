@@ -8,7 +8,8 @@
 // csr_differential_test), so a memo hit that replays stale bytes cannot
 // hide behind a self-consistent diff. On top of identity, the suite checks
 // the reuse itself: warm runs and weight-only edits reuse the
-// decomposition, and foreign or damaged entries are misses.
+// decomposition, foreign or damaged entries are misses, and a damaged
+// entry is replaced.
 #include "assign/incremental.h"
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -50,6 +52,10 @@ struct MapStore final : AtomMemoStore {
     map.emplace(std::tuple<int, std::uint64_t>{static_cast<int>(kind), key},
                 std::pair<std::uint64_t, std::string>{check,
                                                       std::string(payload)});
+  }
+  void erase(MemoKind kind, std::uint64_t key) override {
+    std::lock_guard<std::mutex> lock(mu);
+    map.erase({static_cast<int>(kind), key});
   }
   std::mutex mu;
   std::map<std::tuple<int, std::uint64_t>,
@@ -252,19 +258,32 @@ TEST(IncrementalDifferential, ForeignEntriesNeverLeakAcrossStreams) {
   EXPECT_EQ(with_foreign.stats.memo_decomp_hits, 0u);
 }
 
-// A store that answers every decomposition lookup with one fixed payload,
-// whatever the key: the shape of a damaged or hostile atom-cache directory,
-// which is input from outside the program.
+// A store whose every decomposition key starts out holding one fixed
+// payload: the shape of a damaged or hostile atom-cache directory, which is
+// input from outside the program. It keeps the journal's first-writer-wins
+// rule, so a store under a key still holding the poison is dropped; only an
+// erase frees the key for a fresh payload.
 struct PoisonStore final : AtomMemoStore {
   explicit PoisonStore(std::string p) : payload(std::move(p)) {}
-  std::optional<std::string> lookup(MemoKind kind, std::uint64_t,
+  std::optional<std::string> lookup(MemoKind kind, std::uint64_t key,
                                     std::uint64_t) override {
     if (kind != MemoKind::kDecomposition) return std::nullopt;
-    return payload;
+    if (!erased.contains(key)) return payload;
+    const auto it = fresh.find(key);
+    if (it == fresh.end()) return std::nullopt;
+    return it->second;
   }
-  void store(MemoKind, std::uint64_t, std::uint64_t,
-             std::string_view) override {}
+  void store(MemoKind, std::uint64_t key, std::uint64_t,
+             std::string_view p) override {
+    if (erased.contains(key)) fresh.emplace(key, std::string(p));
+  }
+  void erase(MemoKind, std::uint64_t key) override {
+    erased.insert(key);
+    fresh.erase(key);
+  }
   std::string payload;
+  std::set<std::uint64_t> erased;
+  std::map<std::uint64_t, std::string> fresh;
 };
 
 // The little-endian u64 words of a journaled decomposition payload.
@@ -277,7 +296,8 @@ std::string words(std::initializer_list<std::uint64_t> ws) {
 }
 
 // Runs the modular stream against a poisoned store: the compile must read
-// the payload as a miss and produce the memo-less bytes.
+// the payload as a miss and produce the memo-less bytes, and must replace
+// the poison, so the next compile reuses the decomposition.
 void expect_poison_is_a_miss(const std::string& payload) {
   const ir::AccessStream stream = modular_base();
   const AssignResult clean = run(stream, 4, 0, 1, nullptr);
@@ -288,6 +308,12 @@ void expect_poison_is_a_miss(const std::string& payload) {
   EXPECT_EQ(hash_result(poisoned), hash_result(clean));
   EXPECT_EQ(poisoned.stats.memo_decomp_hits, 0u);
   EXPECT_EQ(poisoned.stats.memo_decomp_misses, 1u);
+  EXPECT_EQ(store.erased.size(), 1u);
+
+  const AssignResult next = run(stream, 4, 0, 1, &store);
+  EXPECT_EQ(hash_result(next), hash_result(clean));
+  EXPECT_EQ(next.stats.memo_decomp_hits, 1u);
+  EXPECT_EQ(next.stats.memo_decomp_misses, 0u);
 }
 
 // An atom count far beyond what the payload's bytes can hold must not

@@ -75,8 +75,9 @@ TEST(McsmGolden, PaperProgramsStor1) {
   }
 }
 
-// perfbench's syn_monolithic: one 4,093-vertex non-chordal component.
-ir::AccessStream syn_monolithic() {
+// 4,096 values, 20,000 tuples of width 2..4, locality window 24, 8
+// regions: one giant non-chordal component.
+ir::AccessStream locality_stream(std::uint64_t seed) {
   workloads::StreamGenOptions g;
   g.value_count = 4096;
   g.tuple_count = 20000;
@@ -84,9 +85,12 @@ ir::AccessStream syn_monolithic() {
   g.max_width = 4;
   g.locality_window = 24;
   g.region_count = 8;
-  support::SplitMix64 rng(0x5eed1);
+  support::SplitMix64 rng(seed);
   return workloads::random_stream(g, rng);
 }
+
+// perfbench's syn_monolithic: one 4,093-vertex non-chordal component.
+ir::AccessStream syn_monolithic() { return locality_stream(0x5eed1); }
 
 // perfbench's syn_modular: 16 blocks joined by bridge tuples (~83 atoms).
 ir::AccessStream syn_modular() {
@@ -376,6 +380,8 @@ TEST(FrontHalfGolden, LargeStreamAssign) {
   } kPins[] = {
       {"syn_monolithic", syn_monolithic(), 0x3bd7fd7865a1a4c4ULL},
       {"syn_modular", syn_modular(), 0xd28bd4993b52d86bULL},
+      // The same generator under another seed: a second monolithic draw.
+      {"syn_large", locality_stream(0xabc3), 0x091507176fb8847fULL},
   };
   for (const auto& p : kPins) {
     const assign::AssignResult r = assign::assign_modules(p.stream, o);

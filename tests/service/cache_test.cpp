@@ -1,7 +1,8 @@
-// Result-cache key shape (cache.h): the journal store's shared cases
-// (tests/support/journal_cases.h) run through ResultCache, the 16-hex
-// `.res` entry names the router's shard migration routes by, and the
-// atomic-write primitive underneath.
+// Result-cache key shape (cache.h): a restart round trip through the
+// shape's entry files (the journal store's own behaviours run in
+// tests/support/journal_test.cpp), the 16-hex `.res` entry names the
+// router's shard migration routes by, replacement of an entry from another
+// output version, and the atomic-write primitive underneath.
 #include "service/cache.h"
 
 #include <gtest/gtest.h>
@@ -32,27 +33,8 @@ struct ResultShape {
 
 using CacheTest = cases::TempDirTest;
 
-TEST_F(CacheTest, MemoryOnlyStoreAndLookup) {
-  cases::memory_only_round_trip<ResultShape>();
-}
-TEST_F(CacheTest, FirstWriterWins) { cases::first_writer_wins<ResultShape>(); }
 TEST_F(CacheTest, JournalSurvivesARestart) {
   cases::survives_a_restart<ResultShape>(dir_);
-}
-TEST_F(CacheTest, CorruptEntriesAreSkippedNotFatal) {
-  cases::damaged_entries_are_skipped<ResultShape>(dir_);
-}
-TEST_F(CacheTest, TempOrphansFromAKilledStoreAreIgnored) {
-  cases::temp_orphans_are_ignored<ResultShape>(dir_);
-}
-TEST_F(CacheTest, UnusableDirectoryDegradesToMemoryOnly) {
-  cases::unusable_directory_degrades_to_memory_only<ResultShape>(dir_);
-}
-TEST_F(CacheTest, LruEvictionCapsEntriesAndUnlinksJournalFiles) {
-  cases::lru_eviction_caps_entries_and_unlinks_files<ResultShape>(dir_);
-}
-TEST_F(CacheTest, WarmRestartRebuildsRecencyFromMtime) {
-  cases::warm_restart_rebuilds_recency_from_mtime<ResultShape>(dir_);
 }
 
 TEST_F(CacheTest, EntryPathUsesSixteenHexDigits) {

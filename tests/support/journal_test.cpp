@@ -1,14 +1,17 @@
-// Journal store semantics (support/journal.h): the shared cases of
-// journal_cases.h run against the bare store, plus what only the store
-// sees: the entry-name codec, kind and format checks on warm load,
-// concurrent stores racing eviction against file publishing, and the
-// write-behind contract (memory first, flush, drain on destruction).
+// Journal store semantics (support/journal.h), run against the bare store:
+// round trips, first-writer-wins, damaged and orphaned files, eviction and
+// recency across a restart, the entry-name codec, kind and format checks on
+// warm load, concurrent stores racing eviction against file publishing,
+// the write-behind contract (memory first, flush, drain on destruction)
+// and erase.
 #include "support/journal.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,26 +50,127 @@ struct BareShape {
 using JournalTest = cases::TempDirTest;
 
 TEST_F(JournalTest, MemoryOnlyRoundTrip) {
-  cases::memory_only_round_trip<BareShape>();
+  TestJournal s("", 0);
+  EXPECT_FALSE(s.lookup({0, 7}, 0).has_value());
+  s.store({0, 7}, 0, "payload");
+  EXPECT_EQ(s.lookup({0, 7}, 0).value(), "payload");
+  EXPECT_EQ(s.size(), 1u);
+  EXPECT_TRUE(s.entry_path({0, 7}).empty());
+  const auto stats = s.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.stores, 1u);
 }
-TEST_F(JournalTest, FirstWriterWins) { cases::first_writer_wins<BareShape>(); }
+
+TEST_F(JournalTest, FirstWriterWins) {
+  TestJournal s("", 0);
+  s.store({0, 5}, 0, "original");
+  s.store({0, 5}, 0, "imposter");
+  // Byte-identical replay: a key is only ever bound to one payload.
+  EXPECT_EQ(s.lookup({0, 5}, 0).value(), "original");
+  EXPECT_EQ(s.stats().stores, 1u);
+}
+
 TEST_F(JournalTest, SurvivesARestart) {
   cases::survives_a_restart<BareShape>(dir_);
 }
+
 TEST_F(JournalTest, DamagedEntriesAreSkippedNotFatal) {
-  cases::damaged_entries_are_skipped<BareShape>(dir_);
+  std::string truncated, flipped, garbage;
+  {
+    TestJournal s(dir_str(), 0);
+    s.store({0, 1}, 0, "good");
+    s.store({0, 2}, 0, "will-be-truncated");
+    s.store({0, 3}, 0, "will-be-flipped");
+    truncated = s.entry_path({0, 2});
+    flipped = s.entry_path({0, 3});
+    garbage = s.entry_path({0, 0xff});
+  }
+  // Truncate one entry mid-payload (a torn write that bypassed the atomic
+  // rename), flip a payload byte in another, and put garbage under a
+  // valid name.
+  const std::string bytes = read_file(truncated).value();
+  std::ofstream(truncated, std::ios::binary | std::ios::trunc)
+      << bytes.substr(0, bytes.size() - 4);
+  {
+    std::fstream f(flipped, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(-1, std::ios::end);
+    f.put('X');
+  }
+  std::ofstream(garbage) << "not a journal entry";
+
+  TestJournal warm(dir_str(), 0);
+  EXPECT_EQ(warm.stats().loaded, 1u);
+  EXPECT_EQ(warm.stats().load_errors, 3u);
+  EXPECT_EQ(warm.lookup({0, 1}, 0).value(), "good");
+  EXPECT_FALSE(warm.lookup({0, 2}, 0).has_value());
+  EXPECT_FALSE(warm.lookup({0, 3}, 0).has_value());
+  EXPECT_FALSE(warm.lookup({0, 0xff}, 0).has_value());
 }
+
 TEST_F(JournalTest, TempOrphansFromAKilledStoreAreIgnored) {
-  cases::temp_orphans_are_ignored<BareShape>(dir_);
+  std::string path;
+  {
+    TestJournal s(dir_str(), 0);
+    s.store({0, 1}, 0, "published");
+    path = s.entry_path({0, 1});
+  }
+  // A process killed between temp-write and rename.
+  std::ofstream(path + ".tmp-12345") << "torn write";
+
+  TestJournal warm(dir_str(), 0);
+  EXPECT_EQ(warm.stats().loaded, 1u);
+  EXPECT_EQ(warm.stats().load_errors, 1u);  // the orphan, counted not fatal
+  EXPECT_EQ(warm.lookup({0, 1}, 0).value(), "published");
 }
+
 TEST_F(JournalTest, UnusableDirectoryDegradesToMemoryOnly) {
-  cases::unusable_directory_degrades_to_memory_only<BareShape>(dir_);
+  std::ofstream(dir_) << "a regular file, not a directory";
+
+  TestJournal s(dir_str(), 0);
+  EXPECT_TRUE(s.dir().empty());
+  EXPECT_GE(s.stats().load_errors, 1u);
+  s.store({0, 9}, 0, "ram only");
+  EXPECT_EQ(s.lookup({0, 9}, 0).value(), "ram only");
+  fs::remove(dir_);
 }
+
 TEST_F(JournalTest, LruEvictionCapsEntriesAndUnlinksFiles) {
-  cases::lru_eviction_caps_entries_and_unlinks_files<BareShape>(dir_);
+  TestJournal s(dir_str(), 3);
+  for (std::uint64_t k = 1; k <= 3; ++k) s.store({0, k}, 0, "entry");
+  // A lookup refreshes recency: 1 outlives 2 and 3.
+  EXPECT_TRUE(s.lookup({0, 1}, 0).has_value());
+  s.store({0, 4}, 0, "entry");
+  s.store({0, 5}, 0, "entry");
+  EXPECT_EQ(s.size(), 3u);
+  EXPECT_EQ(s.stats().evicted, 2u);
+  EXPECT_TRUE(s.lookup({0, 1}, 0).has_value());
+  EXPECT_FALSE(s.lookup({0, 2}, 0).has_value());
+  EXPECT_FALSE(s.lookup({0, 3}, 0).has_value());
+  s.flush();
+  EXPECT_FALSE(fs::exists(s.entry_path({0, 2})));
+  EXPECT_FALSE(fs::exists(s.entry_path({0, 3})));
+  EXPECT_TRUE(fs::exists(s.entry_path({0, 5})));
 }
+
 TEST_F(JournalTest, WarmRestartRebuildsRecencyFromMtime) {
-  cases::warm_restart_rebuilds_recency_from_mtime<BareShape>(dir_);
+  {
+    TestJournal s(dir_str(), 0);
+    for (std::uint64_t k = 1; k <= 4; ++k) s.store({0, k}, 0, "entry");
+    s.flush();
+    // Make entry 1 the newest on disk and 3 the oldest, whatever the write
+    // order was.
+    const auto now = fs::last_write_time(s.entry_path({0, 2}));
+    fs::last_write_time(s.entry_path({0, 1}), now + std::chrono::seconds(10));
+    fs::last_write_time(s.entry_path({0, 3}), now - std::chrono::seconds(10));
+  }
+  // A capped warm restart loads everything, then evicts by mtime age.
+  TestJournal warm(dir_str(), 2);
+  EXPECT_EQ(warm.stats().loaded, 4u);
+  EXPECT_EQ(warm.stats().evicted, 2u);
+  EXPECT_TRUE(warm.lookup({0, 1}, 0).has_value());
+  EXPECT_FALSE(warm.lookup({0, 3}, 0).has_value());
+  EXPECT_FALSE(fs::exists(warm.entry_path({0, 3})));
 }
 
 TEST_F(JournalTest, MislabeledAndOldFormatEntriesAreColdMisses) {
@@ -182,6 +286,31 @@ TEST_F(JournalTest, PendingReturnsToZeroAfterFlush) {
   memory.store({0, 1}, 0, "ram");
   EXPECT_EQ(memory.stats().pending, 0u);
   memory.flush();  // nothing queued: returns at once
+}
+
+// erase() frees a key for a fresh payload (first writer wins otherwise) and
+// unlinks the file of a key that stays erased; erasing an absent key is a
+// no-op.
+TEST_F(JournalTest, EraseFreesTheKeyAndUnlinksItsFile) {
+  {
+    TestJournal j(dir_str(), 0);
+    j.store({0, 1}, 0, "stale");
+    j.store({0, 2}, 0, "dropped");
+    j.flush();
+    j.erase({0, 1});
+    j.store({0, 1}, 0, "fresh");
+    j.erase({0, 2});
+    j.erase({0, 3});
+    EXPECT_EQ(j.lookup({0, 1}, 0).value(), "fresh");
+    EXPECT_FALSE(j.lookup({0, 2}, 0).has_value());
+    EXPECT_EQ(j.size(), 1u);
+    j.flush();
+    EXPECT_FALSE(fs::exists(j.entry_path({0, 2})));
+    EXPECT_EQ(entry_files(dir_str()), 1u);
+  }
+  TestJournal warm(dir_str(), 0);
+  EXPECT_EQ(warm.stats().loaded, 1u);
+  EXPECT_EQ(warm.lookup({0, 1}, 0).value(), "fresh");
 }
 
 #if PARMEM_FAULT_INJECTION_ENABLED
