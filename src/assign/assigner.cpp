@@ -1,9 +1,9 @@
 #include "assign/assigner.h"
 
 #include <algorithm>
-#include <optional>
-
 #include <bit>
+#include <optional>
+#include <span>
 
 #include "assign/backtrack.h"
 #include "assign/conflict_graph.h"
@@ -80,9 +80,11 @@ struct DupOutcome {
   bool exhausted = false;
   std::size_t rounds = 0;  // hitting-set rounds
 };
+/// `values`, when given, are the distinct operand values of `insts`.
 DupOutcome run_duplication(const PassContext& ctx, InstSpan insts,
                            PlacementState& st, support::SplitMix64& rng,
-                           AssignWorkspace* ws) {
+                           AssignWorkspace* ws,
+                           const std::vector<ir::ValueId>* values = nullptr) {
   switch (ctx.opts->method) {
     case DupMethod::kBacktracking: {
       const auto out = backtrack_duplicate(st, insts, *ctx.removed,
@@ -92,7 +94,7 @@ DupOutcome run_duplication(const PassContext& ctx, InstSpan insts,
     case DupMethod::kHittingSet: {
       const auto out = hitting_set_duplicate(st, insts, *ctx.removed,
                                              ctx.stream->duplicatable, rng,
-                                             ws);
+                                             ws, values);
       return {out.budget_exhausted, out.rounds};
     }
   }
@@ -131,34 +133,44 @@ bool duplicate_atoms(PassContext& ctx,
   const ir::AccessStream& stream = *ctx.stream;
   const std::size_t count = atoms.size();
 
-  std::vector<std::vector<std::uint32_t>> member(cg.vertex_count());
-  for (std::uint32_t a = 0; a < count; ++a) {
-    for (const graph::Vertex v : atoms[a]) member[v].push_back(a);
+  // Atom membership as CSR: per vertex, the atoms holding it, ascending.
+  const std::size_t n = cg.vertex_count();
+  std::vector<std::uint32_t> member_off(n + 1, 0);
+  for (const auto& atom : atoms) {
+    for (const graph::Vertex v : atom) ++member_off[v + 1];
   }
-  const auto member_of =
-      [&](ir::ValueId value) -> const std::vector<std::uint32_t>& {
-    return member[static_cast<std::size_t>(cg.vertex_of(value))];
+  for (std::size_t v = 0; v < n; ++v) member_off[v + 1] += member_off[v];
+  std::vector<std::uint32_t> member(member_off[n]);
+  {
+    std::vector<std::uint32_t> next(member_off.begin(), member_off.end() - 1);
+    for (std::uint32_t a = 0; a < count; ++a) {
+      for (const graph::Vertex v : atoms[a]) member[next[v]++] = a;
+    }
+  }
+  const auto member_of = [&](ir::ValueId value) {
+    const auto v = static_cast<std::size_t>(cg.vertex_of(value));
+    return std::span<const std::uint32_t>(member).subspan(
+        member_off[v], member_off[v + 1] - member_off[v]);
   };
 
-  // Owning atom per instruction: the first atom holding every operand,
-  // found by narrowing one reused candidate list in place. `count` marks
-  // the residual group, which theory says stays empty. first[a] ..
-  // first[a + 1] is group a's slice.
+  // Owning atom per instruction: the first atom holding every operand, so
+  // the first atom of the first operand's row that every other operand's
+  // row holds too. `count` marks the residual group, which theory says
+  // stays empty. first[a] .. first[a + 1] is group a's slice.
   std::vector<std::uint32_t> owner(insts.size());
   std::vector<std::uint32_t> first(count + 2, 0);
-  std::vector<std::uint32_t> cand;
   for (std::size_t t = 0; t < insts.size(); ++t) {
     const auto& ops = insts[t];
-    cand = member_of(ops[0]);
-    for (std::size_t i = 1; i < ops.size() && !cand.empty(); ++i) {
-      const auto& row = member_of(ops[i]);
-      std::size_t kept = 0;
-      for (const std::uint32_t a : cand) {
-        if (std::binary_search(row.begin(), row.end(), a)) cand[kept++] = a;
+    const auto holds_all = [&](std::uint32_t a) {
+      for (std::size_t i = 1; i < ops.size(); ++i) {
+        const auto row = member_of(ops[i]);
+        if (!std::binary_search(row.begin(), row.end(), a)) return false;
       }
-      cand.resize(kept);
-    }
-    owner[t] = cand.empty() ? static_cast<std::uint32_t>(count) : cand.front();
+      return true;
+    };
+    const auto rows = member_of(ops[0]);
+    const auto it = std::find_if(rows.begin(), rows.end(), holds_all);
+    owner[t] = it == rows.end() ? static_cast<std::uint32_t>(count) : *it;
     ++first[owner[t] + 1];
   }
   for (std::size_t a = 0; a <= count; ++a) first[a + 1] += first[a];
@@ -185,25 +197,23 @@ bool duplicate_atoms(PassContext& ctx,
   bool exhausted = false;
   PlacementState& local = ctx.ws->placement_scratch;
   std::vector<ir::ValueId> values;
-  std::vector<std::uint32_t> seen_in(stream.value_count, 0);  // atom + 1
   for (std::size_t i = 0; i < count; ++i) {
     const InstSpan slice = group(i);
     if (slice.empty()) continue;
     PARMEM_SPAN("assign.dup_atom");
-    // The slice's distinct operand values, ascending: deduplicated by a
-    // per-atom stamp, so only the distinct ones are sorted.
+    // The slice's distinct operand values, deduplicated by the workspace's
+    // value marks. Their order is free: nothing below depends on it.
     values.clear();
+    ctx.ws->begin_values(stream.value_count);
     for (const auto& ops : slice) {
       for (const ir::ValueId v : ops) {
-        if (seen_in[v] == i + 1) continue;
-        seen_in[v] = static_cast<std::uint32_t>(i + 1);
-        values.push_back(v);
+        if (ctx.ws->mark_value(v)) values.push_back(v);
       }
     }
-    std::sort(values.begin(), values.end());
     local.refresh_from(*ctx.st, values);
     support::SplitMix64 rng(base_seed + i);
-    const DupOutcome out = run_duplication(ctx, slice, local, rng, ctx.ws);
+    const DupOutcome out =
+        run_duplication(ctx, slice, local, rng, ctx.ws, &values);
     ctx.stats->duplication_rounds += out.rounds;
     exhausted = exhausted || out.exhausted;
     for (const ir::ValueId v : values) {

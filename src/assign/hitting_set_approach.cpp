@@ -70,30 +70,39 @@ HittingSetOutcome hitting_set_duplicate(
     PlacementState& st, InstSpan insts,
     const std::vector<bool>& in_unassigned,
     const std::vector<bool>& duplicatable, support::SplitMix64& rng,
-    AssignWorkspace* ws) {
+    AssignWorkspace* ws, const std::vector<ir::ValueId>* values) {
   const std::size_t k = st.module_count();
   HittingSetOutcome out;
 
   std::optional<AssignWorkspace> local_ws;  // only built when ws is null
   AssignWorkspace& w = ws != nullptr ? *ws : local_ws.emplace();
 
-  // Values removed during coloring that still need their initial copies,
-  // in first-occurrence order. The workspace marks replace a std::set; the
-  // marks are not kept live past this block (place_copies reuses them).
-  std::vector<ir::ValueId> need_first;
-  std::vector<ir::ValueId> need_second;
-  {
+  // The values a placement below can pick: members of V_unassigned (the
+  // pair step) and values that already have two copies (a hitting-set
+  // round picks only those, and before the fix-up only placements add
+  // copies, to values that were placeable already).
+  const auto placeable = [&](ir::ValueId v) {
+    return v < in_unassigned.size() && (in_unassigned[v] || st.copies(v) >= 2);
+  };
+  std::vector<ir::ValueId> gathered;
+  if (values == nullptr) {
     w.begin_values(in_unassigned.size());
-    std::uint32_t slots = 0;
     for (const auto& ops : insts) {
       for (const ir::ValueId v : ops) {
-        if (v >= in_unassigned.size() || !in_unassigned[v]) continue;
-        if (w.value_marked(v)) continue;
-        w.mark_value(v, slots);
-        if (st.copies(v) == 0) need_first.push_back(v);
-        if (st.copies(v) <= 1) need_second.push_back(v);
+        if (placeable(v) && w.mark_value(v)) gathered.push_back(v);
       }
     }
+    values = &gathered;
+  }
+  // Values removed during coloring that still need their initial copies.
+  // Their order is free: place_copies orders what it places by (profile,
+  // value id).
+  std::vector<ir::ValueId> need_first;
+  std::vector<ir::ValueId> need_second;
+  for (const ir::ValueId v : *values) {
+    if (v >= in_unassigned.size() || !in_unassigned[v]) continue;
+    if (st.copies(v) == 0) need_first.push_back(v);
+    if (st.copies(v) <= 1) need_second.push_back(v);
   }
 
   // One conflict flag per instruction for the whole call: copies are only
@@ -102,13 +111,30 @@ HittingSetOutcome hitting_set_duplicate(
   auto& conflicting = w.conflicting;
   mark_conflicting(st, insts, conflicting);
 
+  // One occurrence index of the slice's placeable values serves every
+  // placement below. It is built on the first value to place, before any
+  // copy is added, so a slice with nothing to place (most atoms of small
+  // programs) never pays for it.
+  bool indexed = false;
+  const auto place = [&](const std::vector<ir::ValueId>& to_place) {
+    if (to_place.empty()) return std::size_t{0};
+    if (!indexed) {
+      std::vector<ir::ValueId> rows;
+      for (const ir::ValueId v : *values) {
+        if (placeable(v)) rows.push_back(v);
+      }
+      w.slice_index.build(insts, in_unassigned, k, rows);
+      indexed = true;
+    }
+    return place_copies(st, insts, to_place, in_unassigned, conflicting, rng,
+                        &w.slice_index);
+  };
+
   // Fig. 7: Place(V_unassigned) — first copies — then Place(V_unassigned)
   // again so that every pair combination is conflict free (two copies in
   // two distinct modules always satisfy any pair).
-  out.copies_added += place_copies(st, insts, need_first, in_unassigned,
-                                   conflicting, rng, &w);
-  out.copies_added += place_copies(st, insts, need_second, in_unassigned,
-                                   conflicting, rng, &w);
+  out.copies_added += place(need_first);
+  out.copies_added += place(need_second);
 
   std::size_t max_width = 0;
   for (const auto& ops : insts) max_width = std::max(max_width, ops.size());
@@ -153,8 +179,7 @@ HittingSetOutcome hitting_set_duplicate(
 
       const auto hs = greedy_hitting_set(cand_sets);
       std::vector<ir::ValueId> to_place(hs.begin(), hs.end());
-      const std::size_t added = place_copies(st, insts, to_place, in_unassigned,
-                                             conflicting, rng, &w);
+      const std::size_t added = place(to_place);
       out.copies_added += added;
       if (added == 0) break;  // saturated: fall through to the fix-up
     }

@@ -41,10 +41,14 @@ struct HittingSetOutcome {
   bool budget_exhausted = false;
 };
 
+/// `values`, when given, lists the distinct operand values of `insts` in
+/// any order (the caller has them at hand); otherwise the call gathers
+/// them.
 HittingSetOutcome hitting_set_duplicate(
     PlacementState& st, InstSpan insts,
     const std::vector<bool>& in_unassigned,
     const std::vector<bool>& duplicatable, support::SplitMix64& rng,
-    AssignWorkspace* ws = nullptr);
+    AssignWorkspace* ws = nullptr,
+    const std::vector<ir::ValueId>* values = nullptr);
 
 }  // namespace parmem::assign

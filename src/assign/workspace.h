@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "assign/placement.h"
 #include "assign/placement_state.h"
 #include "graph/graph.h"
 
@@ -83,36 +84,25 @@ struct AssignWorkspace {
   // ---- value-domain scratch (duplication / placement) ----
   std::uint64_t value_epoch = 0;
   std::vector<std::uint64_t> value_mark;  // value selected iff == epoch
-  std::vector<std::uint32_t> value_slot;  // slot of a marked value
-  /// Per slot: indices of the instructions mentioning the value, ascending.
-  std::vector<std::vector<std::uint32_t>> occurrences;
   /// Per instruction: lacks an SDR (hitting_set_duplicate's flags).
   std::vector<std::uint8_t> conflicting;
+  /// The occurrence index of the slice hitting_set_duplicate works on.
+  SliceIndex slice_index;
   /// Fig. 6 grouping: instruction indices by duplicable-operand count.
   std::vector<std::vector<std::uint32_t>> inst_groups;
 
-  /// Starts scratch for a value universe of size `n`.
+  /// Starts value marks for a value universe of size `n`: every previous
+  /// mark is invalidated by the epoch bump.
   void begin_values(std::size_t n) {
     ++value_epoch;
-    if (value_mark.size() < n) {
-      value_mark.resize(n, 0);
-      value_slot.resize(n);
-    }
+    if (value_mark.size() < n) value_mark.resize(n, 0);
   }
 
-  bool value_marked(std::uint64_t v) const {
-    return v < value_mark.size() && value_mark[v] == value_epoch;
-  }
-
-  /// Marks `v` and returns its slot, allocating one on first sight.
-  std::uint32_t mark_value(std::uint64_t v, std::uint32_t& slots) {
-    if (value_mark[v] == value_epoch) return value_slot[v];
+  /// Marks `v` (below the universe); returns false if it was marked.
+  bool mark_value(std::uint64_t v) {
+    if (value_mark[v] == value_epoch) return false;
     value_mark[v] = value_epoch;
-    const std::uint32_t slot = slots++;
-    value_slot[v] = slot;
-    if (occurrences.size() <= slot) occurrences.emplace_back();
-    occurrences[slot].clear();
-    return slot;
+    return true;
   }
 
   // ---- frontier snapshot (per-atom coloring) ----

@@ -21,12 +21,12 @@ std::vector<Atom> decompose_by_clique_separators(const Graph& g) {
   for (std::size_t i = 0; i < n; ++i) pos[tri.order[i]] = i;
   const auto later = [&](Vertex a, Vertex b) { return pos[a] > pos[b]; };
 
-  // H = G + F as one CSR, each row holding only the vertex's later
-  // neighbours in H: the scan draws S from nothing else. The fill rows
-  // take two counting passes over tri.fill (a per-row count, then a
-  // placement that keeps rows ascending, because tri.fill is sorted and
-  // each row receives its smaller neighbours first), and each H row is
-  // then the merge of the later part of the G row with the fill row.
+  // Each vertex's later fill neighbours as one CSR row: two counting
+  // passes over tri.fill (a per-row count, then a placement that keeps
+  // rows ascending, because tri.fill is sorted and each row receives its
+  // smaller neighbours first). A candidate's later neighbourhood in
+  // H = G + F is then the merge of the later part of its G row with its
+  // fill row, built only for the generators that are tested.
   std::vector<std::uint32_t> fill_off(n + 1, 0);
   for (const auto& [u, v] : tri.fill) ++fill_off[(later(v, u) ? u : v) + 1];
   for (std::size_t v = 0; v < n; ++v) fill_off[v + 1] += fill_off[v];
@@ -39,24 +39,6 @@ std::vector<Atom> decompose_by_clique_separators(const Graph& g) {
     for (const auto& [u, v] : tri.fill) {
       if (later(v, u)) fill_nbr[cursor[u]++] = v;
     }
-  }
-  std::vector<std::uint32_t> h_off(n + 1, 0);
-  for (Vertex v = 0; v < n; ++v) {
-    std::uint32_t deg = fill_off[v + 1] - fill_off[v];
-    for (const Vertex w : g.neighbors(v)) deg += later(w, v);
-    h_off[v + 1] = h_off[v] + deg;
-  }
-  std::vector<Vertex> h_nbr(h_off[n]);
-  for (Vertex v = 0; v < n; ++v) {
-    Vertex* out = h_nbr.data() + h_off[v];
-    const Vertex* f = fill_nbr.data() + fill_off[v];
-    const Vertex* const f_end = fill_nbr.data() + fill_off[v + 1];
-    for (const Vertex w : g.neighbors(v)) {
-      if (!later(w, v)) continue;
-      while (f != f_end && *f < w) *out++ = *f++;
-      *out++ = w;
-    }
-    while (f != f_end) *out++ = *f++;
   }
 
   // Per-vertex marks, reused by every candidate split: S is taken out of
@@ -131,20 +113,35 @@ std::vector<Atom> decompose_by_clique_separators(const Graph& g) {
     return minimal;
   };
 
+  // Only a generator's later neighbourhood can be a minimal separator of
+  // H, and a clique minimal separator of G is one of those (Berry,
+  // Pogorelcnik & Simonet 2010), so every other x is skipped untested.
+  [[maybe_unused]] std::uint64_t separator_tests = 0;  // floods run
   for (std::size_t i = 0; i < n; ++i) {
     const Vertex x = tri.order[i];
+    if (!tri.generator[i]) continue;
     if (!alive[x]) continue;  // already split off inside some component
 
-    // S = later neighbors of x in H that are still alive (sorted, as the
-    // H rows are).
+    // S = later neighbors of x in H that are still alive, ascending: the
+    // merge of x's G row (later part) with its fill row.
     sep.clear();
-    for (std::uint32_t e = h_off[x]; e < h_off[x + 1]; ++e) {
-      if (alive[h_nbr[e]]) sep.push_back(h_nbr[e]);
+    const Vertex* f = fill_nbr.data() + fill_off[x];
+    const Vertex* const f_end = fill_nbr.data() + fill_off[x + 1];
+    const auto take = [&](Vertex w) {
+      if (alive[w]) sep.push_back(w);
+    };
+    for (const Vertex w : g.neighbors(x)) {
+      if (!later(w, x)) continue;
+      while (f != f_end && *f < w) take(*f++);
+      take(w);
     }
+    while (f != f_end) take(*f++);
     if (sep.empty()) continue;  // x isolated in the remainder
 
     for (const Vertex s : sep) in_sep[s] = 1;
-    const bool split = !fill_inside_sep() && separates(x);
+    const bool clique = !fill_inside_sep();
+    separator_tests += clique;
+    const bool split = clique && separates(x);
     for (const Vertex s : sep) in_sep[s] = 0;
     if (!split) continue;
 
@@ -158,6 +155,7 @@ std::vector<Atom> decompose_by_clique_separators(const Graph& g) {
     for (const Vertex c : comp) alive[c] = 0;
     alive_count -= comp.size();
   }
+  PARMEM_COUNTER_ADD("graph.atoms.separator_tests", separator_tests);
 
   // Whatever remains forms the final atoms — one per connected component of
   // the remainder, each with an empty separator. A flood leaves its

@@ -6,12 +6,17 @@
 // colors. Thus the coloring algorithm need only concern itself with coloring
 // the atoms."
 //
-// Algorithm (Tarjan 1985 / Berry et al. 2010): compute a minimal elimination
-// ordering and its triangulation H = G + F (here via MCS-M); scan vertices
-// in elimination order; for vertex x let S = its later neighbors in H; if S
-// is a clique in G and removing S disconnects x from the rest, emit the atom
-// C ∪ S where C is x's component of G' - S, and delete C from the working
-// graph G'. The final working graph is the last atom.
+// Algorithm (Tarjan 1985 / Berry, Pogorelcnik & Simonet, Algorithms 3(2),
+// 2010): compute a minimal elimination ordering and its triangulation
+// H = G + F (here via MCS-M); scan MCS-M's generators in elimination order
+// (the vertices whose weight when picked was not above the previous
+// pick's: their later neighbourhoods in H are exactly H's minimal
+// separators, so no other vertex can yield a clique minimal separator);
+// for generator x let S = its later neighbors in H; if S is a clique in G
+// and removing S disconnects x from the rest, emit the atom C ∪ S where C
+// is x's component of G' - S, and delete C from the working graph G'. The
+// final working graph is the last atom. The counter
+// graph.atoms.separator_tests counts the candidate splits flooded.
 //
 // Composition property used downstream: processing atoms in *reverse*
 // generation order, the intersection of atom t with the union of atoms

@@ -547,6 +547,8 @@ void Mcsm::split(std::uint32_t c, std::span<const Vertex> starts) {
 Triangulation Mcsm::run() {
   Triangulation result;
   result.order.assign(n_, 0);
+  result.generator.assign(n_, 0);
+  std::int32_t prev_weight = -1;  // the first pick is no generator
 
   for (std::size_t step = n_; step > 0; --step) {
     const Vertex x = top();
@@ -555,6 +557,8 @@ Triangulation Mcsm::run() {
     // Number x up front: save its live row for seeding, then delete it
     // from the live adjacency so the search never sees it.
     const std::int32_t cutoff = weight_[x];
+    result.generator[step - 1] = cutoff <= prev_weight;
+    prev_weight = cutoff;
     xrow_.assign(live(x).begin(), live(x).end());
     remove(x);
     weight_[x] = kNumbered;

@@ -24,6 +24,14 @@ struct Triangulation {
   std::vector<Vertex> order;
   /// Fill edges F; H = G + F is a minimal triangulation of G.
   std::vector<std::pair<Vertex, Vertex>> fill;
+  /// Per elimination position i: 1 iff order[i] is an MCS-M *generator*,
+  /// a vertex whose weight when picked was not above the weight of the
+  /// vertex picked just before it (order[i + 1]); the first pick is none.
+  /// A vertex's weight when picked is |madj(x)|, the number of its later
+  /// neighbours in H. Every minimal separator of H is madj(x) of some
+  /// generator x (Berry, Pogorelcnik & Simonet, Algorithms 3(2), 2010), so
+  /// the clique-separator split tests only these.
+  std::vector<std::uint8_t> generator;
   /// Work done by the per-step searches: adjacency entries scanned, plus
   /// boundary-list entries checked and the scans that label and repair the
   /// contracted untouched region. A pure function of the graph.
@@ -39,12 +47,15 @@ struct Triangulation {
 /// vertices, so it walks only the touched frontier. A step can still cost
 /// O(m) when little of the graph is untouched, as on uniform wide streams,
 /// so the whole run is O(n·m) in the worst case. The fill is sorted by two
-/// counting passes (graph::sort_pairs). Timings (Release build, shared
-/// 4-vCPU x86 box, best of 31 in each of two rounds): COLOR (6,384
-/// vertices, no fill) 0.7-1.1 ms; perfbench's syn_monolithic stream (4,093
-/// vertices, 44,197 edges, 28,289 fill edges) 10.0-10.1 ms and syn_modular
-/// 9.6-12.1 ms; a uniform width-8 stream of 3,000 values (3.7 M fill
-/// edges) about 0.7 s. DESIGN.md §9 has the earlier searches' figures.
+/// counting passes (graph::sort_pairs). Each step also records whether its
+/// vertex is a generator (Triangulation::generator), one compare. Timings
+/// (Release build, shared 4-vCPU x86 box, pinned to one CPU, best of 31 in
+/// each of two rounds): COLOR (6,384 vertices, no fill) 0.8-1.0 ms;
+/// perfbench's syn_monolithic stream (4,093 vertices, 44,197 edges, 28,289
+/// fill edges) 11.6-12.3 ms and syn_modular (4,081 vertices, 25,849 fill
+/// edges) 10.0-11.1 ms; a uniform width-8 stream of 3,000 values (3.7 M
+/// fill edges, best of 3) 0.7-0.9 s. DESIGN.md §9 has the earlier
+/// searches' figures.
 Triangulation mcs_m(const Graph& g);
 
 /// True iff `order` is a perfect elimination ordering of `g` (i.e. g is

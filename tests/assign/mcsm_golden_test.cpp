@@ -9,7 +9,8 @@
 // (without the per-seed relabelling) and the fixed service edit base; and
 // one combined hash over seeded uniform, band, cyclic-band and block
 // graphs of 50-750 vertices. McsmWork bounds the search work counter on
-// the large streams and the edit base.
+// the large streams and the edit base, and pins the split's flood counter
+// on COLOR.
 // FrontHalfGolden pins the other stages before colouring on the same
 // inputs: the parsed stream, the conflict graph, the atoms, and the large
 // streams' placement and copy count.
@@ -28,6 +29,7 @@
 #include "ir/stream_io.h"
 #include "support/fnv.h"
 #include "support/rng.h"
+#include "telemetry/registry.h"
 #include "workloads/stream_gen.h"
 #include "workloads/workloads.h"
 
@@ -147,6 +149,24 @@ TEST(McsmWork, SynModularSearchStaysNearLinear) {
 
 TEST(McsmWork, EditBaseSearchStaysNearLinear) {
   expect_near_linear_work(edit_base());
+}
+
+// The split floods only from MCS-M generators that are still in the
+// working graph and whose later neighbourhood is a nonempty clique of G: on
+// COLOR, 305 floods for 943 atoms, from 942 generators among 6,384
+// vertices (a scan of every vertex floods 5,746 times). The counter is a
+// pure function of the graph, like search_edges.
+TEST(McsmWork, ColorSplitFloodsOnlyFromGenerators) {
+  if constexpr (!telemetry::kEnabled) {
+    GTEST_SKIP() << "the counter is compiled out";
+  }
+  const auto cg =
+      assign::ConflictGraph::build(paper_stream(workloads::workload("COLOR")));
+  ASSERT_EQ(cg.vertex_count(), 6384u);
+  const auto before = telemetry::Registry::instance().snapshot();
+  decompose_by_clique_separators(cg.graph());
+  const auto delta = telemetry::Registry::instance().snapshot().since(before);
+  EXPECT_EQ(delta.value("graph.atoms.separator_tests"), 305);
 }
 
 // Edges {i, j} for i < j <= i + width with probability p; `cyclic` wraps j

@@ -170,5 +170,74 @@ TEST(Placement, ConflictFlagsStayExactAcrossCalls) {
   EXPECT_EQ(std::count(conflicting.begin(), conflicting.end(), 1), 0);
 }
 
+TEST(Placement, SharedSliceIndexMatchesPerCallIndex) {
+  // A random run of calls on one slice, once with one index of every
+  // operand value shared by every call and once with an index built by
+  // each call for its own values: placements, conflict flags and the RNG must agree
+  // after every call.
+  support::SplitMix64 gen(0x51ce);
+  std::size_t placed = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t k = 2 + gen.below(9);
+    const std::size_t values = 6 + gen.below(40);
+    std::vector<std::vector<ir::ValueId>> insts(1 + gen.below(60));
+    for (auto& ops : insts) {
+      const std::size_t width = 2 + gen.below(std::min<std::size_t>(k, 4));
+      while (ops.size() < width) {
+        const auto v = static_cast<ir::ValueId>(gen.below(values));
+        if (std::find(ops.begin(), ops.end(), v) == ops.end()) ops.push_back(v);
+      }
+      std::sort(ops.begin(), ops.end());
+    }
+    const auto s = AccessStream::from_tuples(values, insts);
+    std::vector<bool> unassigned(values);
+    PlacementState shared_st(s, k);
+    for (ir::ValueId v = 0; v < values; ++v) {
+      unassigned[v] = gen.below(3) != 0;
+      for (std::size_t c = gen.below(3); c > 0; --c) {
+        shared_st.add_copy(v, static_cast<std::uint32_t>(gen.below(k)));
+      }
+    }
+    PlacementState own_st = shared_st;
+    std::vector<ir::ValueId> operands;
+    for (const auto& ops : insts) {
+      operands.insert(operands.end(), ops.begin(), ops.end());
+    }
+    std::sort(operands.begin(), operands.end());
+    operands.erase(std::unique(operands.begin(), operands.end()),
+                   operands.end());
+
+    SliceIndex index;
+    index.build(insts, unassigned, k, operands);
+    std::vector<std::uint8_t> shared_flags, own_flags;
+    mark_conflicting(shared_st, insts, shared_flags);
+    own_flags = shared_flags;
+    const std::uint64_t seed = gen.next();
+    support::SplitMix64 shared_rng(seed), own_rng(seed);
+    for (int call = 0; call < 6; ++call) {
+      std::vector<ir::ValueId> to_place;
+      for (const ir::ValueId v : operands) {
+        if (gen.below(3) == 0) to_place.push_back(v);
+      }
+      gen.shuffle(to_place);
+      const std::size_t shared_added =
+          place_copies(shared_st, insts, to_place, unassigned, shared_flags,
+                       shared_rng, &index);
+      const std::size_t own_added = place_copies(
+          own_st, insts, to_place, unassigned, own_flags, own_rng);
+      ASSERT_EQ(shared_added, own_added)
+          << "trial " << trial << " call " << call;
+      placed += shared_added;
+      ASSERT_EQ(shared_st.placements(), own_st.placements())
+          << "trial " << trial << " call " << call;
+      ASSERT_EQ(shared_flags, own_flags)
+          << "trial " << trial << " call " << call;
+      ASSERT_EQ(shared_rng.next(), own_rng.next())
+          << "trial " << trial << " call " << call;
+    }
+  }
+  EXPECT_GT(placed, 1000u);
+}
+
 }  // namespace
 }  // namespace parmem::assign
