@@ -107,6 +107,7 @@ std::size_t place_copies(PlacementState& st,
   std::array<std::uint32_t, kMaxModules> candidates;
   std::array<std::uint32_t, kMaxModules * (kMaxModules + 1)> resolved;
   std::array<std::uint32_t, kMaxModules> ties;
+  std::vector<ModuleSet> fixes;  // per use of the value being placed
   std::size_t added = 0;
   for (const std::uint32_t j : order) {
     const ir::ValueId v = to_place[j];
@@ -118,15 +119,19 @@ std::size_t place_copies(PlacementState& st,
       candidates[count++] = static_cast<std::uint32_t>(std::countr_zero(s));
     }
 
-    // Resolved-conflict row per candidate module.
+    // Resolved-conflict row per candidate module. Each use's fixes are
+    // kept: they say whether the chosen module resolves it.
     std::fill_n(resolved.begin(), count * width, 0);
-    for (const std::uint32_t i : index->uses(v)) {
+    const auto uses = index->uses(v);
+    fixes.assign(uses.size(), 0);
+    for (std::size_t u = 0; u < uses.size(); ++u) {
+      const std::uint32_t i = uses[u];
       if (!conflicting[i]) continue;
       const std::size_t grp = index->group(i);
       if (grp == 0) continue;
-      const ModuleSet fixes = st.extra_copy_fixes(insts[i], v, candidate_set);
+      fixes[u] = st.extra_copy_fixes(insts[i], v, candidate_set);
       for (std::size_t c = 0; c < count; ++c) {
-        if (holds(fixes, candidates[c])) ++resolved[c * width + grp];
+        if (holds(fixes[u], candidates[c])) ++resolved[c * width + grp];
       }
     }
 
@@ -149,10 +154,15 @@ std::size_t place_copies(PlacementState& st,
     PARMEM_CHECK(st.add_copy(v, module), "candidate module already held v");
     ++added;
 
-    // Re-check instructions that mention v.
-    for (const std::uint32_t i : index->uses(v)) {
+    // Re-check instructions that mention v: a group >= 1 one is resolved
+    // exactly when its fixes hold the module; a group-0 one is tested.
+    for (std::size_t u = 0; u < uses.size(); ++u) {
+      const std::uint32_t i = uses[u];
       if (!conflicting[i]) continue;
-      if (st.combination_conflict_free(insts[i])) conflicting[i] = 0;
+      const bool resolved_now = index->group(i) != 0
+                                    ? holds(fixes[u], module)
+                                    : st.combination_conflict_free(insts[i]);
+      if (resolved_now) conflicting[i] = 0;
     }
   }
   return added;
