@@ -67,6 +67,16 @@ struct PassContext {
   AssignWorkspace* ws;  // pass-level scratch, reused across passes
   AssignTier* tier;     // weakest ladder tier used so far (result-level)
   bool* exhausted;      // result-level budget_exhausted flag
+  // Stream tuples a pass left conflicting, possibly repeated; every other
+  // tuple some pass saw whole ended that pass conflict-free.
+  std::vector<std::uint32_t>* unresolved;
+};
+
+/// One pass's instructions: the operand lists and, per list, the stream
+/// tuple it came from.
+struct PassInsts {
+  std::vector<std::vector<ir::ValueId>> ops;
+  std::vector<std::uint32_t> tuple;
 };
 
 void degrade(PassContext& ctx, AssignTier t) {
@@ -79,6 +89,9 @@ void degrade(PassContext& ctx, AssignTier t) {
 struct DupOutcome {
   bool exhausted = false;
   std::size_t rounds = 0;  // hitting-set rounds
+  /// Instructions left conflicting (indices into the instruction set);
+  /// every other one ends conflict-free.
+  std::vector<std::size_t> unresolved;
 };
 /// `values`, when given, are the distinct operand values of `insts`.
 DupOutcome run_duplication(const PassContext& ctx, InstSpan insts,
@@ -87,15 +100,15 @@ DupOutcome run_duplication(const PassContext& ctx, InstSpan insts,
                            const std::vector<ir::ValueId>* values = nullptr) {
   switch (ctx.opts->method) {
     case DupMethod::kBacktracking: {
-      const auto out = backtrack_duplicate(st, insts, *ctx.removed,
-                                           ctx.stream->duplicatable, rng, ws);
-      return {out.budget_exhausted, 0};
+      auto out = backtrack_duplicate(st, insts, *ctx.removed,
+                                     ctx.stream->duplicatable, rng, ws);
+      return {out.budget_exhausted, 0, std::move(out.unresolved)};
     }
     case DupMethod::kHittingSet: {
-      const auto out = hitting_set_duplicate(st, insts, *ctx.removed,
-                                             ctx.stream->duplicatable, rng,
-                                             ws, values);
-      return {out.budget_exhausted, out.rounds};
+      auto out = hitting_set_duplicate(st, insts, *ctx.removed,
+                                       ctx.stream->duplicatable, rng, ws,
+                                       values);
+      return {out.budget_exhausted, out.rounds, std::move(out.unresolved)};
     }
   }
   PARMEM_UNREACHABLE("bad duplication method");
@@ -125,11 +138,12 @@ void permute(std::vector<std::vector<ir::ValueId>>& v,
 /// from its own seeded RNG, and can only *add* copies; added copies never
 /// invalidate an SDR, so resolutions from different atoms compose, and
 /// each atom's added copies are a pure function of its slice, merged in
-/// stable atom order.
-bool duplicate_atoms(PassContext& ctx,
-                     std::vector<std::vector<ir::ValueId>>& insts,
-                     const ConflictGraph& cg,
-                     const std::vector<std::vector<graph::Vertex>>& atoms) {
+/// stable atom order. The outcome's `unresolved` indexes `insts` in stream
+/// order.
+DupOutcome duplicate_atoms(
+    PassContext& ctx, std::vector<std::vector<ir::ValueId>>& insts,
+    const ConflictGraph& cg,
+    const std::vector<std::vector<graph::Vertex>>& atoms) {
   const ir::AccessStream& stream = *ctx.stream;
   const std::size_t count = atoms.size();
 
@@ -194,7 +208,14 @@ bool duplicate_atoms(PassContext& ctx,
   // Copies the atoms add, applied only after the loop: every atom reads the
   // placements as they stood before it.
   std::vector<std::pair<ir::ValueId, ModuleSet>> added;
-  bool exhausted = false;
+  DupOutcome total;
+  const auto merge = [&](std::size_t a, const DupOutcome& out) {
+    ctx.stats->duplication_rounds += out.rounds;
+    total.exhausted = total.exhausted || out.exhausted;
+    for (const std::size_t i : out.unresolved) {
+      total.unresolved.push_back(origin[first[a] + i]);
+    }
+  };
   PlacementState& local = ctx.ws->placement_scratch;
   std::vector<ir::ValueId> values;
   for (std::size_t i = 0; i < count; ++i) {
@@ -212,10 +233,7 @@ bool duplicate_atoms(PassContext& ctx,
     }
     local.refresh_from(*ctx.st, values);
     support::SplitMix64 rng(base_seed + i);
-    const DupOutcome out =
-        run_duplication(ctx, slice, local, rng, ctx.ws, &values);
-    ctx.stats->duplication_rounds += out.rounds;
-    exhausted = exhausted || out.exhausted;
+    merge(i, run_duplication(ctx, slice, local, rng, ctx.ws, &values));
     for (const ir::ValueId v : values) {
       const ModuleSet extra = local.placement(v) & ~ctx.st->placement(v);
       if (extra != 0) added.emplace_back(v, extra);
@@ -225,19 +243,18 @@ bool duplicate_atoms(PassContext& ctx,
     for (const std::uint32_t m : modules_of(extra)) ctx.st->add_copy(v, m);
   }
   if (!group(count).empty()) {
-    const DupOutcome out =
-        run_duplication(ctx, group(count), *ctx.st, *ctx.rng, ctx.ws);
-    ctx.stats->duplication_rounds += out.rounds;
-    exhausted = exhausted || out.exhausted;
+    merge(count, run_duplication(ctx, group(count), *ctx.st, *ctx.rng,
+                                 ctx.ws));
   }
   permute(insts, std::move(origin));
-  return exhausted;
+  return total;
 }
 
 /// One assignment pass over a set of instructions (operand lists already
 /// filtered for the strategy stage): color the undecided values, then run
 /// the configured duplication method.
-void run_pass(PassContext& ctx, std::vector<std::vector<ir::ValueId>> insts) {
+void run_pass(PassContext& ctx, PassInsts pass) {
+  std::vector<std::vector<ir::ValueId>>& insts = pass.ops;
   if (insts.empty()) return;
   const ir::AccessStream& stream = *ctx.stream;
   const AssignOptions& opts = *ctx.opts;
@@ -386,18 +403,17 @@ void run_pass(PassContext& ctx, std::vector<std::vector<ir::ValueId>> insts) {
   // coloring's atoms (the skip branch above leaves cr.atoms empty, so later
   // STOR2/3 passes over previously reduced graphs run it as one group).
   PARMEM_FAULT_POINT("assign.duplicate", opts.budget);
-  bool dup_exhausted = false;
+  DupOutcome dup;
   {
     PARMEM_SPAN("assign.duplicate");
     if (cr.atoms.size() > 1) {
-      dup_exhausted = duplicate_atoms(ctx, insts, cg, cr.atoms);
+      dup = duplicate_atoms(ctx, insts, cg, cr.atoms);
     } else {
-      const DupOutcome out =
-          run_duplication(ctx, insts, *ctx.st, *ctx.rng, ctx.ws);
-      ctx.stats->duplication_rounds += out.rounds;
-      dup_exhausted = out.exhausted;
+      dup = run_duplication(ctx, insts, *ctx.st, *ctx.rng, ctx.ws);
+      ctx.stats->duplication_rounds += dup.rounds;
     }
   }
+  const bool dup_exhausted = dup.exhausted;
 
   // Degradation ladder, below the full-effort tier. A tripped coloring was
   // finished greedily (kHittingSet quality at best); a tripped duplication
@@ -410,18 +426,23 @@ void run_pass(PassContext& ctx, std::vector<std::vector<ir::ValueId>> insts) {
     degrade(ctx, AssignTier::kHittingSet);
   }
   if (dup_exhausted) {
+    // The fix-up tests every instruction, so what it leaves replaces the
+    // kernels' list.
+    dup.unresolved.clear();
     bool capped = false;
-    bool residual = false;
-    for (const auto& ops : insts) {
-      if (ctx.st->combination_conflict_free(ops)) continue;
+    for (std::size_t i = 0; i < insts.size(); ++i) {
+      if (ctx.st->combination_conflict_free(insts[i])) continue;
       capped = true;
       const auto added = resolve_instruction(
-          *ctx.st, ops, stream.duplicatable, *ctx.rng,
+          *ctx.st, insts[i], stream.duplicatable, *ctx.rng,
           /*budget=*/nullptr, kFixupNodeCap);
-      if (!added.has_value()) residual = true;
+      if (!added.has_value()) dup.unresolved.push_back(i);
     }
     if (capped) degrade(ctx, AssignTier::kBacktrackCap);
-    if (residual) degrade(ctx, AssignTier::kResidual);
+    if (!dup.unresolved.empty()) degrade(ctx, AssignTier::kResidual);
+  }
+  for (const std::size_t i : dup.unresolved) {
+    ctx.unresolved->push_back(pass.tuple[i]);
   }
 
   // Safety net: every value seen in this pass must end with >= 1 copy. On
@@ -442,11 +463,12 @@ void run_pass(PassContext& ctx, std::vector<std::vector<ir::ValueId>> insts) {
   }
 }
 
-std::vector<std::vector<ir::ValueId>> materialize(
-    const ir::AccessStream& stream, const std::vector<std::uint32_t>& tuples,
-    const std::vector<bool>* value_filter) {
-  std::vector<std::vector<ir::ValueId>> insts;
-  insts.reserve(tuples.size());
+PassInsts materialize(const ir::AccessStream& stream,
+                      const std::vector<std::uint32_t>& tuples,
+                      const std::vector<bool>* value_filter) {
+  PassInsts pass;
+  pass.ops.reserve(tuples.size());
+  pass.tuple.reserve(tuples.size());
   for (const std::uint32_t ti : tuples) {
     const std::vector<ir::ValueId>& operands = stream.tuples[ti].operands;
     std::vector<ir::ValueId> ops;
@@ -454,9 +476,11 @@ std::vector<std::vector<ir::ValueId>> materialize(
     for (const ir::ValueId v : operands) {
       if (value_filter == nullptr || (*value_filter)[v]) ops.push_back(v);
     }
-    if (!ops.empty()) insts.push_back(std::move(ops));
+    if (ops.empty()) continue;
+    pass.ops.push_back(std::move(ops));
+    pass.tuple.push_back(ti);
   }
-  return insts;
+  return pass;
 }
 
 }  // namespace
@@ -480,9 +504,12 @@ AssignResult assign_modules(const ir::AccessStream& stream,
 
   AssignResult result;
   result.module_count = opts.module_count;
-  PassContext ctx{&stream,       &opts, &st,           &decided,
-                  &removed,      &module_load, &rng,   &result.stats,
-                  &workspace,    &result.tier, &result.budget_exhausted};
+  std::vector<std::uint32_t> unresolved;
+  PassContext ctx{&stream,       &opts,        &st,
+                  &decided,      &removed,     &module_load,
+                  &rng,          &result.stats, &workspace,
+                  &result.tier,  &result.budget_exhausted,
+                  &unresolved};
 
   std::vector<std::uint32_t> all_tuples(stream.tuples.size());
   for (std::uint32_t i = 0; i < all_tuples.size(); ++i) all_tuples[i] = i;
@@ -619,9 +646,22 @@ AssignResult assign_modules(const ir::AccessStream& stream,
     }
     result.stats.total_copies += c;
   }
-  // Residual conflicts measured over the whole stream (a pass counts only
-  // its own unresolved instructions; windows can interact).
-  result.stats.residual_conflict_tuples = st.conflicting_tuples().size();
+  // Residual conflicts over the whole stream. Every tuple is seen whole by
+  // some pass (STOR2's stage 2 sees the globals again), each pass leaves
+  // conflicting only the tuples it reports, and copies are only ever
+  // added, so only the reported tuples need testing again. The exact tier
+  // runs no pass and is counted in full.
+  if (exact_done) {
+    result.stats.residual_conflict_tuples = st.conflicting_tuples().size();
+  } else {
+    std::ranges::sort(unresolved);
+    const auto [tail, end] = std::ranges::unique(unresolved);
+    unresolved.erase(tail, end);
+    result.stats.residual_conflict_tuples = static_cast<std::size_t>(
+        std::ranges::count_if(unresolved, [&](std::uint32_t t) {
+          return !st.tuple_conflict_free(stream.tuples[t]);
+        }));
+  }
 
   result.placement = st.placements();
   result.removed = std::move(removed);

@@ -16,6 +16,7 @@ std::vector<Atom> decompose_by_clique_separators(const Graph& g) {
 
   const Triangulation tri = mcs_m(g);
   PARMEM_COUNTER_ADD("graph.mcsm.search_edges", tri.search_edges);
+  PARMEM_COUNTER_ADD("graph.mcsm.mask_steps", tri.mask_steps);
 
   std::vector<std::size_t> pos(n);
   for (std::size_t i = 0; i < n; ++i) pos[tri.order[i]] = i;

@@ -1,7 +1,9 @@
 #include "graph/mcsm.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <memory>
 #include <span>
 #include <utility>
 
@@ -113,6 +115,36 @@ void splice(VertexList& into, VertexList& from, std::vector<Vertex>& next) {
 // the counted work stay pure functions of the graph). Before that every
 // vertex is its own node; chordal and small graphs typically finish
 // without ever labelling.
+//
+// Mask mode. On locality graphs the touched frontier is small: T, the live
+// vertices outside Z, holds a few dozen vertices at a time, and so does the
+// set of live components next to T. Once labelled, the run gives each
+// vertex of T a slot below 64 (tslot_) and each component next to T a slot
+// below 64 (cslot_), and keeps per T slot the mask of its T-neighbours
+// (Slots::trow) and of its components (tcomp), and per component slot the
+// mask of T vertices next to it (comp_t). A step's search is then a closure
+// over masks, level by level. Let A be the T vertices next to x, to a
+// reached component, or to a reached T vertex; x's Z seeds reach their
+// components at level 0. At level j = 1..w(x), every T vertex of weight j
+// in A qualifies (the reached intermediates all weigh less than j), and
+// then every T vertex of weight <= j in A is reached, each costing one OR
+// of its T-row and one of its component mask, until nothing new is
+// reached. The next vertex is picked from T by the same rule (the lowest
+// live id when T is empty, which then lies in Z), so the selection tree
+// goes stale and is rebuilt only if the run leaves mask mode.
+//
+// The masks stay exact between steps without rescanning old rows: zcnt
+// counts, per T slot and component slot, the T vertex's Z-neighbours in
+// that component. Each Z seed takes a slot and scans its row once, which
+// also moves its old T neighbours' counts off its old component; split()
+// moves the counts of the T neighbours of each split-off piece; and every
+// T slot whose counts changed rereads them into its component mask. x's
+// slot is freed, and a component slot when no T vertex touches it. When
+// T or the components next to it would need a 65th slot, the run rebuilds
+// the selection tree and finishes on the search above; repair() and the
+// boundary lists are kept in both modes, so nothing else changes.
+// Labelling also indexes each arc's reverse (rev_), which makes remove(x)
+// O(deg(x)) from then on.
 class Mcsm {
  public:
   explicit Mcsm(const Graph& g) : n_(g.vertex_count()) {
@@ -121,9 +153,7 @@ class Mcsm {
     weight_.assign(leaves_, kNumbered);  // ids >= n pad the tree
     std::fill(weight_.begin(), weight_.begin() + n_, 0);
     tree_.resize(leaves_);
-    for (std::size_t node = leaves_ - 1; node >= 1; --node) {
-      tree_[node] = std::max(winner(2 * node), winner(2 * node + 1));
-    }
+    rebuild_tree();
     score_.assign(n_, 0);
     live_off_.assign(n_ + 1, 0);
     live_deg_.assign(n_, 0);
@@ -155,8 +185,23 @@ class Mcsm {
 
   /// Removes `x` from every live neighbor's row (called once x is
   /// numbered). Rows are swap-deleted, so they are unsorted — harmless,
-  /// because nothing depends on the order a row is visited in.
+  /// because nothing depends on the order a row is visited in. Once
+  /// labelled, rev_ finds x in each row directly.
   void remove(Vertex x) {
+    if (labelled_) {
+      const std::uint32_t base = live_off_[x];
+      for (std::uint32_t p = base; p < base + live_deg_[x]; ++p) {
+        const Vertex w = live_nbr_[p];
+        const std::uint32_t q = rev_[p];  // x's entry in w's row
+        const std::uint32_t last = live_off_[w] + --live_deg_[w];
+        if (q == last) continue;
+        live_nbr_[q] = live_nbr_[last];
+        rev_[q] = rev_[last];
+        rev_[rev_[q]] = q;
+      }
+      live_deg_[x] = 0;
+      return;
+    }
     for (const Vertex w : live(x)) {
       Vertex* row = live_nbr_.data() + live_off_[w];
       for (std::uint32_t i = 0; i < live_deg_[w]; ++i) {
@@ -204,6 +249,11 @@ class Mcsm {
       tree_[node] = std::max(winner(2 * node), winner(2 * node + 1));
     }
   }
+  void rebuild_tree() {
+    for (std::size_t node = leaves_ - 1; node >= 1; --node) {
+      tree_[node] = std::max(winner(2 * node), winner(2 * node + 1));
+    }
+  }
 
   bool in_z(Vertex v) const { return slot_[v] != v; }
 
@@ -211,6 +261,14 @@ class Mcsm {
   void expand_component(std::uint32_t c, std::int32_t level);
 
   void label();
+  void index_reverse_arcs();
+  bool enter_mask();
+  Vertex mask_top();
+  void mask_search(Vertex x, std::int32_t cutoff,
+                   std::vector<std::pair<Vertex, Vertex>>& fill);
+  bool mask_update(Vertex x, bool repaired);
+  int comp_slot(std::uint32_t c);
+  void recount(int s, int from, int& to, std::uint32_t id);
   void repair();
   void split(std::uint32_t c, std::span<const Vertex> starts);
   std::uint32_t new_component();
@@ -273,6 +331,34 @@ class Mcsm {
   std::vector<std::uint32_t> visit_gen_;   // per vertex
   std::vector<std::uint32_t> visit_by_;    // per vertex: piece index
   std::uint32_t visit_gen_now_ = 0;
+
+  // Reverse arcs, once labelled: live_nbr_[rev_[p]] is the owner of p.
+  std::vector<std::uint32_t> rev_;
+
+  // Mask mode (see the class comment). A slot is a bit of a 64-bit mask.
+  static constexpr std::uint64_t bit(int s) { return std::uint64_t{1} << s; }
+  // The per-slot arrays, allocated on entering mask mode so that a run
+  // which never labels does not even clear them.
+  struct Slots {
+    std::array<Vertex, 64> tvert{};          // per T slot: its vertex
+    std::array<std::uint64_t, 64> trow{};    // per T slot: T-neighbours
+    std::array<std::uint64_t, 64> tcomp{};   // per T slot: its components
+    std::array<std::uint32_t, 64> cid{};     // per component slot: its id
+    std::array<std::uint64_t, 64> comp_t{};  // per component slot: T next
+    // Per T slot and component slot: the T vertex's Z-neighbours in it.
+    std::array<std::array<std::uint32_t, 64>, 64> zcnt{};
+  };
+  std::unique_ptr<Slots> slots_;
+  bool masked_ = false;
+  std::vector<std::int8_t> tslot_;  // per vertex: T slot, or -1
+  std::vector<std::int8_t> cslot_;  // per component: slot, or -1
+  std::uint64_t tlive_ = 0;         // occupied T slots
+  std::uint64_t clive_ = 0;         // occupied component slots
+  std::uint64_t dirty_ = 0;      // T slots whose counts a split moved
+  bool mask_full_ = false;       // a split-off piece found no slot
+  std::vector<std::int8_t> seed_cs_;  // per Z seed: its component's slot
+  std::vector<std::uint64_t> wmask_;  // per weight: T slots of that weight
+  Vertex lowest_ = 0;                 // no live vertex has a lower id
 };
 
 void Mcsm::search(std::int32_t cutoff) {
@@ -380,6 +466,7 @@ std::uint32_t Mcsm::new_component() {
   checked_at_.push_back(tick_);
   appended_.push_back(0);
   group_end_.push_back(0);
+  cslot_.push_back(-1);
   ++mark_gen_;
   return id;
 }
@@ -423,6 +510,253 @@ void Mcsm::label() {
     }
     z_size_ += members_.size();
   }
+  index_reverse_arcs();
+  masked_ = enter_mask();
+}
+
+// rev_[p] = the position of p's owner in the row of p's target, for every
+// live arc, in O(n + m). Each vertex w is visited in id order: it first
+// settles the arcs from its lower neighbours v, which left their positions
+// in w's part of rev_ and their own id in rev_[p], then does the same for
+// its higher neighbours.
+void Mcsm::index_reverse_arcs() {
+  rev_.resize(live_off_[n_]);
+  std::vector<std::uint32_t> boxed(n_, 0);  // per vertex: arcs left for it
+  std::vector<std::uint32_t> at(n_);  // w's neighbour -> its position
+  std::vector<std::uint32_t> box;
+  for (Vertex w = 0; w < n_; ++w) {
+    const std::uint32_t base = live_off_[w];
+    const std::uint32_t end = base + live_deg_[w];
+    for (std::uint32_t q = base; q < end; ++q) at[live_nbr_[q]] = q;
+    box.assign(rev_.begin() + base, rev_.begin() + base + boxed[w]);
+    for (const std::uint32_t p : box) {
+      const std::uint32_t q = at[rev_[p]];
+      rev_[p] = q;
+      rev_[q] = p;
+    }
+    for (std::uint32_t q = base; q < end; ++q) {
+      const Vertex u = live_nbr_[q];
+      if (u < w) continue;
+      rev_[q] = w;
+      rev_[live_off_[u] + boxed[u]++] = q;
+    }
+  }
+}
+
+// Gives every vertex of T and every component next to T a slot and fills
+// the masks; false (and no mask mode) if either needs more than 64.
+bool Mcsm::enter_mask() {
+  slots_ = std::make_unique<Slots>();
+  tslot_.assign(n_, -1);
+  left_.clear();
+  std::int32_t top_weight = 0;
+  for (Vertex v = 0; v < n_; ++v) {
+    if (weight_[v] <= 0) continue;  // numbered, or in Z
+    if (left_.size() == 64) return false;
+    left_.push_back(v);
+    top_weight = std::max(top_weight, weight_[v]);
+  }
+  wmask_.assign(static_cast<std::size_t>(top_weight) + 2, 0);
+  seed_cs_.assign(left_.size(), -1);
+  return mask_update(kNil, true);
+}
+
+// The unnumbered vertex of maximum weight, lowest id on ties.
+Vertex Mcsm::mask_top() {
+  Slots& sl = *slots_;
+  if (tlive_ == 0) {
+    while (weight_[lowest_] == kNumbered) ++lowest_;
+    return lowest_;
+  }
+  std::uint64_t best = 0;
+  for (std::uint64_t m = tlive_; m != 0; m &= m - 1) {
+    best = std::max(best, rank(sl.tvert[std::countr_zero(m)]));
+  }
+  return 0xFFFFFFFFu - static_cast<std::uint32_t>(best);
+}
+
+// The step's search as a closure over masks: reached_ gets x's Z seeds and
+// every qualifying T vertex, and `fill` each qualifier that is not x's
+// neighbour. x has already left tlive_ and wmask_. A qualifier of weight j
+// moves to wmask_[j + 1] at once; the ~got test keeps it from qualifying
+// again at level j + 1, where it is already in `low` and `done`.
+void Mcsm::mask_search(Vertex x, std::int32_t cutoff,
+                       std::vector<std::pair<Vertex, Vertex>>& fill) {
+  Slots& sl = *slots_;
+  reached_.clear();
+  seed_cs_.clear();
+  // x's slot still holds its masks; x is outside T only on the labelling
+  // step or when T is empty, and then its row gives them.
+  const int sx = tslot_[x];
+  std::uint64_t near = sx >= 0 ? sl.trow[sx] : 0;  // T vertices next to x
+  std::uint64_t entered = 0;  // components reached, all at level 0
+  if (sx < 0 || sl.tcomp[sx] != 0) {  // x has Z seeds
+    for (const Vertex y : xrow_) {
+      if (in_z(y)) {
+        reached_.push_back(y);
+        // A component has a slot iff it touches T; on the labelling step x
+        // was never in T, so its seeds' components may have none.
+        const int c = cslot_[slot_[y] - n_];
+        seed_cs_.push_back(static_cast<std::int8_t>(c));
+        if (c >= 0) entered |= bit(c);
+      } else if (sx < 0) {
+        near |= bit(tslot_[y]);
+      }
+    }
+  }
+  if (cutoff == 0) return;  // x was in Z, so T is empty
+  if (wmask_.size() < static_cast<std::size_t>(cutoff) + 2) {
+    wmask_.resize(static_cast<std::size_t>(cutoff) + 2, 0);
+  }
+  std::uint64_t seen = near;  // the set A
+  for (std::uint64_t m = entered; m != 0; m &= m - 1) {
+    seen |= sl.comp_t[std::countr_zero(m)];
+  }
+  std::uint64_t low = 0;   // T slots of weight at most the level
+  std::uint64_t done = 0;  // T slots reached
+  std::uint64_t got = 0;   // T slots that qualified
+  for (std::int32_t j = 1; j <= cutoff; ++j) {
+    low |= wmask_[j];
+    // Everything lighter in `seen` is reached, so the new ones are exactly
+    // the weight-j vertices in it, and they all qualify.
+    std::uint64_t frontier = seen & wmask_[j] & ~got;
+    if (frontier == 0) continue;
+    got |= frontier;
+    wmask_[j] ^= frontier;
+    wmask_[j + 1] |= frontier;
+    if (j == cutoff) break;
+    do {
+      done |= frontier;
+      std::uint64_t comps = 0;
+      for (std::uint64_t m = frontier; m != 0; m &= m - 1) {
+        const int s = std::countr_zero(m);
+        seen |= sl.trow[s];
+        comps |= sl.tcomp[s];
+      }
+      comps &= ~entered;
+      entered |= comps;
+      for (std::uint64_t m = comps; m != 0; m &= m - 1) {
+        seen |= sl.comp_t[std::countr_zero(m)];
+      }
+      frontier = seen & low & ~done;
+    } while (frontier != 0);
+    if ((seen & tlive_ & ~low) == 0) break;  // nothing left to qualify
+  }
+  for (std::uint64_t m = got; m != 0; m &= m - 1) {
+    reached_.push_back(sl.tvert[std::countr_zero(m)]);
+  }
+  for (std::uint64_t m = got & ~near; m != 0; m &= m - 1) {
+    const Vertex y = sl.tvert[std::countr_zero(m)];
+    fill.emplace_back(std::min(x, y), std::max(x, y));
+  }
+}
+
+// The slot of component c, opened on first use; -1 if all 64 are taken.
+int Mcsm::comp_slot(std::uint32_t c) {
+  Slots& sl = *slots_;
+  if (cslot_[c] >= 0) return cslot_[c];
+  if (clive_ == ~std::uint64_t{0}) return -1;
+  const int cs = std::countr_zero(~clive_);
+  clive_ |= bit(cs);
+  cslot_[c] = static_cast<std::int8_t>(cs);
+  sl.cid[cs] = c;
+  sl.comp_t[cs] = 0;
+  return cs;
+}
+
+// split() moved a Z-neighbour of T slot s from component slot `from` to
+// the split-off piece `id`, whose slot `to` is opened on first use.
+void Mcsm::recount(int s, int from, int& to, std::uint32_t id) {
+  Slots& sl = *slots_;
+  if (mask_full_) return;
+  if (to < 0 && (to = comp_slot(id)) < 0) {
+    mask_full_ = true;
+    return;
+  }
+  --sl.zcnt[s][from];
+  ++sl.zcnt[s][to];
+  dirty_ |= bit(s);
+}
+
+// After a step (and repair(), if it ran): frees x's T slot, gives each
+// vertex that left Z a slot and scans its row once, moving its old T
+// neighbours' counts off its old component, and then recomputes the
+// component masks of every T slot whose counts changed. False if T or the
+// components next to it need more than 64 slots; the masks are then
+// abandoned.
+bool Mcsm::mask_update(Vertex x, bool repaired) {
+  Slots& sl = *slots_;
+  if (mask_full_) return false;
+  std::uint64_t redo = std::exchange(dirty_, 0);  // counts changed
+  if (x != kNil && tslot_[x] >= 0) {
+    const std::uint64_t bx = bit(tslot_[x]);
+    for (std::uint64_t m = sl.trow[tslot_[x]]; m != 0; m &= m - 1) {
+      sl.trow[std::countr_zero(m)] &= ~bx;
+    }
+    tslot_[x] = -1;
+    redo |= bx;  // leaves every sl.comp_t below
+  }
+  if (repaired && !left_.empty()) {
+    if (static_cast<std::size_t>(std::popcount(tlive_)) + left_.size() > 64) {
+      return false;
+    }
+    std::uint64_t fresh = 0;
+    for (const Vertex y : left_) {
+      const int s = std::countr_zero(~tlive_);
+      tlive_ |= bit(s);
+      tslot_[y] = static_cast<std::int8_t>(s);
+      sl.tvert[s] = y;
+      sl.trow[s] = 0;
+      sl.zcnt[s].fill(0);
+      wmask_[weight_[y]] |= bit(s);
+      fresh |= bit(s);
+    }
+    for (std::size_t i = 0; i < left_.size(); ++i) {
+      const int s = tslot_[left_[i]];
+      const int from = seed_cs_[i];  // its component's slot, if any
+      for (const Vertex u : live(left_[i])) {
+        ++search_edges_;
+        if (in_z(u)) {
+          const int cs = comp_slot(slot_[u] - static_cast<std::uint32_t>(n_));
+          if (cs < 0) return false;
+          ++sl.zcnt[s][cs];
+          continue;
+        }
+        const int su = tslot_[u];
+        sl.trow[s] |= bit(su);
+        sl.trow[su] |= bit(s);
+        if ((fresh & bit(su)) == 0 && from >= 0) {
+          --sl.zcnt[su][from];
+          redo |= bit(su);
+        }
+      }
+    }
+    redo |= fresh;
+  }
+  if (redo == 0) return true;
+  for (std::uint64_t m = clive_; m != 0; m &= m - 1) {
+    sl.comp_t[std::countr_zero(m)] &= ~redo;
+  }
+  for (std::uint64_t m = redo & tlive_; m != 0; m &= m - 1) {
+    const int s = std::countr_zero(m);
+    ++search_edges_;
+    std::uint64_t comps = 0;
+    for (std::uint64_t c = clive_; c != 0; c &= c - 1) {
+      const int cs = std::countr_zero(c);
+      if (sl.zcnt[s][cs] != 0) {
+        comps |= bit(cs);
+        sl.comp_t[cs] |= bit(s);
+      }
+    }
+    sl.tcomp[s] = comps;
+  }
+  for (std::uint64_t m = clive_; m != 0; m &= m - 1) {
+    const int c = std::countr_zero(m);
+    if (sl.comp_t[c] != 0) continue;
+    clive_ &= ~bit(c);
+    cslot_[sl.cid[c]] = -1;
+  }
+  return true;
 }
 
 // After a step: x and the Z seeds have left Z. Appends each seed to the
@@ -510,11 +844,16 @@ void Mcsm::split(std::uint32_t c, std::span<const Vertex> starts) {
     Piece& piece = pieces_[r];
     if (piece.frontier.head == kNil) {  // ran out: a split-off piece
       const std::uint32_t id = new_component();
+      const int from = masked_ ? cslot_[c] : -1;  // < 0: c touches no T
+      int to = -1;
       for (Vertex v = piece.members.head; v != kNil; v = member_next_[v]) {
         slot_[v] = static_cast<std::uint32_t>(n_ + id);
         for (const Vertex w : live(v)) {
           ++search_edges_;
-          if (!in_z(w)) add_boundary(id, w);
+          if (in_z(w)) continue;
+          add_boundary(id, w);
+          // w is in T unless it left Z this step (it then scans its row).
+          if (from >= 0 && tslot_[w] >= 0) recount(tslot_[w], from, to, id);
         }
       }
       retire(r);
@@ -549,9 +888,11 @@ Triangulation Mcsm::run() {
   result.order.assign(n_, 0);
   result.generator.assign(n_, 0);
   std::int32_t prev_weight = -1;  // the first pick is no generator
+  std::uint64_t mask_steps = 0;
+  bool mask_exit = false;
 
   for (std::size_t step = n_; step > 0; --step) {
-    const Vertex x = top();
+    const Vertex x = masked_ ? mask_top() : top();
     PARMEM_CHECK(weight_[x] != kNumbered, "no unnumbered vertex left");
 
     // Number x up front: save its live row for seeding, then delete it
@@ -562,7 +903,12 @@ Triangulation Mcsm::run() {
     xrow_.assign(live(x).begin(), live(x).end());
     remove(x);
     weight_[x] = kNumbered;
-    replay(x);
+    if (!masked_) {
+      replay(x);
+    } else if (tslot_[x] >= 0) {
+      tlive_ &= ~bit(tslot_[x]);
+      wmask_[cutoff] &= ~bit(tslot_[x]);
+    }
     if (!labelled_ && search_edges_ > label_after_) {
       label();
     } else if (in_z(x)) {
@@ -575,20 +921,33 @@ Triangulation Mcsm::run() {
     // Once Z is empty (as it soon is on dense graphs) there is nothing to
     // repair, and every live vertex is its own node.
     const bool contracted = z_size_ > 0;
-    search(cutoff);
-    for (const Vertex y : reached_) {
-      weight_[y] += 1;
-      raise(y);
-      if (score_[y] != key(epoch_, -1)) {  // not a neighbour of x
-        result.fill.emplace_back(std::min(x, y), std::max(x, y));
+    if (masked_) {
+      ++mask_steps;
+      mask_search(x, cutoff, result.fill);
+      for (const Vertex y : reached_) weight_[y] += 1;
+    } else {
+      search(cutoff);
+      for (const Vertex y : reached_) {
+        weight_[y] += 1;
+        raise(y);
+        if (score_[y] != key(epoch_, -1)) {  // not a neighbour of x
+          result.fill.emplace_back(std::min(x, y), std::max(x, y));
+        }
       }
     }
     if (contracted) repair();
+    if (masked_ && !mask_update(x, contracted)) {
+      masked_ = false;  // leave mask mode for good
+      mask_exit = true;
+      rebuild_tree();
+    }
     result.order[step - 1] = x;  // numbered `step`; eliminated at step-1
   }
 
   sort_pairs(result.fill, n_);  // no duplicates: x is never reached again
   result.search_edges = search_edges_;
+  result.mask_steps = mask_steps;
+  result.mask_exit = mask_exit;
   return result;
 }
 

@@ -36,26 +36,36 @@ struct Triangulation {
   /// boundary-list entries checked and the scans that label and repair the
   /// contracted untouched region. A pure function of the graph.
   std::uint64_t search_edges = 0;
+  /// Steps whose search ran as a closure over 64-bit masks (mcs_m below).
+  std::uint64_t mask_steps = 0;
+  /// True iff the run entered mask mode and later left it, because the
+  /// touched vertices or the untouched components next to them outgrew 64.
+  bool mask_exit = false;
 };
 
 /// Runs MCS-M over the whole graph: n steps, each a minimax-path search
-/// over the unnumbered graph (Dial's buckets) plus the pick of the next
-/// vertex from a tournament tree of packed (weight, id) ranks (O(log n)
-/// per step, and usually O(1) per weight increment, with no stale
-/// entries). The search treats each connected region that no numbered
-/// vertex touches yet as a single node, scored in the same array as the
-/// vertices, so it walks only the touched frontier. A step can still cost
-/// O(m) when little of the graph is untouched, as on uniform wide streams,
-/// so the whole run is O(n·m) in the worst case. The fill is sorted by two
-/// counting passes (graph::sort_pairs). Each step also records whether its
-/// vertex is a generator (Triangulation::generator), one compare. Timings
-/// (Release build, shared 4-vCPU x86 box, pinned to one CPU, best of 31 in
-/// each of two rounds): COLOR (6,384 vertices, no fill) 0.8-1.0 ms;
-/// perfbench's syn_monolithic stream (4,093 vertices, 44,197 edges, 28,289
-/// fill edges) 11.6-12.3 ms and syn_modular (4,081 vertices, 25,849 fill
-/// edges) 10.0-11.1 ms; a uniform width-8 stream of 3,000 values (3.7 M
-/// fill edges, best of 3) 0.7-0.9 s. DESIGN.md §9 has the earlier
-/// searches' figures.
+/// over the unnumbered graph plus the pick of the next vertex. The search
+/// treats each connected region that no numbered vertex touches yet as a
+/// single node, so it walks only the touched frontier; until that region
+/// is labelled (once the searches have scanned n + 2m entries) it runs on
+/// Dial's buckets with the pick from a tournament tree of packed
+/// (weight, id) ranks. After labelling, while the touched vertices and the
+/// untouched components next to them each fit in 64 slots, a step is a
+/// level-by-level closure over 64-bit masks (one OR per reached vertex or
+/// component) and the pick scans the touched vertices; a run that outgrows
+/// the slots rebuilds the tree once and finishes on the bucket search. A
+/// step can still cost O(m) when little of the graph is untouched, as on
+/// uniform wide streams, so the whole run is O(n·m) in the worst case. The
+/// fill is sorted by two counting passes (graph::sort_pairs). Each step
+/// also records whether its vertex is a generator
+/// (Triangulation::generator), one compare. Timings (Release build, shared
+/// 4-vCPU x86 box, pinned to one CPU, best of 31 in each of three rounds):
+/// COLOR (6,384 vertices, no fill, never labels) 0.7-0.8 ms; perfbench's
+/// syn_monolithic stream (4,093 vertices, 44,197 edges, 28,289 fill edges,
+/// all but 3 steps on masks) 4.5-6.1 ms and syn_modular (4,081 vertices,
+/// 25,849 fill edges) 4.2-4.4 ms, 0.49-0.70x and 0.51-0.57x of the bucket
+/// search over six rounds. DESIGN.md §9 has the earlier searches'
+/// figures.
 Triangulation mcs_m(const Graph& g);
 
 /// True iff `order` is a perfect elimination ordering of `g` (i.e. g is

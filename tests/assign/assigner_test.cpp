@@ -4,6 +4,8 @@
 
 #include "assign/verify.h"
 #include "support/budget.h"
+#include "support/rng.h"
+#include "workloads/stream_gen.h"
 
 namespace parmem::assign {
 namespace {
@@ -147,6 +149,46 @@ TEST(Assigner, TupleWiderThanModulesSkipsTheEnumerator) {
     EXPECT_EQ(r.stats.residual_conflict_tuples, 1u)
         << dup_method_name(method);
   }
+}
+
+// residual_conflict_tuples re-tests only the tuples the passes reported;
+// it must equal a full recount of the final placement. The seeded streams
+// mark some values mutable so they collide for good, and every fourth
+// compile runs on a step budget small enough to trip mid-duplication.
+TEST(Assigner, ResidualCountEqualsFullRecount) {
+  support::SplitMix64 rng(0x7e5d);
+  std::size_t residual_compiles = 0;
+  std::size_t capped = 0;  // compiles that ran the capped fix-up
+  for (std::size_t i = 0; i < 96; ++i) {
+    workloads::StreamGenOptions g;
+    g.value_count = 24 + rng.below(80);
+    g.tuple_count = g.value_count * (1 + rng.below(3));
+    g.max_width = 3 + rng.below(3);
+    g.region_count = 1 + rng.below(4);
+    g.locality_window = rng.below(2) == 0 ? 0 : 6 + rng.below(20);
+    AccessStream s = workloads::random_stream(g, rng);
+    for (ir::ValueId v = 0; v < s.value_count; ++v) {
+      if (rng.below(5) == 0) s.duplicatable[v] = false;
+    }
+    AssignOptions o;
+    o.module_count = 2 + rng.below(3);
+    o.strategy = static_cast<Strategy>(i % 3);
+    o.method = (i / 3) % 2 == 0 ? DupMethod::kHittingSet
+                                : DupMethod::kBacktracking;
+    o.stor3_windows = 2 + rng.below(3);
+    o.stor2_informed_stage1 = rng.below(2) == 0;
+    o.seed = rng.next();
+    support::Budget budget(support::BudgetSpec{0, 5 + rng.below(150)});
+    if (i % 4 == 3) o.budget = &budget;
+    const auto r = assign_modules(s, o);
+    EXPECT_EQ(r.stats.residual_conflict_tuples,
+              verify_assignment(s, r).conflicting_tuples.size())
+        << "stream " << i;
+    residual_compiles += r.stats.residual_conflict_tuples > 0 ? 1 : 0;
+    capped += r.tier >= AssignTier::kBacktrackCap ? 1 : 0;
+  }
+  EXPECT_GT(residual_compiles, 20u) << capped;
+  EXPECT_GT(capped, 5u) << residual_compiles;
 }
 
 TEST(Assigner, RejectsBadOptions) {

@@ -151,6 +151,17 @@ TEST(McsmWork, EditBaseSearchStaysNearLinear) {
   expect_near_linear_work(edit_base());
 }
 
+// The large streams' touched front stays within the 64 mask slots from
+// labelling to the end, so every later search is a mask closure.
+TEST(McsmWork, LargeStreamsStayInMaskMode) {
+  for (const auto& stream : {syn_monolithic(), syn_modular(), edit_base()}) {
+    const auto cg = assign::ConflictGraph::build(stream);
+    const Triangulation tri = mcs_m(cg.graph());
+    EXPECT_GT(tri.mask_steps, cg.vertex_count() - 16);
+    EXPECT_FALSE(tri.mask_exit);
+  }
+}
+
 // The split floods only from MCS-M generators that are still in the
 // working graph and whose later neighbourhood is a nonempty clique of G: on
 // COLOR, 305 floods for 943 atoms, from 942 generators among 6,384

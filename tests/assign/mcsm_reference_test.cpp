@@ -6,7 +6,11 @@
 // `mcs_m` contracts the untouched region into component nodes and repairs
 // them as they split, so these graphs are chosen to split often: paths,
 // ladders, grids, chains of cliques and block-structured streams, each
-// also under a random relabelling. Order and fill must match exactly.
+// also under a random relabelling. Once labelled, `mcs_m` also runs each
+// search as a closure over 64-bit masks while the touched vertices and the
+// components next to them fit in 64 slots, and falls back to the scored
+// search when they outgrow them; MaskModeExits covers both sides of that
+// switch. Order and fill must match exactly.
 #include <algorithm>
 #include <cstdint>
 #include <functional>
@@ -181,11 +185,12 @@ Graph split_heavy_graph(std::size_t i, support::SplitMix64& rng) {
   }
 }
 
-void expect_same(const Graph& g, const char* what, std::size_t i) {
-  const Triangulation got = mcs_m(g);
+Triangulation expect_same(const Graph& g, const char* what, std::size_t i) {
+  Triangulation got = mcs_m(g);
   const Triangulation want = reference_mcs_m(g);
   EXPECT_EQ(got.order, want.order) << what << " graph " << i;
   EXPECT_EQ(got.fill, want.fill) << what << " graph " << i;
+  return got;
 }
 
 TEST(McsmReference, SplitHeavyGraphs) {
@@ -194,6 +199,86 @@ TEST(McsmReference, SplitHeavyGraphs) {
     const Graph g = split_heavy_graph(i, rng);
     expect_same(g, "plain", i);
     expect_same(relabelled(g, rng), "relabelled", i);
+  }
+}
+
+// The conflict graph of a random stream whose locality window (80-127
+// values) is wider than 64: its touched front outgrows the 64 mask slots
+// after labelling, so mcs_m finishes on the search over scores.
+Graph wide_stream(support::SplitMix64& rng) {
+  workloads::StreamGenOptions o;
+  o.value_count = 160 + rng.below(160);
+  o.tuple_count = o.value_count * (2 + rng.below(2));
+  o.locality_window = 80 + rng.below(48);
+  const auto cg =
+      assign::ConflictGraph::build(workloads::random_stream(o, rng));
+  std::vector<std::pair<Vertex, Vertex>> edges;
+  for (Vertex v = 0; v < cg.vertex_count(); ++v) {
+    for (const Vertex w : cg.graph().neighbors(v)) {
+      if (v < w) edges.emplace_back(v, w);
+    }
+  }
+  return from_edges(cg.vertex_count(), edges);
+}
+
+// A broom: a path 0 .. len - 1 whose last vertex is a hub with `arms`
+// arms, each arm a vertex carrying two tails of 1-4 vertices. MCS-M walks
+// the path from vertex 0 with few touched vertices; numbering the hub
+// touches every arm and cuts the untouched tails into 2 * arms components
+// next to them, more than 64 mask slots.
+Graph broom(std::size_t len, std::size_t arms, support::SplitMix64& rng) {
+  std::vector<std::pair<Vertex, Vertex>> edges;
+  for (std::size_t i = 0; i + 1 < len; ++i) {
+    edges.emplace_back(static_cast<Vertex>(i), static_cast<Vertex>(i + 1));
+  }
+  const auto hub = static_cast<Vertex>(len - 1);
+  auto next = static_cast<Vertex>(len);
+  for (std::size_t a = 0; a < arms; ++a) {
+    const Vertex arm = next++;
+    edges.emplace_back(hub, arm);
+    for (int t = 0; t < 2; ++t) {
+      Vertex prev = arm;
+      for (std::size_t k = 1 + rng.below(4); k > 0; --k) {
+        edges.emplace_back(prev, next);
+        prev = next++;
+      }
+    }
+  }
+  return from_edges(next, edges);
+}
+
+// Graphs that leave mask mode mid-run (wider fronts, more components) or
+// split the untouched region next to it often (bridged block streams),
+// each also relabelled. Every family must run mask steps, and the first
+// two must leave mask mode, or the corpus does not test the switch.
+TEST(McsmReference, MaskModeExits) {
+  support::SplitMix64 rng(0x3a5c);
+  struct Family {
+    const char* name;
+    std::function<Graph()> make;
+    bool must_exit;
+    std::size_t mask_steps = 0;
+    std::size_t exits = 0;
+  } families[] = {
+      {"wide stream", [&] { return wide_stream(rng); }, true},
+      {"broom",
+       [&] { return broom(8 + rng.below(40), 33 + rng.below(28), rng); },
+       true},
+      {"bridged blocks", [&] { return block_stream(rng); }, false},
+  };
+  for (Family& f : families) {
+    for (std::size_t i = 0; i < 12; ++i) {
+      const Graph g = f.make();
+      for (const Graph& h : {g, relabelled(g, rng)}) {
+        const Triangulation t = expect_same(h, f.name, i);
+        f.mask_steps += t.mask_steps;
+        f.exits += t.mask_exit ? 1 : 0;
+      }
+    }
+    EXPECT_GT(f.mask_steps, 0u) << f.name;
+    if (f.must_exit) {
+      EXPECT_GT(f.exits, 0u) << f.name;
+    }
   }
 }
 

@@ -114,6 +114,7 @@ TEST(TelemetryDifferential, CompiledSnapshotMatchesPipelineStats) {
     // Structural counters exist on every compile.
     EXPECT_TRUE(t.has("assign.conflict_edges"));
     EXPECT_TRUE(t.has("graph.mcsm.search_edges"));
+    EXPECT_TRUE(t.has("graph.mcsm.mask_steps"));
   }
 }
 
