@@ -58,22 +58,6 @@ void BM_ColoringNoAtoms(benchmark::State& state) {
       cg.vertex_count() + cg.graph().edge_count()));
 }
 
-// The speculative tier (speculate.h) on the same no-atoms graphs. Compare
-// against BM_ColoringNoAtoms at equal range: the per-chunk bucket-queue
-// sweeps replace the global lazy heap.
-void BM_ColoringSpeculative(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto stream = make_stream(n, 3 * n, 99);
-  const auto cg = assign::ConflictGraph::build(stream);
-  for (auto _ : state) {
-    auto result = assign::color_conflict_graph(
-        cg, {.module_count = 4, .use_atoms = false, .speculate_threshold = 1});
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetComplexityN(static_cast<benchmark::IterationCount>(
-      cg.vertex_count() + cg.graph().edge_count()));
-}
-
 void BM_FullAssignment(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto stream = make_stream(n, 3 * n, 123);
@@ -103,10 +87,6 @@ BENCHMARK(BM_ColoringHeuristic)
     ->Range(128, 4096)
     ->Complexity(benchmark::oNLogN);
 BENCHMARK(BM_ColoringNoAtoms)
-    ->RangeMultiplier(2)
-    ->Range(128, 4096)
-    ->Complexity(benchmark::oNLogN);
-BENCHMARK(BM_ColoringSpeculative)
     ->RangeMultiplier(2)
     ->Range(128, 4096)
     ->Complexity(benchmark::oNLogN);

@@ -3,13 +3,11 @@
 // transfers, and finally a cycle-accurate run against the sequential
 // reference.
 //
-// The tail of the demo batch-compiles the paper's workloads across a thread
-// pool (ParallelConfig::threads), one compile per job.
+// The tail of the demo compiles each of the paper's workloads in turn, the
+// way a caller with many programs drives the library: one compile_mc each.
 //
 //   build/examples/compile_and_run
 #include <cstdio>
-#include <string>
-#include <vector>
 
 #include "analysis/pipeline.h"
 #include "workloads/workloads.h"
@@ -107,24 +105,16 @@ int run_demo() {
   }
   std::printf("\n");
 
-  // Batch compilation: independent programs farmed across a pool.
-  analysis::PipelineOptions par = opts;
-  par.parallel.threads = 4;
-  std::vector<std::string> sources;
+  // Many programs: one compile_mc each, on this thread.
+  std::size_t compiled = 0;
+  bool all_verified = true;
   for (const auto& w : parmem::workloads::all_workloads()) {
-    sources.push_back(w.source);
+    all_verified = analysis::compile_mc(w.source, opts).verify.ok() &&
+                   all_verified;
+    ++compiled;
   }
-  const auto batch = analysis::compile_batch(sources, par);
-  std::printf("compile_batch: %zu workloads on %zu threads, all verified: %s\n",
-              batch.size(), par.parallel.threads,
-              [&] {
-                for (const auto& b : batch) {
-                  if (!b.ok() || !b.compiled->verify.ok()) return false;
-                }
-                return true;
-              }()
-                  ? "yes"
-                  : "NO");
+  std::printf("compile_mc: %zu workloads, all verified: %s\n", compiled,
+              all_verified ? "yes" : "NO");
   return 0;
 }
 

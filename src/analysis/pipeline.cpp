@@ -1,27 +1,14 @@
 #include "analysis/pipeline.h"
 
-#include <new>
-
 #include "frontend/parser.h"
 #include "frontend/sema.h"
 #include "lower/lower.h"
 #include "support/diagnostics.h"
 #include "support/fault_injection.h"
 #include "support/fnv.h"
-#include "support/thread_pool.h"
 #include "telemetry/telemetry.h"
 
 namespace parmem::analysis {
-
-const char* compile_status_name(CompileStatus s) {
-  switch (s) {
-    case CompileStatus::kOk: return "ok";
-    case CompileStatus::kUserError: return "user-error";
-    case CompileStatus::kInternalError: return "internal-error";
-    case CompileStatus::kCancelled: return "cancelled";
-  }
-  PARMEM_UNREACHABLE("bad compile status");
-}
 
 Compiled compile_mc(const std::string& source, const PipelineOptions& opts,
                     const support::CancelToken* cancel) {
@@ -90,10 +77,6 @@ Compiled compile_mc(const std::string& source, const PipelineOptions& opts,
     assign::AssignOptions assign_opts = opts.assign;
     assign_opts.budget = bp;
     assign_opts.memo_store = opts.atom_memo;
-    if (opts.parallel.speculate_threshold != 0) {
-      assign_opts.speculate_threshold = opts.parallel.speculate_threshold;
-      assign_opts.speculate_chunk = opts.parallel.speculate_chunk;
-    }
     c.assignment = assign::assign_modules(c.stream, assign_opts);
   }
   {
@@ -115,43 +98,6 @@ Compiled compile_mc(const std::string& source, const PipelineOptions& opts,
                      c.transfer_stats.words_added);
   c.telemetry = telemetry::Registry::instance().snapshot().since(before);
   return c;
-}
-
-std::vector<CompileResult> compile_batch(
-    const std::vector<std::string>& sources, const PipelineOptions& opts,
-    const support::CancelToken* cancel, const BatchHooks* hooks) {
-  std::vector<CompileResult> out(sources.size());
-  const std::size_t threads = opts.parallel.threads;
-  support::ThreadPool pool(threads > 1 ? threads - 1 : 0);
-  // One job: compile, trapping failures into the per-source result so a
-  // poisoned input cannot take down its batch neighbours. A job that never
-  // runs keeps the default kCancelled status.
-  const auto run_one = [&](std::size_t i) {
-    if (cancel != nullptr && cancel->cancelled()) return;
-    if (hooks != nullptr && hooks->on_job_start) hooks->on_job_start(i);
-    CompileResult& r = out[i];
-    try {
-      r.compiled.emplace(compile_mc(sources[i], opts, cancel));
-      r.status = CompileStatus::kOk;
-    } catch (const support::UserError& e) {
-      r.status = CompileStatus::kUserError;
-      r.diagnostic = e.what();
-    } catch (const std::bad_alloc&) {
-      r.status = CompileStatus::kInternalError;
-      r.diagnostic = "out of memory";
-      r.compiled.reset();  // never let a partial Compiled escape
-    } catch (const std::exception& e) {
-      r.status = CompileStatus::kInternalError;
-      r.diagnostic = e.what();
-      r.compiled.reset();
-    }
-  };
-  // Each job is a pure function of its source, so the batch result is
-  // schedule-independent. The cancel token makes parallel_for skip
-  // un-started bodies while still joining every scheduled task, so
-  // in-flight jobs drain cleanly before we return.
-  pool.parallel_for(sources.size(), run_one, cancel);
-  return out;
 }
 
 std::uint64_t compiled_fingerprint(const Compiled& compiled) {

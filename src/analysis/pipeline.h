@@ -10,8 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,10 +53,8 @@ struct PipelineOptions {
   /// Allow duplicating mutable values (each copy refreshed by a scheduled
   /// transfer after every definition). On = the paper's §2 value model.
   bool duplicate_mutables = true;
-  /// Compile-time parallelism: `parallel.threads` is compile_batch()'s job
-  /// fan-out (a compile itself always runs on its calling thread), plus the
-  /// opt-in speculative coloring knobs. Every thread count produces
-  /// byte-identical results.
+  /// Inert (see machine::ParallelConfig): a compile runs on its calling
+  /// thread whatever this holds.
   machine::ParallelConfig parallel;
   /// Compile budget (wall-clock deadline and/or step count). Default
   /// (both zero) is unlimited. On exhaustion the assignment degrades down
@@ -74,7 +70,7 @@ struct PipelineOptions {
   /// is unchanged — output stays byte-identical to a from-scratch compile.
   /// Null = every compile is from scratch. The caller owns the store
   /// (typically a cache::AtomCache) and may share it across compiles,
-  /// concurrent ones included (compile_batch jobs); it must outlive them.
+  /// concurrent ones on other threads included; it must outlive them.
   assign::AtomMemoStore* atom_memo = nullptr;
   /// Name used in diagnostics for this source ("<source>" when empty).
   std::string source_name;
@@ -96,8 +92,8 @@ struct Compiled {
   /// |V_unassigned|, copies inserted, colors used, ... — the taxonomy is in
   /// DESIGN.md §10). Tests and benches read these instead of re-deriving
   /// them. Empty when built with -DPARMEM_TELEMETRY=OFF; exact per compile
-  /// unless other compiles run concurrently (the registry is process-wide —
-  /// under compile_batch, snapshot around the whole batch instead).
+  /// unless other compiles run concurrently on other threads (the registry
+  /// is process-wide).
   telemetry::Snapshot telemetry;
 
   /// True iff the budget forced the assignment below the full-effort tier
@@ -107,58 +103,15 @@ struct Compiled {
   }
 };
 
-/// Per-source outcome of compile_batch: a fault-isolated job result. A
-/// failed or skipped job never poisons its neighbours.
-enum class CompileStatus : std::uint8_t {
-  kOk = 0,             // compiled holds a verified program
-  kUserError = 1,      // malformed source / configuration (UserError)
-  kInternalError = 2,  // invariant failure or resource exhaustion in-library
-  kCancelled = 3,      // job never ran (batch cancelled before it started)
-};
-const char* compile_status_name(CompileStatus s);
-
-struct CompileResult {
-  /// Defaults to kCancelled so jobs skipped by a cancelled batch read
-  /// correctly without extra bookkeeping; every executed job overwrites.
-  CompileStatus status = CompileStatus::kCancelled;
-  std::optional<Compiled> compiled;  // engaged iff status == kOk
-  std::string diagnostic;            // one-line message otherwise
-  bool ok() const { return status == CompileStatus::kOk; }
-};
-
 /// Compiles MC source through the whole pipeline on the calling thread.
 /// Throws UserError on malformed input, InternalError on library bugs.
-/// `cancel` (optional) trips this compile's budget when cancelled — the
-/// assignment degrades to the cheapest tier and the compile returns early
-/// work rather than blocking.
+/// A throw leaves no state behind, so the next compile is unaffected.
+/// Compiles on different threads are independent (they may share
+/// `atom_memo`). `cancel` (optional) trips this compile's budget when
+/// cancelled — the assignment degrades to the cheapest tier and the compile
+/// returns early work rather than blocking.
 Compiled compile_mc(const std::string& source, const PipelineOptions& opts,
                     const support::CancelToken* cancel = nullptr);
-
-/// Lifecycle observation hooks for compile_batch. `on_job_start` fires on
-/// the executing thread just before job i compiles (after the cancel check,
-/// so a cancelled job never reports a start). The cancellation-drain tests
-/// use it as a handshake — cancel exactly when a job is provably in flight,
-/// instead of sleeping and hoping — and the chaos harness uses it to count
-/// admissions. Hooks must be thread-safe; a null function is skipped.
-struct BatchHooks {
-  std::function<void(std::size_t job)> on_job_start;
-};
-
-/// Compiles independent sources, one compile_mc job per source, on
-/// `opts.parallel.threads` execution contexts: threads - 1 pool workers
-/// plus the calling thread (0 and 1 run the jobs inline, in order).
-/// Results arrive in input order and job i depends only on sources[i] and
-/// opts, so the batch is byte-identical for every thread count. Jobs are
-/// fault-isolated: a throwing job yields a kUserError / kInternalError
-/// CompileResult with a diagnostic instead of poisoning the batch —
-/// compile_batch throws only when the pool itself fails (InternalError).
-/// Cancelling `cancel` stops new jobs from starting (they report
-/// kCancelled); jobs already in flight drain cleanly before the call
-/// returns — no detached worker ever outlives the batch.
-std::vector<CompileResult> compile_batch(
-    const std::vector<std::string>& sources, const PipelineOptions& opts,
-    const support::CancelToken* cancel = nullptr,
-    const BatchHooks* hooks = nullptr);
 
 /// Order-independent FNV-1a fingerprint of a compiled artifact: the final
 /// LIW text plus the placement, removals and tier. Two Compiled results

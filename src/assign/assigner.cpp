@@ -40,7 +40,6 @@ const char* tier_name(AssignTier t) {
   switch (t) {
     case AssignTier::kExact: return "exact";
     case AssignTier::kHeuristic: return "heuristic";
-    case AssignTier::kSpeculateFallback: return "speculate-fallback";
     case AssignTier::kHittingSet: return "hitting-set";
     case AssignTier::kBacktrackCap: return "backtrack-cap";
     case AssignTier::kResidual: return "residual";
@@ -309,8 +308,7 @@ void run_pass(PassContext& ctx, PassInsts pass) {
   for (graph::Vertex v = 0; v < n; ++v) any_skip = any_skip || skip[v];
 
   const ColorOptions copts{opts.module_count, opts.use_atoms, opts.pick,
-                           opts.budget, opts.speculate_threshold,
-                           opts.speculate_chunk, opts.memo_store};
+                           opts.budget, opts.memo_store};
   ColorResult cr;
   if (!any_skip) {
     PARMEM_SPAN("assign.color");
@@ -346,7 +344,6 @@ void run_pass(PassContext& ctx, PassInsts pass) {
     const ColorResult cr2 = color_conflict_graph(
         cg2, copts, pre2, nr2, ctx.module_load, ctx.ws);
     cr.budget_exhausted = cr2.budget_exhausted;
-    cr.speculative = cr2.speculative;
     cr.memo_decomp_hits = cr2.memo_decomp_hits;
     cr.memo_decomp_misses = cr2.memo_decomp_misses;
     // Map back onto the full-graph indexing.
@@ -384,20 +381,8 @@ void run_pass(PassContext& ctx, PassInsts pass) {
     }
   }
   ctx.stats->forced += cr.forced.size();
-  ctx.stats->speculative_rounds += cr.speculative.rounds;
-  ctx.stats->speculative_conflicts += cr.speculative.conflicts;
-  ctx.stats->speculative_repaired += cr.speculative.repaired;
-  ctx.stats->speculative_fallbacks += cr.speculative.fallbacks;
   ctx.stats->memo_decomp_hits += cr.memo_decomp_hits;
   ctx.stats->memo_decomp_misses += cr.memo_decomp_misses;
-  if (cr.speculative.fallbacks > 0) {
-    // The speculative tier burned its budget share and was discarded; the
-    // sequential heuristic produced this pass's coloring. Quality is intact
-    // but the compile paid for work it threw away — record the degradation
-    // so callers (and the assign.fallback_tier gauge) can see it.
-    *ctx.exhausted = true;
-    degrade(ctx, AssignTier::kSpeculateFallback);
-  }
 
   // Duplication phase over this pass's instructions, partitioned along the
   // coloring's atoms (the skip branch above leaves cr.atoms empty, so later

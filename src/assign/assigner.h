@@ -39,12 +39,6 @@ enum class DupMethod : std::uint8_t { kBacktracking, kHittingSet };
 ///   kExact        optional exact minimum-copies solver (oracle quality);
 ///   kHeuristic    Fig. 4 coloring + the configured duplication method run
 ///                 to completion — the normal full-effort path;
-///   kSpeculateFallback
-///                 the opt-in speculative coloring tier exhausted its budget
-///                 share mid-repair and was discarded; the sequential
-///                 heuristic finished under the remainder. Output quality is
-///                 exactly kHeuristic's — the tier records that the compile
-///                 degraded (paid for speculation it could not keep);
 ///   kHittingSet   coloring completed greedily and/or duplication reduced
 ///                 to the Fig. 7 pair step (two copies per V_unassigned
 ///                 value), skipping the iterative hitting-set rounds;
@@ -52,10 +46,13 @@ enum class DupMethod : std::uint8_t { kBacktracking, kHittingSet };
 ///                 cap as the only conflict-resolution effort;
 ///   kResidual     statically predictable conflicts accepted; any value
 ///                 still without a copy is parked in module 0.
+///
+/// The numbers are part of compiled_fingerprint() (analysis/pipeline.h),
+/// which journaled result-cache entries are checked against, so they never
+/// move: 2 stays unused.
 enum class AssignTier : std::uint8_t {
   kExact = 0,
   kHeuristic = 1,
-  kSpeculateFallback = 2,
   kHittingSet = 3,
   kBacktrackCap = 4,
   kResidual = 5,
@@ -81,13 +78,9 @@ struct AssignOptions {
   bool use_atoms = true;
   ModulePick pick = ModulePick::kLeastLoaded;
   std::uint64_t seed = 0x5eedULL;
-  /// Speculative intra-atom coloring (ColorOptions::speculate_threshold):
-  /// atoms with at least this many undecided vertices are colored by the
-  /// optimistic chunked tier instead of the sequential urgency heap.
-  /// 0 (default) disables. Deterministic: the output is a pure function of
-  /// the input and the chunk size.
+  /// Inert: nothing reads these two. They remain declared only because the
+  /// benchmark harness still assigns them; they go with its next change.
   std::size_t speculate_threshold = 0;
-  /// Vertices per speculative chunk; part of the tier's schedule.
   std::size_t speculate_chunk = 256;
   /// Resource budget (deadline / step count), cooperatively polled by the
   /// coloring sweep and all three duplication search kernels. Null
@@ -122,15 +115,9 @@ struct AssignStats {
   std::size_t forced = 0;             // non-duplicable forced assignments
   std::size_t residual_conflict_tuples = 0;
   std::size_t duplication_rounds = 0;
-  // Speculative-tier accounting (zeros unless the tier was enabled). Not
-  // part of any golden hash: the byte-identity suites compare placements.
-  std::uint64_t speculative_rounds = 0;
-  std::uint64_t speculative_conflicts = 0;
-  std::uint64_t speculative_repaired = 0;
-  std::uint64_t speculative_fallbacks = 0;
   // Decomposition-memo accounting: hits + misses is the number of passes
-  // decomposed (zeros unless memo_store was set). Like the speculative
-  // stats, never part of a golden hash.
+  // decomposed (zeros unless memo_store was set). Never part of a golden
+  // hash: the byte-identity suites compare placements.
   std::uint64_t memo_decomp_hits = 0;
   std::uint64_t memo_decomp_misses = 0;
 };

@@ -1,12 +1,12 @@
 #include "assign/color_heuristic.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <optional>
 
 #include "assign/incremental.h"
 #include "assign/module_set.h"
-#include "assign/speculate.h"
 
 #include "graph/atoms.h"
 #include "support/budget.h"
@@ -16,12 +16,53 @@
 
 namespace parmem::assign {
 
-// The urgency comparison (less_urgent) lives in the header: it is shared
-// with the speculative tier's serial tail and must inline into both sweeps.
 namespace {
 
 using graph::Vertex;
 using HeapEntry = AssignWorkspace::HeapEntry;
+
+/// Max-urgency comparison over heap entries (Fig. 4 ordering): U = w/kk with
+/// kk == 0 treated as +inf; ties break on larger s, then smaller vertex id.
+/// It is the comparator of every sift the heap makes, so it must inline: an
+/// out-of-line call per comparison dominates the sweep on large atoms.
+inline bool less_urgent(const HeapEntry& a, const HeapEntry& b) {
+  const bool a_inf = a.kk == 0, b_inf = b.kk == 0;
+  if (a_inf != b_inf) return !a_inf;  // a less urgent iff b is infinite
+  if (!a_inf) {
+    const std::uint64_t lhs = a.w * b.kk;  // cross-multiplied compare
+    const std::uint64_t rhs = b.w * a.kk;
+    if (lhs != rhs) return lhs < rhs;
+  }
+  if (a.s != b.s) return a.s < b.s;
+  return a.v > b.v;
+}
+
+/// The module a never-remove vertex is forced into when none is free: the
+/// least Σ max(conf, 1) to neighbors `module` places there, ties to the
+/// lighter `load`, then the lower index.
+std::uint32_t cheapest_module(const ConflictGraph& cg, Vertex v,
+                              const std::vector<std::int32_t>& module,
+                              const std::vector<std::size_t>& load,
+                              std::size_t k) {
+  std::array<std::uint64_t, kMaxModules> cost{};
+  const auto nbrs = cg.graph().neighbors(v);
+  const auto wts = cg.conf_weights(v);
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    const std::int32_t m = module[nbrs[i]];
+    if (m >= 0) {
+      cost[static_cast<std::uint32_t>(m)] +=
+          std::max<std::uint32_t>(wts[i], 1u);
+    }
+  }
+  std::uint32_t best = 0;
+  for (std::uint32_t m = 1; m < k; ++m) {
+    if (cost[m] < cost[best] ||
+        (cost[m] == cost[best] && load[m] < load[best])) {
+      best = m;
+    }
+  }
+  return best;
+}
 
 // The urgency heap is indexed: each undecided vertex has exactly one entry,
 // and ws.heap_pos tracks where it sits. A neighbour update only raises
@@ -134,20 +175,6 @@ void color_atom(const ConflictGraph& cg, const std::vector<Vertex>& atom,
     ws.neighbor_mods[v] = nm;
   }
 
-  // Speculative tier: a large enough atom goes to the optimistic
-  // chunk-parallel rounds (speculate.h) instead of the urgency heap. On
-  // budget exhaustion the speculation is discarded wholesale and the
-  // sequential sweep below runs under the remaining budget, exactly as if
-  // the tier had never engaged.
-  if (opts.speculate_threshold != 0 &&
-      ws.rest.size() >= opts.speculate_threshold) {
-    if (speculate_color_atom(cg, opts, module, decided, never_remove, load,
-                             ws, result)) {
-      return;
-    }
-  }
-
-  const auto module_of = [&](Vertex w) { return module[w]; };
   const auto k_of = [&](Vertex v) -> std::uint32_t {
     const std::uint32_t used =
         static_cast<std::uint32_t>(std::popcount(ws.neighbor_mods[v]));
@@ -178,7 +205,7 @@ void color_atom(const ConflictGraph& cg, const std::vector<Vertex>& atom,
           result.unassigned.push_back(v);
           continue;
         }
-        const std::uint32_t best = cheapest_module(cg, v, module_of, load, k);
+        const std::uint32_t best = cheapest_module(cg, v, module, load, k);
         module[v] = static_cast<std::int32_t>(best);
         ++load[best];
         result.forced.push_back(v);
@@ -199,7 +226,7 @@ void color_atom(const ConflictGraph& cg, const std::vector<Vertex>& atom,
         // assigned neighbors (the value stays mutable, so it cannot be
         // duplicated; the residual conflicts will serialize at run time).
         chosen = static_cast<std::int32_t>(
-            cheapest_module(cg, v, module_of, load, k));
+            cheapest_module(cg, v, module, load, k));
         result.forced.push_back(v);
       }
     } else {
@@ -279,7 +306,7 @@ void color_atoms(const ConflictGraph& cg,
     const std::vector<Vertex>& atom = a.vertices;
     // The workspace also owns the frontier snapshot, refreshed at the
     // atom's vertices only: every undecided atom vertex is interior, so the
-    // sweep (and the speculative tier) read module/decided nowhere else.
+    // sweep reads module/decided nowhere else.
     // That keeps an atom O(atom), not O(graph).
     ws.snapshot_atom(atom, result.module, decided, load);
     ColorResult local;
@@ -298,7 +325,6 @@ void color_atoms(const ConflictGraph& cg,
     result.forced.insert(result.forced.end(), local.forced.begin(),
                          local.forced.end());
     result.budget_exhausted = result.budget_exhausted || local.budget_exhausted;
-    result.speculative.merge(local.speculative);
     for (std::size_t m = 0; m < load.size(); ++m) {
       added_load[m] += ws.load_snapshot[m] - load[m];
     }

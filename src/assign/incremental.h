@@ -39,8 +39,8 @@ enum class MemoKind : std::uint8_t {
 };
 
 /// Storage interface for memoized results. Implementations must be
-/// thread-safe: one store is shared across concurrent compiles (compile_batch
-/// jobs, the service's workers).
+/// thread-safe: one store is shared across concurrent compiles (the
+/// service's workers).
 /// `check` is a secondary hash over the same closure bytes; a record stored
 /// under (kind, key) with a different check is a miss, which pushes the
 /// effective collision resistance of the 64-bit key to ~128 bits.

@@ -40,13 +40,11 @@ const std::vector<std::string>& FaultInjector::known_sites() {
       "assign.exact",
       "assign.hitting_set",
       "assign.pass",
-      "assign.speculate",
       "cache.atom_journal",
       "pipeline.assign",
       "pipeline.parse",
       "pipeline.schedule",
       "pipeline.verify",
-      "pool.task",
       "router.spawn",
       "router.worker_response",
       "service.admit",
@@ -111,7 +109,7 @@ void FaultInjector::fire(const char* site, Budget* budget) {
     case FaultKind::kTimeout:
       // Simulated deadline expiry: trip the active budget so the caller
       // takes its degradation path. Sites without a budget in scope
-      // (e.g. pool.task) ignore the injection.
+      // (e.g. service.respond) ignore the injection.
       if (budget != nullptr) budget->force_exhaust();
       return;
     case FaultKind::kBadAlloc:

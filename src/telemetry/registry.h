@@ -12,8 +12,8 @@
 // Snapshot::since(before) forms the per-interval view: counters report
 // after - before, gauges report their latest value. Note the registry is
 // process-global: deltas taken around a single compile are exact when no
-// other compile runs concurrently; under compile_batch the per-job deltas
-// interleave (snapshot around the whole batch instead).
+// other compile runs concurrently; compiles on other threads (the service's
+// workers) interleave their counts into each other's deltas.
 #pragma once
 
 #include <algorithm>

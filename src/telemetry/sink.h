@@ -9,15 +9,14 @@
 // change the timing it is measuring.
 //
 // Sinks are registered in a process-wide SinkRegistry and live until process
-// exit, so events emitted by a pool worker survive the pool's join and are
-// still drainable afterwards. The ring buffer itself is allocated lazily on
-// first push — threads that register (for lane naming) but never emit while
-// a session is active cost ~100 bytes, which matters because the test
-// suites create thousands of short-lived pool workers.
+// exit, so events emitted by a worker thread survive its join and are still
+// drainable afterwards. The ring buffer itself is allocated lazily on first
+// push — threads that register but never emit while a session is active
+// cost ~100 bytes, which matters because the test suites create thousands
+// of short-lived threads.
 //
 // This header is intentionally dependency-free and header-only (inline
-// globals), so support::ThreadPool can tag its workers without the support
-// library depending on the telemetry library.
+// globals).
 #pragma once
 
 #include <atomic>
@@ -134,13 +133,6 @@ class SinkRegistry {
 inline ThreadSink& local_sink() {
   thread_local ThreadSink* sink = &SinkRegistry::instance().make_sink();
   return *sink;
-}
-
-/// Names the calling thread's trace lane ("main", "worker-3", ...).
-inline void set_thread_name(std::string name) {
-  if constexpr (kEnabled) {
-    SinkRegistry::instance().set_name(local_sink(), std::move(name));
-  }
 }
 
 /// Session-active flag: spans and counter *events* are recorded only while

@@ -162,42 +162,34 @@ TEST(Fuzz, RandomProgramsSurviveRandomPipelines) {
   }
 }
 
-// Batch differential fuzz: random programs through random pipeline
-// configurations, compiled one by one and as the jobs of a 4-thread
-// compile_batch, must agree bit for bit; and each batch job must still
-// pass the machine-level divergence check against the sequential
-// reference. The failing program seed is named so violations replay
-// directly.
-TEST(Fuzz, ParallelPipelineMatchesSerialTaskMode) {
+// Repeat-compile differential fuzz: random programs through random
+// pipeline configurations, compiled twice in a row, must agree bit for bit;
+// and the repeat must still pass the machine-level divergence check against
+// the sequential reference. The failing program seed is named so
+// violations replay directly.
+TEST(Fuzz, RepeatCompileMatchesFirstCompile) {
   support::SplitMix64 meta(20260805);
   for (int iter = 0; iter < 12; ++iter) {
     const std::uint64_t program_seed = 5000 + static_cast<std::uint64_t>(iter);
     SCOPED_TRACE("program_seed=" + std::to_string(program_seed));
     ProgramGen gen(program_seed);
     const std::string src = gen.generate();
-    PipelineOptions opts = random_options(meta);
-    opts.parallel.threads = 4;
+    const PipelineOptions opts = random_options(meta);
 
-    const Compiled serial = compile_mc(src, opts);
-    // Two jobs of the same source, so the batch really runs concurrently.
-    const std::vector<CompileResult> batch = compile_batch({src, src}, opts);
-    for (const CompileResult& job : batch) {
-      ASSERT_TRUE(job.ok()) << job.diagnostic;
-      const Compiled& parallel = *job.compiled;
-      EXPECT_EQ(serial.assignment.placement, parallel.assignment.placement);
-      EXPECT_EQ(serial.assignment.removed, parallel.assignment.removed);
-      EXPECT_EQ(serial.assignment.stats.total_copies,
-                parallel.assignment.stats.total_copies);
-      EXPECT_EQ(serial.transfer_stats.transfers,
-                parallel.transfer_stats.transfers);
-      EXPECT_EQ(serial.liw.to_string(), parallel.liw.to_string());
-      EXPECT_TRUE(parallel.verify.ok());
+    const Compiled first = compile_mc(src, opts);
+    const Compiled again = compile_mc(src, opts);
+    EXPECT_EQ(first.assignment.placement, again.assignment.placement);
+    EXPECT_EQ(first.assignment.removed, again.assignment.removed);
+    EXPECT_EQ(first.assignment.stats.total_copies,
+              again.assignment.stats.total_copies);
+    EXPECT_EQ(first.transfer_stats.transfers, again.transfer_stats.transfers);
+    EXPECT_EQ(first.liw.to_string(), again.liw.to_string());
+    EXPECT_TRUE(again.verify.ok());
 
-      machine::MachineConfig cfg;
-      cfg.module_count = opts.assign.module_count;
-      cfg.fu_count = std::max(opts.sched.fu_count, std::size_t{2});
-      EXPECT_NO_THROW(run_and_check(parallel, cfg));
-    }
+    machine::MachineConfig cfg;
+    cfg.module_count = opts.assign.module_count;
+    cfg.fu_count = std::max(opts.sched.fu_count, std::size_t{2});
+    EXPECT_NO_THROW(run_and_check(again, cfg));
   }
 }
 

@@ -1,8 +1,8 @@
-// Differential proof that batch compilation is deterministic: a compile
-// always runs on one thread, and compile_batch farms whole compiles across
-// a pool. At every batch width — with the jobs sharing one atom-memo store
-// or not — each job must reproduce the per-source serial compile byte for
-// byte: placements, removals, statistics, transfer schedules and LIW
+// Differential proof that compilation is deterministic: a compile runs on
+// its calling thread and is a pure function of its source and options.
+// Repeat compiles — on a reused thread, after other compiles, with or
+// without a shared atom-memo store — must reproduce the first compile byte
+// for byte: placements, removals, statistics, transfer schedules and LIW
 // programs. The seeded assignment workloads check the same atom-task
 // algorithm against verify_assignment and against a repeat run.
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/pipeline.h"
@@ -87,10 +88,9 @@ TEST(ParallelDifferential, FiftySeededWorkloadsMatchSerialBitForBit) {
 
 // Per-atom scratch (the frontier snapshot, the placement scratch) is
 // refreshed only at the entries an atom reads. Alternating compiles of
-// different sizes and module counts on one reused thread — with and
-// without the speculative tier, which reads that scratch too — must
-// reproduce a compile on a fresh thread, so no scratch may leak from one
-// compile into the next.
+// different sizes and module counts on one reused thread must reproduce a
+// compile on a fresh thread, so no scratch may leak from one compile into
+// the next.
 TEST(ParallelDifferential, ReusedScratchMatchesFreshCompiles) {
   struct Case {
     ir::AccessStream stream;
@@ -112,108 +112,110 @@ TEST(ParallelDifferential, ReusedScratchMatchesFreshCompiles) {
     c.opts.strategy = assign::Strategy::kStor3;
     cases.push_back(std::move(c));
   }
-  for (const std::size_t threshold : {0u, 1u}) {
-    SCOPED_TRACE("speculate_threshold=" + std::to_string(threshold));
-    std::vector<AssignResult> fresh(cases.size());
+  std::vector<AssignResult> fresh(cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    std::thread([&] {
+      fresh[i] = assign::assign_modules(cases[i].stream, cases[i].opts);
+    }).join();
+  }
+  for (int round = 0; round < 2; ++round) {
     for (std::size_t i = 0; i < cases.size(); ++i) {
-      cases[i].opts.speculate_threshold = threshold;
-      std::thread([&] {
-        fresh[i] = assign::assign_modules(cases[i].stream, cases[i].opts);
-      }).join();
-    }
-    for (int round = 0; round < 2; ++round) {
-      for (std::size_t i = 0; i < cases.size(); ++i) {
-        expect_identical(fresh[i],
-                         assign::assign_modules(cases[i].stream, cases[i].opts),
-                         "case " + std::to_string(i));
-      }
+      expect_identical(fresh[i],
+                       assign::assign_modules(cases[i].stream, cases[i].opts),
+                       "case " + std::to_string(i));
     }
   }
 }
 
+/// Compiles every source in order, once.
+std::vector<Compiled> compile_all(const std::vector<std::string>& sources,
+                                  const PipelineOptions& opts) {
+  std::vector<Compiled> out;
+  for (const std::string& s : sources) out.push_back(compile_mc(s, opts));
+  return out;
+}
+
+std::vector<std::string> paper_sources() {
+  std::vector<std::string> sources;
+  for (const auto& w : workloads::all_workloads()) sources.push_back(w.source);
+  return sources;
+}
+
 // Whole-pipeline differential on the paper's six workloads: modules, copies
-// and transfer schedules of a compile alone and of the same compile as a
-// job of a 4-thread batch must agree.
+// and transfer schedules of a first compile and of a repeat compile made
+// after every other workload has run on the same thread must agree.
 TEST(ParallelDifferential, PipelineTransferSchedulesMatch) {
   PipelineOptions opts;
   opts.unroll.max_trip = 8;
   opts.rename = true;
-  opts.parallel.threads = 4;
-  std::vector<std::string> sources;
-  for (const auto& w : workloads::all_workloads()) sources.push_back(w.source);
-  const std::vector<CompileResult> batch = compile_batch(sources, opts);
-  ASSERT_EQ(batch.size(), sources.size());
+  const std::vector<std::string> sources = paper_sources();
+  const std::vector<Compiled> first = compile_all(sources, opts);
+  const std::vector<Compiled> again = compile_all(sources, opts);
   for (std::size_t i = 0; i < sources.size(); ++i) {
     const std::string& name = workloads::all_workloads()[i].name;
     SCOPED_TRACE(name);
-    ASSERT_TRUE(batch[i].ok()) << batch[i].diagnostic;
-    const Compiled serial = compile_mc(sources[i], opts);
-    const Compiled& par = *batch[i].compiled;
-
-    expect_identical(serial.assignment, par.assignment, name);
-    EXPECT_EQ(serial.transfer_stats.transfers, par.transfer_stats.transfers);
-    EXPECT_EQ(serial.transfer_stats.words_added,
-              par.transfer_stats.words_added);
-    EXPECT_EQ(serial.transfer_stats.preloaded_copies,
-              par.transfer_stats.preloaded_copies);
-    EXPECT_EQ(serial.liw.to_string(), par.liw.to_string());
-    EXPECT_TRUE(serial.verify.ok());
-    EXPECT_TRUE(par.verify.ok());
+    const Compiled& a = first[i];
+    const Compiled& b = again[i];
+    expect_identical(a.assignment, b.assignment, name);
+    EXPECT_EQ(a.transfer_stats.transfers, b.transfer_stats.transfers);
+    EXPECT_EQ(a.transfer_stats.words_added, b.transfer_stats.words_added);
+    EXPECT_EQ(a.transfer_stats.preloaded_copies,
+              b.transfer_stats.preloaded_copies);
+    EXPECT_EQ(a.liw.to_string(), b.liw.to_string());
+    EXPECT_TRUE(a.verify.ok());
+    EXPECT_TRUE(b.verify.ok());
   }
 }
 
-// compile_batch at several thread counts == the per-source serial compiles,
-// in order, bit for bit — also when every job of the batch shares one
-// atom-memo store, which concurrent jobs read and fill at once.
-TEST(ParallelDifferential, BatchMatchesPerSourceSerialCompiles) {
-  std::vector<std::string> sources;
-  for (const auto& w : workloads::all_workloads()) sources.push_back(w.source);
-  // Repeat to exercise queue contention beyond worker count.
+// Repeat compiles == the first compiles, in order, bit for bit — also when
+// every compile shares one atom-memo store, which the first copy of each
+// source fills and the second reads.
+TEST(ParallelDifferential, RepeatCompilesMatchFirstCompiles) {
+  std::vector<std::string> sources = paper_sources();
   const std::vector<std::string> once = sources;
   sources.insert(sources.end(), once.begin(), once.end());
 
   PipelineOptions opts;
   opts.unroll.max_trip = 4;
-  std::vector<Compiled> expected;
-  for (const std::string& s : sources) expected.push_back(compile_mc(s, opts));
+  const std::vector<Compiled> expected = compile_all(sources, opts);
 
-  for (const std::size_t threads : {0u, 1u, 2u, 4u, 8u}) {
-    for (const bool shared_memo : {false, true}) {
-      cache::AtomCache store;
-      PipelineOptions bopts = opts;
-      bopts.parallel.threads = threads;
-      if (shared_memo) bopts.atom_memo = &store;
-      const std::vector<CompileResult> got = compile_batch(sources, bopts);
-      ASSERT_EQ(got.size(), expected.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        const std::string label = "job " + std::to_string(i) + " at " +
-                                  std::to_string(threads) + " threads" +
-                                  (shared_memo ? ", shared memo" : "");
-        ASSERT_TRUE(got[i].ok()) << label << ": " << got[i].diagnostic;
-        expect_identical(expected[i].assignment, got[i].compiled->assignment,
-                         label);
-        EXPECT_EQ(expected[i].liw.to_string(),
-                  got[i].compiled->liw.to_string())
-            << label;
-        EXPECT_EQ(compiled_fingerprint(expected[i]),
-                  compiled_fingerprint(*got[i].compiled))
-            << label;
-      }
+  for (const bool shared_memo : {false, true}) {
+    cache::AtomCache store;
+    PipelineOptions ropts = opts;
+    if (shared_memo) ropts.atom_memo = &store;
+    const std::vector<Compiled> got = compile_all(sources, ropts);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const std::string label = "source " + std::to_string(i) +
+                                (shared_memo ? ", shared memo" : "");
+      expect_identical(expected[i].assignment, got[i].assignment, label);
+      EXPECT_EQ(expected[i].liw.to_string(), got[i].liw.to_string()) << label;
+      EXPECT_EQ(compiled_fingerprint(expected[i]), compiled_fingerprint(got[i]))
+          << label;
     }
   }
 }
 
-// parallel.threads sets only compile_batch's fan-out; a single compile
-// runs on its caller's thread at 0, 1 and 8 alike.
+// The ParallelConfig fields and AssignOptions::speculate_* are inert: a
+// compile runs on its caller's thread and colours with the one sequential
+// sweep whatever they hold.
 TEST(ParallelDifferential, EveryThreadCountCompilesIdentically) {
   const auto& w = workloads::all_workloads().front();
-  PipelineOptions opts;
-  opts.parallel.threads = 0;
-  const Compiled a = compile_mc(w.source, opts);
+  const PipelineOptions base;
+  const Compiled a = compile_mc(w.source, base);
+  std::vector<std::pair<std::string, PipelineOptions>> variants;
   for (const std::size_t threads : {1u, 8u}) {
-    opts.parallel.threads = threads;
-    const Compiled b = compile_mc(w.source, opts);
-    const std::string label = "threads=" + std::to_string(threads);
+    PipelineOptions o = base;
+    o.parallel.threads = threads;
+    variants.emplace_back("threads=" + std::to_string(threads), o);
+  }
+  PipelineOptions spec = base;
+  spec.parallel.speculate_threshold = 1;
+  spec.parallel.speculate_chunk = 16;
+  spec.assign.speculate_threshold = 1;
+  spec.assign.speculate_chunk = 16;
+  variants.emplace_back("speculate_threshold=1", spec);
+  for (const auto& [label, o] : variants) {
+    const Compiled b = compile_mc(w.source, o);
     expect_identical(a.assignment, b.assignment, label);
     EXPECT_EQ(a.liw.to_string(), b.liw.to_string()) << label;
     EXPECT_EQ(compiled_fingerprint(a), compiled_fingerprint(b)) << label;

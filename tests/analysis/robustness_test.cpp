@@ -5,17 +5,16 @@
 //    mutables are never duplicated) and the compile never hangs;
 //  * a step-only budget degrades deterministically on the serial path;
 //  * an untripped budget is byte-identical to the unbudgeted legacy path;
-//  * compile_batch isolates per-source failures into CompileResult and
-//    drains cleanly on cancellation;
-//  * (fault-injection builds) every tagged site survives a timeout, a
-//    bad_alloc, and an injected internal error without corrupting
-//    neighbouring jobs.
+//  * a compile that throws leaves nothing behind: the next compile is
+//    clean, and a cancelled token degrades a compile instead of failing it;
+//  * (fault-injection builds) every tagged site survives a timeout, and a
+//    bad_alloc or an injected internal error surfaces as a typed throw that
+//    leaves the next compile clean.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
+#include <new>
 #include <string>
 #include <utility>
 #include <thread>
@@ -283,10 +282,10 @@ std::string valid_source(std::size_t i) {
          "}\n";
 }
 
-TEST(Robustness, PoisonedBatchIsFaultIsolated) {
-  // 50 sources, 5 poisoned in different frontend stages. The batch must
-  // return 45 verified programs and 5 kUserError diagnostics — in order,
-  // without throwing, at any thread count.
+TEST(Robustness, FailedCompileLeavesTheNextCompileClean) {
+  // 50 sources, 5 poisoned in different frontend stages. Each poisoned
+  // compile throws UserError; the compile after it must match the same
+  // source compiled before any failure, byte for byte.
   const std::vector<std::pair<std::size_t, std::string>> poison = {
       {3, "func main( {"},                               // parse error
       {11, "func main() { var x: int = ; }"},            // parse error
@@ -298,266 +297,179 @@ TEST(Robustness, PoisonedBatchIsFaultIsolated) {
   for (std::size_t i = 0; i < 50; ++i) sources.push_back(valid_source(i));
   for (const auto& [at, src] : poison) sources[at] = src;
 
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    PipelineOptions opts;
-    opts.parallel.threads = threads;
-    const std::vector<CompileResult> got = compile_batch(sources, opts);
-    ASSERT_EQ(got.size(), sources.size());
-
-    std::size_t ok = 0, user_errors = 0;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      const bool poisoned =
-          std::any_of(poison.begin(), poison.end(),
-                      [&](const auto& p) { return p.first == i; });
-      if (poisoned) {
-        EXPECT_EQ(got[i].status, CompileStatus::kUserError) << "job " << i;
-        EXPECT_FALSE(got[i].compiled.has_value()) << "job " << i;
-        EXPECT_FALSE(got[i].diagnostic.empty()) << "job " << i;
-        ++user_errors;
-      } else {
-        ASSERT_TRUE(got[i].ok()) << "job " << i << ": " << got[i].diagnostic;
-        EXPECT_TRUE(got[i].compiled->verify.ok()) << "job " << i;
-        ++ok;
-      }
-    }
-    EXPECT_EQ(ok, 45u);
-    EXPECT_EQ(user_errors, 5u);
+  const PipelineOptions opts;
+  std::vector<std::uint64_t> reference;
+  for (std::size_t i = 0; i < 50; ++i) {
+    reference.push_back(
+        compiled_fingerprint(compile_mc(valid_source(i), opts)));
   }
-}
-
-TEST(Robustness, BatchCancelledUpFrontReportsEveryJobCancelled) {
-  std::vector<std::string> sources;
-  for (std::size_t i = 0; i < 12; ++i) sources.push_back(valid_source(i));
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    PipelineOptions opts;
-    opts.parallel.threads = threads;
-    support::CancelToken token;
-    token.cancel();
-    const std::vector<CompileResult> got = compile_batch(sources, opts, &token);
-    ASSERT_EQ(got.size(), sources.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].status, CompileStatus::kCancelled) << "job " << i;
-      EXPECT_FALSE(got[i].ok()) << "job " << i;
-      EXPECT_FALSE(got[i].compiled.has_value()) << "job " << i;
-    }
-  }
-}
-
-TEST(Robustness, BatchMidFlightCancellationDrainsCleanly) {
-  std::vector<std::string> sources;
-  for (std::size_t i = 0; i < 64; ++i) sources.push_back(valid_source(i));
-  PipelineOptions opts;
-  opts.parallel.threads = 2;
-  opts.unroll.max_trip = 8;
-
-  // Deterministic handshake instead of a timed sleep: the canceller waits
-  // until a job provably reports in-flight (BatchHooks::on_job_start), then
-  // cancels — the cancel always lands mid-batch, never before the first job
-  // or after the last.
-  support::CancelToken token;
-  std::mutex mu;
-  std::condition_variable cv;
-  bool started = false;
-  BatchHooks hooks;
-  hooks.on_job_start = [&](std::size_t) {
-    std::lock_guard<std::mutex> lk(mu);
-    if (!started) {
-      started = true;
-      cv.notify_all();
-    }
-  };
-  std::thread canceller([&] {
-    std::unique_lock<std::mutex> lk(mu);
-    cv.wait(lk, [&] { return started; });
-    token.cancel();
-  });
-  const std::vector<CompileResult> got =
-      compile_batch(sources, opts, &token, &hooks);
-  canceller.join();
-
-  ASSERT_EQ(got.size(), sources.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    // Only two legal outcomes: the job ran to completion (possibly degraded
-    // by the cancel-tripped budget, but structurally valid), or it never
-    // started. Nothing in between, and nothing throws.
-    if (got[i].ok()) {
-      ASSERT_TRUE(got[i].compiled.has_value()) << "job " << i;
-      expect_well_formed(got[i].compiled->stream, got[i].compiled->assignment,
-                         "job " + std::to_string(i));
+  std::size_t ok = 0, user_errors = 0;
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    const bool poisoned =
+        std::any_of(poison.begin(), poison.end(),
+                    [&](const auto& p) { return p.first == i; });
+    if (poisoned) {
+      EXPECT_THROW(compile_mc(sources[i], opts), support::UserError)
+          << "source " << i;
+      ++user_errors;
     } else {
-      EXPECT_EQ(got[i].status, CompileStatus::kCancelled) << "job " << i;
-      EXPECT_FALSE(got[i].compiled.has_value()) << "job " << i;
+      const Compiled c = compile_mc(sources[i], opts);
+      EXPECT_TRUE(c.verify.ok()) << "source " << i;
+      EXPECT_EQ(compiled_fingerprint(c), reference[i]) << "source " << i;
+      ++ok;
     }
+  }
+  EXPECT_EQ(ok, 45u);
+  EXPECT_EQ(user_errors, 5u);
+}
+
+TEST(Robustness, PreCancelledTokenDegradesTheCompile) {
+  const auto& w = workloads::all_workloads().front();
+  PipelineOptions opts;
+  opts.unroll.max_trip = 8;
+  const Compiled reference = compile_mc(w.source, opts);
+
+  support::CancelToken token;
+  token.cancel();
+  Compiled c;
+  ASSERT_NO_THROW(c = compile_mc(w.source, opts, &token));
+  EXPECT_TRUE(c.assignment.budget_exhausted);
+  EXPECT_TRUE(c.degraded());
+  expect_well_formed(c.stream, c.assignment, w.name);
+
+  // The token belongs to that compile alone.
+  const Compiled next = compile_mc(w.source, opts);
+  EXPECT_FALSE(next.degraded());
+  EXPECT_EQ(compiled_fingerprint(next), compiled_fingerprint(reference));
+}
+
+TEST(Robustness, CancelFromAnotherThreadLeavesAWellFormedCompile) {
+  // The cancel lands at whatever point the compile has reached: it runs to
+  // completion, degraded or not, and is structurally valid either way.
+  PipelineOptions opts;
+  opts.unroll.max_trip = 8;
+  for (const auto& w : workloads::all_workloads()) {
+    SCOPED_TRACE(w.name);
+    support::CancelToken token;
+    std::thread canceller([&] { token.cancel(); });
+    Compiled c;
+    EXPECT_NO_THROW(c = compile_mc(w.source, opts, &token));
+    canceller.join();
+    expect_well_formed(c.stream, c.assignment, w.name);
   }
 }
 
-TEST(Robustness, CompileStatusNamesAreStable) {
-  EXPECT_STREQ(compile_status_name(CompileStatus::kOk), "ok");
-  EXPECT_STREQ(compile_status_name(CompileStatus::kUserError), "user-error");
-  EXPECT_STREQ(compile_status_name(CompileStatus::kInternalError),
-               "internal-error");
-  EXPECT_STREQ(compile_status_name(CompileStatus::kCancelled), "cancelled");
+// The tier numbers are hashed into compiled_fingerprint(), which journaled
+// result-cache entries are checked against, so neither names nor numbers
+// may move. 2 stays unused.
+TEST(Robustness, TierNamesAndNumbersAreStable) {
+  const struct {
+    AssignTier tier;
+    int number;
+    const char* name;
+  } tiers[] = {
+      {AssignTier::kExact, 0, "exact"},
+      {AssignTier::kHeuristic, 1, "heuristic"},
+      {AssignTier::kHittingSet, 3, "hitting-set"},
+      {AssignTier::kBacktrackCap, 4, "backtrack-cap"},
+      {AssignTier::kResidual, 5, "residual"},
+  };
+  for (const auto& t : tiers) {
+    EXPECT_STREQ(assign::tier_name(t.tier), t.name);
+    EXPECT_EQ(static_cast<int>(t.tier), t.number) << t.name;
+  }
 }
 
 #if PARMEM_FAULT_INJECTION_ENABLED
 
 // Seeded site sweep: discover the tagged fault sites from a recording run,
 // then hit every site with every fault kind. A timeout must degrade but
-// complete; bad_alloc / internal errors must be contained by compile_batch
-// as kInternalError results that never corrupt neighbouring jobs.
+// complete; bad_alloc / internal errors must surface from compile_mc as
+// std::bad_alloc / InternalError and leave the next compile clean.
 class FaultSweep : public ::testing::Test {
  protected:
   void TearDown() override { support::FaultInjector::instance().reset(); }
 
-  // Records one compile run as a one-job batch: at threads >= 2 the job
-  // runs through the pool's task wrapper, which adds "pool.task".
-  static std::vector<std::string> discover_sites(std::size_t threads,
-                                                 bool speculate = false) {
+  // Records the sites one compile fires.
+  static std::vector<std::string> discover_sites() {
     auto& injector = support::FaultInjector::instance();
     injector.reset();
     injector.set_recording(true);
-    compile_batch({workloads::all_workloads().front().source},
-                  sweep_options(threads, speculate));
+    compile_mc(workloads::all_workloads().front().source, sweep_options());
     const auto sites = injector.sites();
     injector.reset();
     return sites;
   }
 
-  static PipelineOptions sweep_options(std::size_t threads,
-                                       bool speculate = false) {
+  static PipelineOptions sweep_options() {
     PipelineOptions opts;
-    opts.parallel.threads = threads;
     opts.unroll.max_trip = 4;
-    if (speculate) {
-      // Threshold 1 routes every atom through the speculative tier, so the
-      // "assign.speculate" fault point is guaranteed to fire.
-      opts.parallel.speculate_threshold = 1;
-      opts.parallel.speculate_chunk = 8;
-    }
     return opts;
   }
 };
 
 TEST_F(FaultSweep, RecordingDiscoversTheTaggedSites) {
-  const auto serial = discover_sites(0);
-  EXPECT_FALSE(serial.empty());
-  const auto has = [](const std::vector<std::string>& v, const char* s) {
-    return std::find(v.begin(), v.end(), s) != v.end();
+  const auto sites = discover_sites();
+  EXPECT_FALSE(sites.empty());
+  const auto has = [&](const char* s) {
+    return std::find(sites.begin(), sites.end(), s) != sites.end();
   };
-  EXPECT_TRUE(has(serial, "pipeline.parse"));
-  EXPECT_TRUE(has(serial, "pipeline.assign"));
-  EXPECT_TRUE(has(serial, "pipeline.verify"));
-  EXPECT_TRUE(has(serial, "assign.pass"));
-
-  const auto pooled = discover_sites(2);
-  EXPECT_TRUE(has(pooled, "pool.task"));
-
-  const auto speculative = discover_sites(0, /*speculate=*/true);
-  EXPECT_TRUE(has(speculative, "assign.speculate"));
-  EXPECT_FALSE(has(pooled, "assign.speculate"))
-      << "the speculative fault point fired with the tier disabled";
+  EXPECT_TRUE(has("pipeline.parse"));
+  EXPECT_TRUE(has("pipeline.assign"));
+  EXPECT_TRUE(has("pipeline.verify"));
+  EXPECT_TRUE(has("assign.pass"));
 
   // Registry sync: every site the pipeline actually fires must be listed in
   // known_sites(), or arming it (as the sweeps below do) would be rejected.
   const auto& known = support::FaultInjector::known_sites();
-  for (const auto& sites : {serial, pooled, speculative}) {
-    for (const std::string& site : sites) {
-      EXPECT_TRUE(std::binary_search(known.begin(), known.end(), site))
-          << "fired site '" << site << "' missing from known_sites()";
-    }
+  for (const std::string& site : sites) {
+    EXPECT_TRUE(std::binary_search(known.begin(), known.end(), site))
+        << "fired site '" << site << "' missing from known_sites()";
   }
 }
 
 TEST_F(FaultSweep, TimeoutAtEverySiteDegradesButCompletes) {
   const auto& w = workloads::all_workloads().front();
-  for (const std::string& site : discover_sites(0)) {
+  for (const std::string& site : discover_sites()) {
     SCOPED_TRACE(site);
     support::FaultInjector::instance().arm(site, support::FaultKind::kTimeout);
     Compiled c;
-    ASSERT_NO_THROW(c = compile_mc(w.source, sweep_options(0)))
+    ASSERT_NO_THROW(c = compile_mc(w.source, sweep_options()))
         << "a simulated timeout must never throw";
     expect_well_formed(c.stream, c.assignment, site);
     support::FaultInjector::instance().reset();
   }
 }
 
-TEST_F(FaultSweep, HardFaultsAreContainedByTheBatch) {
-  // Serial batch: job order is deterministic, so the one-shot fault always
-  // lands in job 0 and jobs 1..2 must come out untouched.
-  std::vector<std::string> sources = {valid_source(0), valid_source(1),
-                                      valid_source(2)};
+TEST_F(FaultSweep, HardFaultsLeaveTheNextCompileClean) {
+  // The fault is one-shot, so it always lands in the first compile; the
+  // two after it must match their fault-free compiles byte for byte.
+  const std::vector<std::string> sources = {valid_source(0), valid_source(1),
+                                            valid_source(2)};
+  std::vector<std::uint64_t> reference;
+  for (const std::string& src : sources) {
+    reference.push_back(compiled_fingerprint(compile_mc(src, sweep_options())));
+  }
   for (const auto kind : {support::FaultKind::kBadAlloc,
                           support::FaultKind::kInternalError}) {
-    for (const std::string& site : discover_sites(0)) {
+    for (const std::string& site : discover_sites()) {
       SCOPED_TRACE(std::string(support::fault_kind_name(kind)) + " at " +
                    site);
       support::FaultInjector::instance().arm(site, kind);
-      std::vector<CompileResult> got;
-      ASSERT_NO_THROW(got = compile_batch(sources, sweep_options(0)));
-      ASSERT_EQ(got.size(), 3u);
-      EXPECT_EQ(got[0].status, CompileStatus::kInternalError);
-      EXPECT_FALSE(got[0].compiled.has_value())
-          << "a partial Compiled escaped through a fault";
-      EXPECT_FALSE(got[0].diagnostic.empty());
-      for (std::size_t i = 1; i < got.size(); ++i) {
-        ASSERT_TRUE(got[i].ok()) << "job " << i << ": " << got[i].diagnostic;
-        EXPECT_TRUE(got[i].compiled->verify.ok());
+      if (kind == support::FaultKind::kBadAlloc) {
+        EXPECT_THROW(compile_mc(sources[0], sweep_options()), std::bad_alloc);
+      } else {
+        EXPECT_THROW(compile_mc(sources[0], sweep_options()),
+                     support::InternalError);
+      }
+      for (std::size_t i = 1; i < sources.size(); ++i) {
+        const Compiled c = compile_mc(sources[i], sweep_options());
+        EXPECT_TRUE(c.verify.ok()) << "source " << i;
+        EXPECT_EQ(compiled_fingerprint(c), reference[i]) << "source " << i;
       }
       support::FaultInjector::instance().reset();
     }
   }
-}
-
-TEST_F(FaultSweep, SpeculativeTierSurvivesEverySeededFault) {
-  // The speculative coloring path adds one fault point, "assign.speculate",
-  // firing before any speculative state exists. A simulated timeout trips
-  // the compile budget, so the tier's entry polls catch it and fall back to
-  // the sequential heap (recorded as a degraded result, never a throw);
-  // hard faults propagate out of compile_mc and must be contained by
-  // compile_batch exactly like every other site.
-  const auto& w = workloads::all_workloads().front();
-  support::FaultInjector::instance().arm("assign.speculate",
-                                         support::FaultKind::kTimeout);
-  Compiled c;
-  ASSERT_NO_THROW(c = compile_mc(w.source, sweep_options(0, true)));
-  EXPECT_TRUE(c.assignment.budget_exhausted);
-  EXPECT_GE(c.assignment.stats.speculative_fallbacks, 1u)
-      << "the tripped budget must be recorded as a speculative fallback";
-  expect_well_formed(c.stream, c.assignment, "speculate timeout");
-  support::FaultInjector::instance().reset();
-
-  std::vector<std::string> sources = {valid_source(0), valid_source(1),
-                                      valid_source(2)};
-  for (const auto kind : {support::FaultKind::kBadAlloc,
-                          support::FaultKind::kInternalError}) {
-    SCOPED_TRACE(support::fault_kind_name(kind));
-    support::FaultInjector::instance().arm("assign.speculate", kind);
-    // A serial batch runs the jobs in index order, so the one-shot fault
-    // always lands in job 0.
-    std::vector<CompileResult> got;
-    ASSERT_NO_THROW(got = compile_batch(sources, sweep_options(0, true)));
-    ASSERT_EQ(got.size(), 3u);
-    EXPECT_EQ(got[0].status, CompileStatus::kInternalError);
-    EXPECT_FALSE(got[0].compiled.has_value());
-    for (std::size_t i = 1; i < got.size(); ++i) {
-      ASSERT_TRUE(got[i].ok()) << "job " << i << ": " << got[i].diagnostic;
-      EXPECT_TRUE(got[i].compiled->verify.ok());
-    }
-    support::FaultInjector::instance().reset();
-  }
-}
-
-TEST_F(FaultSweep, PoolInfrastructureFaultSurfacesAsInternalError) {
-  // "pool.task" sits in the pool's own task wrapper — outside any job's
-  // try block — so it models the pool itself failing; compile_batch must
-  // surface it as a typed InternalError, never a hang or a crash.
-  support::FaultInjector::instance().arm("pool.task",
-                                         support::FaultKind::kInternalError);
-  EXPECT_THROW(compile_batch({workloads::all_workloads().front().source},
-                             sweep_options(2)),
-               support::InternalError);
 }
 
 #else

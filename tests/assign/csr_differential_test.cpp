@@ -236,86 +236,6 @@ void check_stream_against_goldens(const std::string& name) {
   }
 }
 
-// Runs the speculative tier for one golden-row config at a given chunk
-// size. threshold 1 forces every atom through the speculative path
-// regardless of size, so the determinism contract is exercised on small
-// atoms too (single-chunk rounds) and large ones (multi-chunk).
-std::uint64_t run_speculative(const ir::AccessStream& stream,
-                              const GoldenRow& row, std::size_t chunk) {
-  AssignOptions o;
-  o.module_count = row.k;
-  o.strategy = static_cast<Strategy>(row.strategy);
-  o.method = static_cast<DupMethod>(row.method);
-  o.speculate_threshold = 1;
-  o.speculate_chunk = chunk;
-  return hash_result(assign_modules(stream, o));
-}
-
-// The speculative tier's determinism contract: for a fixed stream and
-// config, the full AssignResult is a pure function of the input and the
-// chunk size, so repeated runs are byte-identical. The chunk size is part
-// of the schedule (each chunk runs its own urgency sweep), so each chunk
-// size gets its own reference.
-void check_stream_speculative(const std::string& name) {
-  const ir::AccessStream stream = make_stream(name);
-  for (const GoldenRow& row : kGoldens) {
-    if (name != row.stream) continue;
-    const std::string label = name + " k=" + std::to_string(row.k) +
-                              " strat=" + std::to_string(row.strategy) +
-                              " method=" + std::to_string(row.method);
-    EXPECT_EQ(run_speculative(stream, row, 16), run_speculative(stream, row, 16))
-        << label << " (c16 repeat)";
-    EXPECT_EQ(run_speculative(stream, row, 64), run_speculative(stream, row, 64))
-        << label << " (c64 repeat)";
-  }
-}
-
-TEST(SpeculativeDifferential, PaperWorkloadsDeterministic) {
-  for (const char* name :
-       {"TAYLOR1", "TAYLOR2", "EXACT", "FFT", "SORT", "COLOR"}) {
-    check_stream_speculative(name);
-  }
-}
-
-TEST(SpeculativeDifferential, SyntheticSmallDeterministic) {
-  check_stream_speculative("syn_small");
-}
-
-TEST(SpeculativeDifferential, SyntheticMidDeterministic) {
-  check_stream_speculative("syn_mid");
-}
-
-// End-to-end: the whole Compiled artifact (LIW schedule + placement +
-// removals + tier) of a speculative compile is identical whether it runs
-// alone or as a compile_batch job at 1, 2 or 4 threads.
-TEST(SpeculativeDifferential, CompiledOutputIdenticalAcrossThreads) {
-  analysis::PipelineOptions o;
-  o.sched.fu_count = 8;
-  o.sched.module_count = 8;
-  o.assign.module_count = 8;
-  o.rename = true;
-  o.parallel.speculate_threshold = 1;
-  o.parallel.speculate_chunk = 16;
-  std::vector<std::string> sources;
-  std::vector<std::uint64_t> alone;
-  for (const auto& w : workloads::all_workloads()) {
-    if (w.name != "FFT" && w.name != "SORT") continue;
-    sources.push_back(w.source);
-    alone.push_back(
-        analysis::compiled_fingerprint(analysis::compile_mc(w.source, o)));
-  }
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    o.parallel.threads = threads;
-    const auto got = analysis::compile_batch(sources, o);
-    ASSERT_EQ(got.size(), sources.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_TRUE(got[i].ok()) << got[i].diagnostic;
-      EXPECT_EQ(analysis::compiled_fingerprint(*got[i].compiled), alone[i])
-          << "job " << i << " threads=" << threads;
-    }
-  }
-}
-
 TEST(CsrDifferential, PaperWorkloadsMatchSeedGoldens) {
   for (const char* name :
        {"TAYLOR1", "TAYLOR2", "EXACT", "FFT", "SORT", "COLOR"}) {

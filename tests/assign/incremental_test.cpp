@@ -19,6 +19,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -29,7 +30,6 @@
 #include "assign/assigner.h"
 #include "result_hash.h"
 #include "support/rng.h"
-#include "support/thread_pool.h"
 #include "workloads/stream_gen.h"
 #include "workloads/workloads.h"
 
@@ -171,25 +171,31 @@ TEST(IncrementalDifferential, PaperWorkloadsMatchSeedGoldensColdAndWarm) {
   }
 }
 
-// The synthetic block stream compiled by 1/2/4 concurrent callers — the
-// shape of a compile_batch whose jobs share one memo store: memo-less,
-// cold, and warm runs all produce one result. The single memo-less run is
-// the reference.
+/// Runs body(0) .. body(n - 1) on n threads at once and joins them.
+template <typename Body>
+void on_threads(std::size_t n, Body body) {
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < n; ++i) threads.emplace_back(body, i);
+  for (std::thread& t : threads) t.join();
+}
+
+// The synthetic block stream compiled by 1/2/4 concurrent threads sharing
+// one memo store, as the service's workers do: memo-less, cold, and warm
+// runs all produce one result. The single memo-less run is the reference.
 TEST(IncrementalDifferential, ModularSyntheticIdenticalAcrossWidths) {
   const ir::AccessStream stream = modular_base();
   const std::uint64_t ref = hash_result(run(stream, 4, 0, 1, nullptr));
   MapStore store;
   for (const std::size_t workers : {1u, 2u, 4u}) {
-    support::ThreadPool pool(workers - 1);
     std::vector<std::uint64_t> memoless(workers), cold(workers),
         warm(workers);
-    pool.parallel_for(workers, [&](std::size_t i) {
+    on_threads(workers, [&](std::size_t i) {
       memoless[i] = hash_result(run(stream, 4, 0, 1, nullptr));
     });
-    pool.parallel_for(workers, [&](std::size_t i) {
+    on_threads(workers, [&](std::size_t i) {
       cold[i] = hash_result(run(stream, 4, 0, 1, &store));
     });
-    pool.parallel_for(workers, [&](std::size_t i) {
+    on_threads(workers, [&](std::size_t i) {
       warm[i] = hash_result(run(stream, 4, 0, 1, &store));
     });
     for (std::size_t i = 0; i < workers; ++i) {

@@ -77,26 +77,14 @@ TEST_P(AssignProperty, NoPredictableConflictSurvives) {
     o.strategy = cfg.strategy;
     o.method = cfg.method;
     o.seed = 1000 + static_cast<std::uint64_t>(iter);
-    // The sequential path and the speculative tier (threshold 1 engages it
-    // on every atom) must both satisfy the paper's invariants — the
-    // speculative coloring is allowed to differ, not to be wrong.
-    AssignOptions so = o;
-    so.speculate_threshold = 1;
-    so.speculate_chunk = 4;
-    const struct {
-      AssignResult r;
-      const char* mode;
-    } runs[] = {{assign_modules(s, o), "sequential"},
-                {assign_modules(s, so), "speculative"}};
-    for (const auto& [r, mode] : runs) {
-      const auto report = verify_assignment(s, r);
-      EXPECT_TRUE(report.ok())
-          << mode << " iter " << iter << ": "
-          << report.conflicting_tuples.size() << " conflicting tuples, "
-          << report.missing_values.size() << " missing values";
-      for (const ModuleSet m : r.placement) {
-        EXPECT_LE(copy_count(m), cfg.module_count);
-      }
+    const AssignResult r = assign_modules(s, o);
+    const auto report = verify_assignment(s, r);
+    EXPECT_TRUE(report.ok())
+        << "iter " << iter << ": " << report.conflicting_tuples.size()
+        << " conflicting tuples, " << report.missing_values.size()
+        << " missing values";
+    for (const ModuleSet m : r.placement) {
+      EXPECT_LE(copy_count(m), cfg.module_count);
     }
   }
 }
@@ -135,9 +123,8 @@ TEST_P(AssignProperty, MutableValuesRespectSingleCopy) {
 
 // Randomized access streams across k ∈ {2, 4, 8}: the verify.h invariants
 // I1 (no statically predictable conflict survives) and I8 (no mutable value
-// carries more than one copy) must hold for every strategy × method drawn,
-// with and without the speculative tier. Failures name the seed so a
-// violation replays with a one-line loop edit.
+// carries more than one copy) must hold for every strategy × method drawn.
+// Failures name the seed so a violation replays with a one-line loop edit.
 TEST(AssignPropertyRandomized, InvariantsHoldAcrossModuleCounts) {
   for (const std::size_t k : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
@@ -159,43 +146,36 @@ TEST(AssignPropertyRandomized, InvariantsHoldAcrossModuleCounts) {
       o.method = static_cast<DupMethod>(rng.below(2));
       o.seed = seed;
 
-      const auto check = [&](const AssignResult& r, const char* mode) {
-        const auto report = verify_assignment(s, r);
-        // I8 and well-formedness are unconditional.
-        EXPECT_TRUE(report.illegal_duplicates.empty())
-            << mode << ": mutable value duplicated (I8)";
-        EXPECT_TRUE(report.missing_values.empty())
-            << mode << ": accessed value lost all copies";
-        // I1 may only fail where mutable operands alone already collide.
-        for (const std::uint32_t ti : report.conflicting_tuples) {
-          std::vector<ir::ValueId> fixed;
-          for (const ir::ValueId v : s.tuples[ti].operands) {
-            if (!s.duplicatable[v]) fixed.push_back(v);
-          }
-          EXPECT_FALSE(copies_admit_sdr(fixed, r.placement, k))
-              << mode << ": tuple " << ti
-              << " conflicts despite resolvable mutable core (I1)";
+      const AssignResult r = assign_modules(s, o);
+      const auto report = verify_assignment(s, r);
+      // I8 and well-formedness are unconditional.
+      EXPECT_TRUE(report.illegal_duplicates.empty())
+          << "mutable value duplicated (I8)";
+      EXPECT_TRUE(report.missing_values.empty())
+          << "accessed value lost all copies";
+      // I1 may only fail where mutable operands alone already collide.
+      for (const std::uint32_t ti : report.conflicting_tuples) {
+        std::vector<ir::ValueId> fixed;
+        for (const ir::ValueId v : s.tuples[ti].operands) {
+          if (!s.duplicatable[v]) fixed.push_back(v);
         }
-        for (const ModuleSet m : r.placement) EXPECT_LE(copy_count(m), k);
-      };
-
-      check(assign_modules(s, o), "sequential");
-      AssignOptions so = o;
-      so.speculate_threshold = 1;
-      so.speculate_chunk = 8;
-      check(assign_modules(s, so), "speculative");
+        EXPECT_FALSE(copies_admit_sdr(fixed, r.placement, k))
+            << "tuple " << ti
+            << " conflicts despite resolvable mutable core (I1)";
+      }
+      for (const ModuleSet m : r.placement) EXPECT_LE(copy_count(m), k);
     }
   }
 }
 
-// Independent conflict-freedom check for the speculative tier: the coloring
-// it returns is validated against a raw edge list recomputed directly from
-// the tuples — no conflict-graph machinery, no golden hashes. Two adjacent
+// Independent conflict-freedom check for the Fig. 4 sweep: the coloring it
+// returns is validated against a raw edge list recomputed directly from the
+// tuples — no conflict-graph adjacency, no golden hashes. Two adjacent
 // vertices may share a module only if one of them was *forced* (mutable
 // value with no free module); every module index must be within the
 // machine's module count; and every vertex must end either colored or in
 // V_unassigned.
-TEST(SpeculativeColoringProperty, ConflictFreeAgainstRawEdgeList) {
+TEST(ColoringProperty, ConflictFreeAgainstRawEdgeList) {
   support::SplitMix64 rng(0x5bec);
   for (int iter = 0; iter < 8; ++iter) {
     const std::size_t nv = 24 + rng.below(60);
@@ -225,23 +205,14 @@ TEST(SpeculativeColoringProperty, ConflictFreeAgainstRawEdgeList) {
       never_remove[v] = !s.duplicatable[cg.value_of(v)];
     }
 
-    const struct {
-      std::size_t chunk;
-      bool use_atoms;
-    } modes[] = {{4, true}, {16, true}, {4, false}};
-    for (const auto& m : modes) {
-      SCOPED_TRACE("iter=" + std::to_string(iter) + " chunk=" +
-                   std::to_string(m.chunk) +
-                   " atoms=" + std::to_string(m.use_atoms));
+    for (const bool use_atoms : {true, false}) {
+      SCOPED_TRACE("iter=" + std::to_string(iter) +
+                   " atoms=" + std::to_string(use_atoms));
       ColorOptions co;
       co.module_count = k;
-      co.use_atoms = m.use_atoms;
-      co.speculate_threshold = 1;
-      co.speculate_chunk = m.chunk;
+      co.use_atoms = use_atoms;
       const ColorResult cr = color_conflict_graph(cg, co, {}, never_remove);
       ASSERT_EQ(cr.module.size(), n);
-      EXPECT_GE(cr.speculative.atoms + cr.speculative.fallbacks, 1u)
-          << "speculative tier never engaged";
 
       std::vector<bool> forced(n, false);
       for (const graph::Vertex v : cr.forced) forced[v] = true;

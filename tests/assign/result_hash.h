@@ -1,7 +1,7 @@
 // The golden-hash digest of an AssignResult shared by the differential
 // suites: placement, removals and the headline stats, folded with FNV-1a
-// from kFingerprintSeed. It deliberately excludes the tier and the
-// speculative accounting, which differ between compared runs. Every golden
+// from kFingerprintSeed. It deliberately excludes the tier and the memo
+// accounting, which differ between compared runs. Every golden
 // constant in those suites depends on this exact byte order.
 #pragma once
 
