@@ -21,7 +21,7 @@ Compiled compile_mc(const std::string& source, const PipelineOptions& opts,
   // passes nullptr downstream, so an unbudgeted compile runs exactly the
   // budget-free instruction stream (fault-injection builds keep the live budget so
   // injected timeouts have something to trip).
-  support::Budget budget(opts.budget, nullptr, cancel);
+  support::Budget budget(opts.budget, cancel);
   support::Budget* bp = budget.limited() ? &budget : nullptr;
 #if PARMEM_FAULT_INJECTION_ENABLED
   bp = &budget;

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <optional>
 #include <span>
 
 #include "assign/backtrack.h"
 #include "assign/conflict_graph.h"
-#include "assign/exact.h"
 #include "assign/hitting_set_approach.h"
 #include "assign/placement_state.h"
 #include "assign/workspace.h"
@@ -38,7 +36,6 @@ const char* dup_method_name(DupMethod m) {
 
 const char* tier_name(AssignTier t) {
   switch (t) {
-    case AssignTier::kExact: return "exact";
     case AssignTier::kHeuristic: return "heuristic";
     case AssignTier::kHittingSet: return "hitting-set";
     case AssignTier::kBacktrackCap: return "backtrack-cap";
@@ -499,55 +496,7 @@ AssignResult assign_modules(const ir::AccessStream& stream,
   std::vector<std::uint32_t> all_tuples(stream.tuples.size());
   for (std::uint32_t i = 0; i < all_tuples.size(); ++i) all_tuples[i] = i;
 
-  // Optional exact tier: try the branch-and-bound oracle on a half-share of
-  // the remaining budget. On success the whole heuristic pipeline is
-  // skipped; on failure (too large, node cap, budget trip) nothing has been
-  // committed and the ladder continues at kHeuristic with the other half.
-  bool exact_done = false;
-  if (opts.try_exact && opts.module_count <= 16) {
-    std::size_t used_values = 0;
-    {
-      std::vector<bool> used(stream.value_count, false);
-      for (const auto& t : stream.tuples) {
-        for (const ir::ValueId v : t.operands) {
-          if (!used[v]) {
-            used[v] = true;
-            ++used_values;
-          }
-        }
-      }
-    }
-    bool mutable_used = false;  // never duplicate mutables: heuristic only
-    for (ir::ValueId v = 0; v < stream.value_count; ++v) {
-      if (!stream.duplicatable[v]) mutable_used = true;
-    }
-    if (used_values <= opts.exact_value_limit && !mutable_used) {
-      PARMEM_SPAN("assign.exact");
-      std::optional<support::Budget> sub;
-      support::Budget* eb = opts.budget;
-      if (opts.budget != nullptr) {
-        sub.emplace(opts.budget->fraction_of_remaining(1, 2), opts.budget);
-        eb = &*sub;
-      }
-      const std::uint64_t cap =
-          opts.exact_node_budget != 0 ? opts.exact_node_budget : 20'000'000;
-      const auto ex = exact_min_copies(stream, opts.module_count, cap, eb);
-      if (ex.has_value()) {
-        for (ir::ValueId v = 0; v < stream.value_count; ++v) {
-          for (const std::uint32_t m : modules_of(ex->placement[v])) {
-            st.add_copy(v, m);
-          }
-        }
-        result.tier = AssignTier::kExact;
-        exact_done = true;
-      }
-      if (eb != nullptr && eb->exhausted()) result.budget_exhausted = true;
-    }
-  }
-
-  if (exact_done) {
-    // fall through to the common statistics below
-  } else switch (opts.strategy) {
+  switch (opts.strategy) {
     case Strategy::kStor1: {
       run_pass(ctx, materialize(stream, all_tuples, nullptr));
       break;
@@ -634,19 +583,14 @@ AssignResult assign_modules(const ir::AccessStream& stream,
   // Residual conflicts over the whole stream. Every tuple is seen whole by
   // some pass (STOR2's stage 2 sees the globals again), each pass leaves
   // conflicting only the tuples it reports, and copies are only ever
-  // added, so only the reported tuples need testing again. The exact tier
-  // runs no pass and is counted in full.
-  if (exact_done) {
-    result.stats.residual_conflict_tuples = st.conflicting_tuples().size();
-  } else {
-    std::ranges::sort(unresolved);
-    const auto [tail, end] = std::ranges::unique(unresolved);
-    unresolved.erase(tail, end);
-    result.stats.residual_conflict_tuples = static_cast<std::size_t>(
-        std::ranges::count_if(unresolved, [&](std::uint32_t t) {
-          return !st.tuple_conflict_free(stream.tuples[t]);
-        }));
-  }
+  // added, so only the reported tuples need testing again.
+  std::ranges::sort(unresolved);
+  const auto [tail, end] = std::ranges::unique(unresolved);
+  unresolved.erase(tail, end);
+  result.stats.residual_conflict_tuples = static_cast<std::size_t>(
+      std::ranges::count_if(unresolved, [&](std::uint32_t t) {
+        return !st.tuple_conflict_free(stream.tuples[t]);
+      }));
 
   result.placement = st.placements();
   result.removed = std::move(removed);

@@ -32,11 +32,9 @@ enum class Strategy : std::uint8_t { kStor1, kStor2, kStor3 };
 enum class DupMethod : std::uint8_t { kBacktracking, kHittingSet };
 
 /// Graceful-degradation ladder (strongest to cheapest). The assigner starts
-/// at kExact (only when AssignOptions::try_exact is set) or kHeuristic and
-/// drops tiers as the Budget trips; AssignResult::tier records the weakest
-/// tier that produced any part of the result.
+/// at kHeuristic and drops tiers as the Budget trips; AssignResult::tier
+/// records the weakest tier that produced any part of the result.
 ///
-///   kExact        optional exact minimum-copies solver (oracle quality);
 ///   kHeuristic    Fig. 4 coloring + the configured duplication method run
 ///                 to completion — the normal full-effort path;
 ///   kHittingSet   coloring completed greedily and/or duplication reduced
@@ -49,9 +47,8 @@ enum class DupMethod : std::uint8_t { kBacktracking, kHittingSet };
 ///
 /// The numbers are part of compiled_fingerprint() (analysis/pipeline.h),
 /// which journaled result-cache entries are checked against, so they never
-/// move: 2 stays unused.
+/// move: 0 and 2 stay unused.
 enum class AssignTier : std::uint8_t {
-  kExact = 0,
   kHeuristic = 1,
   kHittingSet = 3,
   kBacktrackCap = 4,
@@ -89,15 +86,6 @@ struct AssignOptions {
   /// stays structurally valid (every used value keeps >= 1 copy, mutables
   /// are never duplicated).
   support::Budget* budget = nullptr;
-  /// Attempt the exact minimum-copies solver first (AssignTier::kExact).
-  /// Off by default — it is exponential and only viable for tiny streams;
-  /// when on, the attempt is limited to exact_value_limit used values and
-  /// to a half-share of the remaining budget so a failed attempt still
-  /// leaves room for the heuristic tiers.
-  bool try_exact = false;
-  std::size_t exact_value_limit = 16;
-  /// Search-node cap for the exact attempt (0 = the solver's default).
-  std::uint64_t exact_node_budget = 0;
   /// Incremental recompilation (incremental.h): memo store journaling the
   /// clique-separator decomposition across compiles under a structure-only
   /// hash, so an edit that changes only conflict weights skips MCS-M. Pure
@@ -132,8 +120,7 @@ struct AssignResult {
   /// Weakest ladder tier that produced any part of this assignment
   /// (kHeuristic on the normal full-effort path).
   AssignTier tier = AssignTier::kHeuristic;
-  /// True iff the budget tripped anywhere (including a failed exact-tier
-  /// attempt that then fell back without degrading the final quality).
+  /// True iff the budget tripped anywhere during the assignment.
   bool budget_exhausted = false;
 };
 

@@ -10,7 +10,7 @@
 // global-then-local stages). Only values that actually occur in the selected
 // tuples become vertices.
 //
-// Layout: the underlying Graph is finalized (packed CSR, see graph/graph.h)
+// Layout: the underlying Graph is packed CSR (see graph/graph.h)
 // and the conf weights live in an array parallel to the flat CSR neighbor
 // array. Iterating a vertex's neighbors therefore yields the matching
 // weights as a same-index read from conf_weights() — the hot loops of the

@@ -3,9 +3,7 @@
 #include <algorithm>
 
 #include "graph/coloring.h"
-#include "support/budget.h"
 #include "support/diagnostics.h"
-#include "support/fault_injection.h"
 
 namespace parmem::assign {
 namespace {
@@ -17,8 +15,8 @@ namespace {
 class MinCopiesSearch {
  public:
   MinCopiesSearch(const ir::AccessStream& stream, std::size_t k,
-                  std::uint64_t budget, support::Budget* wall_budget)
-      : stream_(stream), k_(k), budget_(budget), wall_budget_(wall_budget) {
+                  std::uint64_t budget)
+      : stream_(stream), k_(k), budget_(budget) {
     std::vector<bool> seen(stream.value_count, false);
     for (const auto& t : stream.tuples) {
       for (const ir::ValueId v : t.operands) {
@@ -60,7 +58,7 @@ class MinCopiesSearch {
         out.placement = placement_;
         return out;
       }
-      if (exhausted_) return std::nullopt;  // budget ran out
+      if (exhausted_) return std::nullopt;  // node cap reached
     }
     return std::nullopt;  // infeasible (tuple wider than k)
   }
@@ -82,11 +80,6 @@ class MinCopiesSearch {
 
   bool search(std::size_t idx, std::size_t used, std::size_t bound) {
     if (++nodes_ > budget_) {
-      exhausted_ = true;
-      return false;
-    }
-    if (wall_budget_ != nullptr && (nodes_ & 1023) == 0 &&
-        !wall_budget_->charge(1024)) {
       exhausted_ = true;
       return false;
     }
@@ -123,7 +116,6 @@ class MinCopiesSearch {
   const ir::AccessStream& stream_;
   std::size_t k_;
   std::uint64_t budget_;
-  support::Budget* wall_budget_ = nullptr;
   std::uint64_t nodes_ = 0;
   bool exhausted_ = false;
   std::vector<ir::ValueId> values_;
@@ -163,16 +155,13 @@ bool removal_rec(const graph::Graph& g, std::size_t k, std::size_t budget,
 
 std::optional<ExactPlacement> exact_min_copies(const ir::AccessStream& stream,
                                                std::size_t module_count,
-                                               std::uint64_t node_budget,
-                                               support::Budget* budget) {
+                                               std::uint64_t node_budget) {
   PARMEM_CHECK(module_count >= 1 && module_count <= 16,
                "exact solver supports up to 16 modules");
-  PARMEM_FAULT_POINT("assign.exact", budget);
   for (const auto& t : stream.tuples) {
     if (t.operands.size() > module_count) return std::nullopt;  // infeasible
   }
-  if (budget != nullptr && !budget->poll()) return std::nullopt;
-  return MinCopiesSearch(stream, module_count, node_budget, budget).run();
+  return MinCopiesSearch(stream, module_count, node_budget).run();
 }
 
 std::size_t exact_min_removals(const graph::Graph& g, std::size_t k) {

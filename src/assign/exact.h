@@ -18,10 +18,6 @@
 #include "graph/graph.h"
 #include "ir/access.h"
 
-namespace parmem::support {
-class Budget;
-}
-
 namespace parmem::assign {
 
 /// Minimum total number of copies over all placements (each used value gets
@@ -30,16 +26,13 @@ namespace parmem::assign {
 ///
 /// Exponential in the number of used values; intended for <= ~8 values.
 /// `node_budget` caps the search node count; returns nullopt if exceeded.
-/// `budget` (optional) is additionally charged per search node so a
-/// compile-wide deadline interrupts the search — nullopt again.
 struct ExactPlacement {
   std::size_t total_copies = 0;
   std::vector<ModuleSet> placement;  // per value id (0 for unused values)
 };
 std::optional<ExactPlacement> exact_min_copies(
     const ir::AccessStream& stream, std::size_t module_count,
-    std::uint64_t node_budget = 20'000'000,
-    support::Budget* budget = nullptr);
+    std::uint64_t node_budget = 20'000'000);
 
 /// Minimum number of vertices whose removal makes `g` k-colorable
 /// (the optimum the Fig. 4 heuristic's V_unassigned is measured against).

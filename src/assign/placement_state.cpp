@@ -83,14 +83,6 @@ ModuleSet PlacementState::extra_copy_fixes(const std::vector<ir::ValueId>& ops,
   return candidates & freeable;
 }
 
-std::vector<std::uint32_t> PlacementState::conflicting_tuples() const {
-  std::vector<std::uint32_t> out;
-  for (std::uint32_t i = 0; i < stream_->tuples.size(); ++i) {
-    if (!tuple_conflict_free(stream_->tuples[i])) out.push_back(i);
-  }
-  return out;
-}
-
 std::size_t PlacementState::total_copies() const {
   std::size_t n = 0;
   for (const ModuleSet s : placement_) n += copy_count(s);

@@ -61,9 +61,6 @@ class PlacementState {
   ModuleSet extra_copy_fixes(const std::vector<ir::ValueId>& ops,
                              ir::ValueId v, ModuleSet candidates) const;
 
-  /// Indices of tuples currently conflicting (no SDR).
-  std::vector<std::uint32_t> conflicting_tuples() const;
-
   /// Total number of copies across values that have at least one.
   std::size_t total_copies() const;
 

@@ -22,78 +22,6 @@ bool is_valid_coloring(const Graph& g, const Coloring& coloring,
 
 namespace {
 
-/// Smallest color in [0,k) unused by v's neighbors, or kUncolored.
-std::int32_t first_free_color(const Graph& g, const Coloring& coloring,
-                              Vertex v, std::size_t k) {
-  std::vector<bool> used(k, false);
-  for (const Vertex w : g.neighbors(v)) {
-    const std::int32_t c = coloring[w];
-    if (c >= 0 && static_cast<std::size_t>(c) < k) used[c] = true;
-  }
-  for (std::size_t c = 0; c < k; ++c) {
-    if (!used[c]) return static_cast<std::int32_t>(c);
-  }
-  return kUncolored;
-}
-
-}  // namespace
-
-Coloring first_fit(const Graph& g, std::size_t k,
-                   const std::vector<Vertex>& order) {
-  PARMEM_CHECK(order.size() == g.vertex_count(),
-               "order must list every vertex exactly once");
-  Coloring coloring(g.vertex_count(), kUncolored);
-  for (const Vertex v : order) {
-    coloring[v] = first_free_color(g, coloring, v, k);
-  }
-  return coloring;
-}
-
-Coloring dsatur(const Graph& g, std::size_t k) {
-  const std::size_t n = g.vertex_count();
-  Coloring coloring(n, kUncolored);
-  std::vector<bool> done(n, false);
-  for (std::size_t step = 0; step < n; ++step) {
-    // Pick the undone vertex with max saturation (distinct neighbor colors),
-    // ties by max degree, then lowest id.
-    Vertex best = 0;
-    std::int64_t best_key = -1;
-    for (Vertex v = 0; v < n; ++v) {
-      if (done[v]) continue;
-      std::vector<bool> seen(k, false);
-      std::int64_t sat = 0;
-      for (const Vertex w : g.neighbors(v)) {
-        const std::int32_t c = coloring[w];
-        if (c >= 0 && !seen[c]) {
-          seen[c] = true;
-          ++sat;
-        }
-      }
-      const std::int64_t key =
-          sat * static_cast<std::int64_t>(n + 1) +
-          static_cast<std::int64_t>(g.degree(v));
-      if (key > best_key) {
-        best_key = key;
-        best = v;
-      }
-    }
-    coloring[best] = first_free_color(g, coloring, best, k);
-    done[best] = true;
-  }
-  return coloring;
-}
-
-Coloring dsatur_components(const Graph& g, std::size_t k) {
-  Coloring coloring(g.vertex_count(), kUncolored);
-  for (const auto& comp : g.components()) {
-    const Coloring local = dsatur(g.induced(comp), k);
-    for (std::size_t j = 0; j < comp.size(); ++j) coloring[comp[j]] = local[j];
-  }
-  return coloring;
-}
-
-namespace {
-
 bool exact_color_rec(const Graph& g, std::size_t k, Coloring& coloring,
                      const std::vector<Vertex>& order, std::size_t idx,
                      std::size_t max_used) {
@@ -149,14 +77,6 @@ std::optional<Coloring> exact_color(const Graph& g, std::size_t k,
     return coloring;
   }
   return std::nullopt;
-}
-
-std::size_t chromatic_number(const Graph& g) {
-  if (g.vertex_count() == 0) return 0;
-  for (std::size_t k = 1; k <= g.vertex_count(); ++k) {
-    if (exact_color(g, k).has_value()) return k;
-  }
-  PARMEM_UNREACHABLE("n colors always suffice");
 }
 
 }  // namespace parmem::graph

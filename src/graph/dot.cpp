@@ -1,6 +1,5 @@
 #include "graph/dot.h"
 
-#include <algorithm>
 #include <sstream>
 
 namespace parmem::graph {
@@ -55,44 +54,6 @@ std::string to_dot(const Graph& g, const DotOptions& options) {
       }
       os << ";\n";
     }
-  }
-  os << "}\n";
-  return os.str();
-}
-
-std::string atoms_to_dot(const Graph& g, const std::vector<Atom>& atoms,
-                         const DotOptions& options) {
-  std::ostringstream os;
-  os << "graph " << options.graph_name << "_atoms {\n"
-     << "  node [shape=circle, fontsize=11];\n";
-  for (std::size_t a = 0; a < atoms.size(); ++a) {
-    os << "  subgraph cluster_atom" << a << " {\n"
-       << "    label=\"atom " << a << "\";\n";
-    const auto name = [&](Vertex v) {
-      return numbered(numbered("a", a) + "_n", v);
-    };
-    for (const Vertex v : atoms[a].vertices) {
-      const bool is_sep =
-          std::binary_search(atoms[a].separator.begin(),
-                             atoms[a].separator.end(), v);
-      os << "  ";
-      emit_vertex(os, options, v, name(v));
-      if (is_sep) {
-        // Mark separator membership with a double border.
-        os << "    " << name(v) << " [peripheries=2];\n";
-      }
-    }
-    for (const Vertex v : atoms[a].vertices) {
-      for (const Vertex w : g.neighbors(v)) {
-        if (w < v) continue;
-        if (!std::binary_search(atoms[a].vertices.begin(),
-                                atoms[a].vertices.end(), w)) {
-          continue;
-        }
-        os << "    " << name(v) << " -- " << name(w) << ";\n";
-      }
-    }
-    os << "  }\n";
   }
   os << "}\n";
   return os.str();

@@ -1,5 +1,5 @@
-// Graphviz (DOT) export for graphs, colorings, and atom decompositions —
-// the debugging view for conflict-graph work.
+// Graphviz (DOT) export for graphs and colorings — the debugging view for
+// conflict-graph work (`mcc --dump-dot`).
 #pragma once
 
 #include <cstdint>
@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/atoms.h"
 #include "graph/coloring.h"
 #include "graph/graph.h"
 
@@ -26,11 +25,5 @@ struct DotOptions {
 
 /// Renders an undirected graph in DOT syntax.
 std::string to_dot(const Graph& g, const DotOptions& options = {});
-
-/// Renders the atom decomposition as DOT clusters (one subgraph per atom;
-/// separator vertices appear in every atom that contains them, suffixed
-/// with the atom index to keep node names unique).
-std::string atoms_to_dot(const Graph& g, const std::vector<Atom>& atoms,
-                         const DotOptions& options = {});
 
 }  // namespace parmem::graph

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "support/diagnostics.h"
 
@@ -25,7 +26,7 @@ void sort_pairs(std::vector<std::pair<Vertex, Vertex>>& pairs,
   for (const auto& p : by_second) pairs[first_start[p.first]++] = p;
 }
 
-Graph::Graph(std::size_t n) : n_(n), adj_(n) {}
+Graph::Graph(std::size_t n) : n_(n), offsets_(n + 1, 0) {}
 
 void Graph::check_vertex(Vertex v) const {
   PARMEM_CHECK(v < n_, "vertex id out of range");
@@ -34,8 +35,6 @@ void Graph::check_vertex(Vertex v) const {
 Graph Graph::from_sorted_edges(
     std::size_t n, std::span<const std::pair<Vertex, Vertex>> edges) {
   Graph g(n);
-  g.adj_.clear();
-  g.adj_.shrink_to_fit();
   g.edge_count_ = edges.size();
 
   // Degree count, then prefix sums, then a second placement pass. Each
@@ -48,7 +47,6 @@ Graph Graph::from_sorted_edges(
     ++deg[u];
     ++deg[v];
   }
-  g.offsets_.assign(n + 1, 0);
   for (std::size_t v = 0; v < n; ++v) g.offsets_[v + 1] = g.offsets_[v] + deg[v];
   g.neighbors_.resize(g.offsets_[n]);
   std::vector<std::uint32_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
@@ -63,49 +61,19 @@ Graph Graph::from_sorted_edges(
                          g.neighbors_.begin() + g.offsets_[v + 1],
                  "from_sorted_edges: edges not sorted unique");
   }
-  g.csr_valid_ = true;
   return g;
 }
 
-void Graph::finalize() {
-  if (csr_valid_) return;
-  offsets_.assign(n_ + 1, 0);
-  for (std::size_t v = 0; v < n_; ++v) {
-    offsets_[v + 1] = offsets_[v] + static_cast<std::uint32_t>(adj_[v].size());
+Graph Graph::from_edges(std::size_t n,
+                        std::vector<std::pair<Vertex, Vertex>> edges) {
+  for (auto& [u, v] : edges) {
+    PARMEM_CHECK(u < n && v < n, "vertex id out of range");
+    PARMEM_CHECK(u != v, "self-loops are not allowed");
+    if (u > v) std::swap(u, v);
   }
-  neighbors_.resize(offsets_[n_]);
-  for (std::size_t v = 0; v < n_; ++v) {
-    std::copy(adj_[v].begin(), adj_[v].end(), neighbors_.begin() + offsets_[v]);
-  }
-  adj_.clear();
-  adj_.shrink_to_fit();
-  csr_valid_ = true;
-}
-
-void Graph::definalize() {
-  if (!csr_valid_) return;
-  adj_.assign(n_, {});
-  for (Vertex v = 0; v < n_; ++v) {
-    const auto row = neighbors(v);
-    adj_[v].assign(row.begin(), row.end());
-  }
-  offsets_.clear();
-  neighbors_.clear();
-  csr_valid_ = false;
-}
-
-void Graph::add_edge(Vertex u, Vertex v) {
-  check_vertex(u);
-  check_vertex(v);
-  PARMEM_CHECK(u != v, "self-loops are not allowed");
-  definalize();
-  auto& nu = adj_[u];
-  const auto it = std::lower_bound(nu.begin(), nu.end(), v);
-  if (it != nu.end() && *it == v) return;  // duplicate
-  nu.insert(it, v);
-  auto& nv = adj_[v];
-  nv.insert(std::lower_bound(nv.begin(), nv.end(), u), u);
-  ++edge_count_;
+  sort_pairs(edges, n);
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  return from_sorted_edges(n, edges);
 }
 
 bool Graph::has_edge(Vertex u, Vertex v) const {
@@ -122,15 +90,11 @@ bool Graph::has_edge(Vertex u, Vertex v) const {
 
 std::span<const Vertex> Graph::neighbors(Vertex v) const {
   check_vertex(v);
-  if (csr_valid_) {
-    return {neighbors_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
-  }
-  return adj_[v];
+  return {neighbors_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
 }
 
 std::size_t Graph::neighbor_base(Vertex v) const {
   check_vertex(v);
-  PARMEM_CHECK(csr_valid_, "neighbor_base requires a finalized graph");
   return offsets_[v];
 }
 
@@ -166,23 +130,7 @@ Graph Graph::induced(std::span<const Vertex> keep) const {
       }
     }
   }
-  std::sort(edges.begin(), edges.end());
-  Graph g = from_sorted_edges(keep.size(), edges);
-  if (!csr_valid_) g.definalize();
-  return g;
-}
-
-std::vector<std::vector<Vertex>> Graph::components() const {
-  std::vector<bool> alive(n_, true);
-  std::vector<bool> seen(n_, false);
-  std::vector<std::vector<Vertex>> out;
-  for (Vertex v = 0; v < n_; ++v) {
-    if (seen[v]) continue;
-    auto comp = component_of(v, alive);
-    for (const Vertex u : comp) seen[u] = true;
-    out.push_back(std::move(comp));
-  }
-  return out;
+  return from_edges(keep.size(), std::move(edges));
 }
 
 std::vector<Vertex> Graph::component_of(Vertex start,
@@ -210,37 +158,37 @@ std::vector<Vertex> Graph::component_of(Vertex start,
 }
 
 Graph Graph::complete(std::size_t n) {
-  Graph g(n);
+  std::vector<std::pair<Vertex, Vertex>> edges;
   for (Vertex u = 0; u < n; ++u) {
-    for (Vertex v = u + 1; v < n; ++v) g.add_edge(u, v);
+    for (Vertex v = u + 1; v < n; ++v) edges.emplace_back(u, v);
   }
-  return g;
+  return from_edges(n, std::move(edges));
 }
 
 Graph Graph::cycle(std::size_t n) {
   PARMEM_CHECK(n >= 3, "cycle needs at least 3 vertices");
-  Graph g(n);
+  std::vector<std::pair<Vertex, Vertex>> edges;
   for (Vertex v = 0; v < n; ++v) {
-    g.add_edge(v, static_cast<Vertex>((v + 1) % n));
+    edges.emplace_back(v, static_cast<Vertex>((v + 1) % n));
   }
-  return g;
+  return from_edges(n, std::move(edges));
 }
 
 Graph Graph::path(std::size_t n) {
-  Graph g(n);
-  for (Vertex v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1);
-  return g;
+  std::vector<std::pair<Vertex, Vertex>> edges;
+  for (Vertex v = 0; v + 1 < n; ++v) edges.emplace_back(v, v + 1);
+  return from_edges(n, std::move(edges));
 }
 
 Graph Graph::random(std::size_t n, double p, support::SplitMix64& rng) {
   PARMEM_CHECK(p >= 0.0 && p <= 1.0, "edge probability must be in [0,1]");
-  Graph g(n);
+  std::vector<std::pair<Vertex, Vertex>> edges;
   for (Vertex u = 0; u < n; ++u) {
     for (Vertex v = u + 1; v < n; ++v) {
-      if (rng.uniform() < p) g.add_edge(u, v);
+      if (rng.uniform() < p) edges.emplace_back(u, v);
     }
   }
-  return g;
+  return from_edges(n, std::move(edges));
 }
 
 std::string Graph::to_string() const {

@@ -3,18 +3,10 @@
 // This is the substrate for the paper's access-conflict graphs (§2): nodes
 // are data values, edges join values that appear as operands of the same
 // long instruction. It keeps neighbor lists sorted so algorithms get
-// deterministic iteration order, and it has two representations:
-//
-//  * a mutable build form — vector-of-vectors adjacency, grown by
-//    add_edge();
-//  * a packed CSR form — one offsets array plus one flat neighbors array,
-//    O(n + m) memory.
-//
-// finalize() converts build form to CSR; any later add_edge falls back to
-// the build form transparently. Exactly one representation is live at a
-// time, and no const member mutates state, so a finalized Graph is safe to
-// share read-only across threads. Every query answers identically in both
-// forms — CSR is a layout change, not a semantic one.
+// deterministic iteration order. The one representation is packed CSR —
+// one offsets array plus one flat neighbors array, O(n + m) memory — built
+// whole by from_sorted_edges() or from_edges() and immutable afterwards, so
+// a Graph is safe to share read-only across threads.
 #pragma once
 
 #include <cstdint>
@@ -41,19 +33,16 @@ class Graph {
   explicit Graph(std::size_t n = 0);
 
   /// Bulk constructor: `edges` must be sorted ascending, unique, with
-  /// u < v for every entry. Builds the CSR form directly (the result is
-  /// already finalized) — no per-edge insertion churn.
+  /// u < v for every entry. Lays the CSR rows out directly, with no
+  /// per-edge insertion churn.
   static Graph from_sorted_edges(
       std::size_t n, std::span<const std::pair<Vertex, Vertex>> edges);
 
-  /// Adds an undirected edge; self-loops are rejected, duplicates ignored.
-  /// Drops back to the mutable build form if the graph was finalized.
-  void add_edge(Vertex u, Vertex v);
-
-  /// Packs the adjacency into CSR. Idempotent. Call before sharing the
-  /// graph read-only across threads or entering query-heavy algorithms.
-  void finalize();
-  bool finalized() const { return csr_valid_; }
+  /// Undirected edges in any order and orientation; duplicates are
+  /// dropped, self-loops and ids >= n rejected. Sorts with sort_pairs and
+  /// builds through from_sorted_edges.
+  static Graph from_edges(std::size_t n,
+                          std::vector<std::pair<Vertex, Vertex>> edges);
 
   /// O(log degree): a binary search of the shorter of the two rows.
   bool has_edge(Vertex u, Vertex v) const;
@@ -63,17 +52,13 @@ class Graph {
 
   /// Index of the first neighbor of `v` in the flat CSR neighbor array —
   /// the key that lets callers keep arrays parallel to the neighbor list
-  /// (the conflict graph stores edge weights this way). Requires
-  /// finalized().
+  /// (the conflict graph stores edge weights this way).
   std::size_t neighbor_base(Vertex v) const;
 
   /// Total length of the flat CSR neighbor array (2 * edge_count()).
-  /// Requires finalized().
   std::size_t neighbor_array_size() const { return neighbors_.size(); }
 
-  std::size_t degree(Vertex v) const {
-    return csr_valid_ ? offsets_[v + 1] - offsets_[v] : adj_[v].size();
-  }
+  std::size_t degree(Vertex v) const { return offsets_[v + 1] - offsets_[v]; }
   std::size_t vertex_count() const { return n_; }
   std::size_t edge_count() const { return edge_count_; }
 
@@ -83,12 +68,8 @@ class Graph {
   bool is_clique(std::span<const Vertex> set) const;
 
   /// Subgraph induced by `keep` (need not be sorted). The i-th vertex of the
-  /// result corresponds to keep[i]; `keep` itself is the back-mapping. The
-  /// result is finalized iff this graph is.
+  /// result corresponds to keep[i]; `keep` itself is the back-mapping.
   Graph induced(std::span<const Vertex> keep) const;
-
-  /// Connected components as lists of vertices (each sorted ascending).
-  std::vector<std::vector<Vertex>> components() const;
 
   /// Connected component containing `start`, restricted to vertices for
   /// which `alive[v]` is true (alive.size() == vertex_count()). `start` must
@@ -108,18 +89,9 @@ class Graph {
 
  private:
   void check_vertex(Vertex v) const;
-  /// Rebuilds the mutable adjacency from CSR and drops the CSR (the inverse
-  /// of finalize(); used by add_edge on a finalized graph).
-  void definalize();
 
   std::size_t n_ = 0;
   std::size_t edge_count_ = 0;
-
-  // Build form (live iff !csr_valid_).
-  std::vector<std::vector<Vertex>> adj_;
-
-  // CSR form (live iff csr_valid_).
-  bool csr_valid_ = false;
   std::vector<std::uint32_t> offsets_;  // n_ + 1 entries
   std::vector<Vertex> neighbors_;       // flat, rows sorted ascending
 };

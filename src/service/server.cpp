@@ -385,7 +385,7 @@ CompileService::AttemptResult CompileService::run_attempt(Job& job,
       aopts.strategy = job.req.strategy;
       aopts.method = job.req.method;
       aopts.memo_store = atom_cache_.get();
-      support::Budget budget(spec, nullptr, &inf.token);
+      support::Budget budget(spec, &inf.token);
       if (budget.limited()) aopts.budget = &budget;
       const assign::AssignResult result = assign::assign_modules(stream, aopts);
       const assign::VerifyReport report =

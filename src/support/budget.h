@@ -1,9 +1,9 @@
 // Cooperative resource budgets: wall-clock deadlines, step counts, and
 // cancellation, threaded through the compilation pipeline.
 //
-// The duplication machinery is built on NP-hard kernels (exact placement,
-// Fig. 6 backtracking, minimum hitting set); an unbounded run of any of them
-// can hang a compile on adversarial input. A Budget bounds that work
+// The duplication machinery is built on NP-hard kernels (Fig. 6
+// backtracking, minimum hitting set); an unbounded run of either can hang a
+// compile on adversarial input. A Budget bounds that work
 // cooperatively: the long-running loops call charge() and bail out when it
 // returns false, at which point the assigner degrades down its quality
 // ladder (assigner.h: AssignTier) instead of dying.
@@ -16,13 +16,12 @@
 //  * exhaustion latches: once charge() returns false it returns false
 //    forever, so every later poll observes the one trip;
 //  * charge() is thread-safe (relaxed atomics) and cheap — the wall clock
-//    and the parent cancel token are polled only every kPollPeriod steps;
+//    and the cancel token are polled only every kPollPeriod steps;
 //  * with only a step budget (no deadline) a compile degrades
 //    deterministically: it runs on one thread, so the trip point depends
 //    on the step stream alone.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -55,13 +54,10 @@ class Budget {
   /// Unlimited budget (never trips unless force_exhaust() is called).
   Budget() = default;
 
-  /// Budget with the given limits. `parent` (optional) receives every
-  /// charge too, so a sub-budget (e.g. the exact tier's half-share) also
-  /// drains the whole-compile budget; `cancel` (optional) trips this budget
+  /// Budget with the given limits. `cancel` (optional) trips this budget
   /// as soon as the token is cancelled.
-  explicit Budget(const BudgetSpec& spec, Budget* parent = nullptr,
-                  const CancelToken* cancel = nullptr)
-      : max_steps_(spec.max_steps), parent_(parent), cancel_(cancel) {
+  explicit Budget(const BudgetSpec& spec, const CancelToken* cancel = nullptr)
+      : max_steps_(spec.max_steps), cancel_(cancel) {
     if (spec.deadline_ms != 0) {
       has_deadline_ = true;
       deadline_ = std::chrono::steady_clock::now() +
@@ -78,10 +74,6 @@ class Budget {
   /// deadline is honoured within ~kPollPeriod charge calls.
   bool charge(std::uint64_t n = 1) noexcept {
     if (exhausted_.load(std::memory_order_relaxed)) return false;
-    if (parent_ != nullptr && !parent_->charge(n)) {
-      force_exhaust();
-      return false;
-    }
     const std::uint64_t before =
         steps_.fetch_add(n, std::memory_order_relaxed);
     if (max_steps_ != 0 && before + n > max_steps_) {
@@ -97,10 +89,6 @@ class Budget {
   bool poll() noexcept {
     if (exhausted_.load(std::memory_order_relaxed)) return false;
     if (cancel_ != nullptr && cancel_->cancelled()) {
-      force_exhaust();
-      return false;
-    }
-    if (parent_ != nullptr && !parent_->poll()) {
       force_exhaust();
       return false;
     }
@@ -127,46 +115,10 @@ class Budget {
     return steps_.load(std::memory_order_relaxed);
   }
 
-  /// True when any limit (or a parent / cancel hook) exists; an unlimited
-  /// budget never trips on its own, so callers skip the plumbing entirely.
+  /// True when any limit (or a cancel hook) exists; an unlimited budget
+  /// never trips on its own, so callers skip the plumbing entirely.
   bool limited() const noexcept {
-    return has_deadline_ || max_steps_ != 0 || parent_ != nullptr ||
-           cancel_ != nullptr;
-  }
-
-  /// Remaining step allowance (0 when unlimited — callers must check
-  /// limited() / max_steps first).
-  std::uint64_t remaining_steps() const noexcept {
-    if (max_steps_ == 0) return 0;
-    const std::uint64_t used = steps_used();
-    return used >= max_steps_ ? 0 : max_steps_ - used;
-  }
-
-  /// Remaining wall-clock time in ms (0 when no deadline is set).
-  std::uint64_t remaining_ms() const noexcept {
-    if (!has_deadline_) return 0;
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline_) return 0;
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline_ - now)
-            .count());
-  }
-
-  /// Spec for a sub-budget holding `num/den` of the remaining allowance —
-  /// how the ladder gives the optional exact tier a half-share so a failed
-  /// exact attempt still leaves room for the heuristic tiers. At least one
-  /// unit of each active limit survives (a zero field would mean
-  /// "unlimited").
-  BudgetSpec fraction_of_remaining(std::uint64_t num,
-                                   std::uint64_t den) const noexcept {
-    BudgetSpec s;
-    if (has_deadline_) {
-      s.deadline_ms = std::max<std::uint64_t>(1, remaining_ms() * num / den);
-    }
-    if (max_steps_ != 0) {
-      s.max_steps = std::max<std::uint64_t>(1, remaining_steps() * num / den);
-    }
-    return s;
+    return has_deadline_ || max_steps_ != 0 || cancel_ != nullptr;
   }
 
  private:
@@ -177,7 +129,6 @@ class Budget {
   std::uint64_t max_steps_ = 0;
   bool has_deadline_ = false;
   std::chrono::steady_clock::time_point deadline_{};
-  Budget* parent_ = nullptr;
   const CancelToken* cancel_ = nullptr;
 };
 

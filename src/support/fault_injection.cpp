@@ -37,7 +37,6 @@ const std::vector<std::string>& FaultInjector::known_sites() {
       "assign.backtrack",
       "assign.color_atom",
       "assign.duplicate",
-      "assign.exact",
       "assign.hitting_set",
       "assign.pass",
       "cache.atom_journal",

@@ -144,45 +144,6 @@ TEST(Robustness, ExpiredDeadlineFallsBackWithoutHanging) {
   EXPECT_LT(elapsed.count(), 10'000);
 }
 
-TEST(Robustness, HostileExactAttemptRespectsTheDeadline) {
-  // A dense stream small enough to qualify for the exact tier but far too
-  // hard to solve exactly: the attempt must abandon within the deadline's
-  // half-share and fall back to the heuristic tiers with time to spare.
-  support::SplitMix64 rng(0xabc4);
-  workloads::StreamGenOptions g;
-  g.value_count = 24;
-  g.tuple_count = 600;
-  g.min_width = 3;
-  g.max_width = 3;  // == module_count, so the instance stays feasible
-  const ir::AccessStream stream = workloads::random_stream(g, rng);
-
-  support::BudgetSpec spec;
-  spec.deadline_ms = 500;
-  support::Budget b(spec);
-  AssignOptions o;
-  o.module_count = 3;
-  o.budget = &b;
-  o.try_exact = true;
-  o.exact_value_limit = 64;
-  o.exact_node_budget = std::uint64_t{1} << 62;  // only the deadline stops it
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const AssignResult r = assign::assign_modules(stream, o);
-  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - t0);
-
-  EXPECT_LT(elapsed.count(), 10'000) << "deadline did not stop the search";
-  expect_well_formed(stream, r, "hostile exact attempt");
-  if (r.tier == AssignTier::kExact) {
-    // The solver got lucky within its half-share; then it must be exact.
-    EXPECT_TRUE(assign::verify_assignment(stream, r).ok());
-  } else {
-    // The normal outcome: the attempt burned its share and the heuristic
-    // ladder finished the job with the remaining budget.
-    EXPECT_TRUE(r.budget_exhausted);
-  }
-}
-
 TEST(Robustness, UnresolvableWideTupleHonoursTheDeadline) {
   // 24 mutable operands at k = 20: no placement can resolve the tuple, so
   // it still conflicts in every hitting-set round, and its operand
@@ -208,31 +169,6 @@ TEST(Robustness, UnresolvableWideTupleHonoursTheDeadline) {
   EXPECT_LT(elapsed, std::chrono::milliseconds(50 + 1000));
   EXPECT_TRUE(r.budget_exhausted);
   expect_well_formed(stream, r, "unresolvable wide tuple");
-}
-
-TEST(Robustness, TryExactOnTinyStreamRecordsTheExactTier) {
-  ir::AccessStream s;
-  s.value_count = 6;
-  s.duplicatable.assign(6, true);
-  s.global.assign(6, false);
-  const auto add = [&](std::vector<ir::ValueId> ops) {
-    ir::AccessTuple t;
-    t.operands = std::move(ops);
-    s.tuples.push_back(std::move(t));
-  };
-  add({0, 1, 2});
-  add({1, 2, 3});
-  add({3, 4, 5});
-  add({0, 3, 5});
-  add({2, 4, 5});
-
-  AssignOptions o;
-  o.module_count = 4;
-  o.try_exact = true;
-  const AssignResult r = assign::assign_modules(s, o);
-  EXPECT_EQ(r.tier, AssignTier::kExact);
-  EXPECT_FALSE(r.budget_exhausted);
-  EXPECT_TRUE(assign::verify_assignment(s, r).ok());
 }
 
 TEST(Robustness, PipelineStepBudgetDegradesDeterministically) {
@@ -361,14 +297,13 @@ TEST(Robustness, CancelFromAnotherThreadLeavesAWellFormedCompile) {
 
 // The tier numbers are hashed into compiled_fingerprint(), which journaled
 // result-cache entries are checked against, so neither names nor numbers
-// may move. 2 stays unused.
+// may move. 0 and 2 stay unused.
 TEST(Robustness, TierNamesAndNumbersAreStable) {
   const struct {
     AssignTier tier;
     int number;
     const char* name;
   } tiers[] = {
-      {AssignTier::kExact, 0, "exact"},
       {AssignTier::kHeuristic, 1, "heuristic"},
       {AssignTier::kHittingSet, 3, "hitting-set"},
       {AssignTier::kBacktrackCap, 4, "backtrack-cap"},

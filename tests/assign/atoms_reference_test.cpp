@@ -115,14 +115,6 @@ std::vector<Atom> reference_decompose(const Graph& g) {
   return atoms;
 }
 
-Graph from_edges(std::size_t n,
-                 const std::vector<std::pair<Vertex, Vertex>>& edges) {
-  Graph g(n);
-  for (const auto& [u, v] : edges) g.add_edge(u, v);
-  g.finalize();
-  return g;
-}
-
 std::vector<std::pair<Vertex, Vertex>> edges_of(const Graph& g,
                                                 Vertex shift = 0) {
   std::vector<std::pair<Vertex, Vertex>> edges;
@@ -136,7 +128,7 @@ std::vector<std::pair<Vertex, Vertex>> edges_of(const Graph& g,
 
 Graph conflict_graph(const ir::AccessStream& stream) {
   const auto cg = assign::ConflictGraph::build(stream);
-  return from_edges(cg.vertex_count(), edges_of(cg.graph()));
+  return Graph::from_edges(cg.vertex_count(), edges_of(cg.graph()));
 }
 
 // A random stream of 20-200 values with widths 2..2-7, in a sliding
@@ -178,7 +170,7 @@ Graph chordal_graph(support::SplitMix64& rng) {
     }
     for (const Vertex w : joined[v]) edges.emplace_back(w, v);
   }
-  return from_edges(n, edges);
+  return Graph::from_edges(n, edges);
 }
 
 // Two to four of the shapes above side by side, plus isolated vertices.
@@ -192,7 +184,7 @@ Graph disconnected_graph(support::SplitMix64& rng) {
     edges.insert(edges.end(), more.begin(), more.end());
     n += static_cast<Vertex>(g.vertex_count() + rng.below(3));
   }
-  return from_edges(n, edges);
+  return Graph::from_edges(n, edges);
 }
 
 // Graph i of the corpus, by i % 6.

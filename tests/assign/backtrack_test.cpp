@@ -82,7 +82,7 @@ TEST(BacktrackDuplicate, ResolvesWholeStream) {
   for (const auto& t : s.tuples) insts.push_back(t.operands);
   const auto out = backtrack_duplicate(st, insts, unassigned, duplicatable, rng);
   EXPECT_TRUE(out.unresolved.empty());
-  EXPECT_TRUE(st.conflicting_tuples().empty());
+  for (const auto& t : s.tuples) EXPECT_TRUE(st.tuple_conflict_free(t));
   // Value 3 conflicts with each pair of {0,1,2}; it needs a copy dodging
   // each pair: 3 copies needed (one per missing module of each instruction).
   EXPECT_EQ(st.copies(3), 3u);

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -184,43 +185,44 @@ TEST(McsmWork, ColorSplitFloodsOnlyFromGenerators) {
 // around n, closing the band into a ring.
 Graph band(std::size_t n, std::size_t width, double p, bool cyclic,
            support::SplitMix64& rng) {
-  Graph g(n);
+  std::vector<std::pair<Vertex, Vertex>> edges;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t d = 1; d <= width; ++d) {
       if (!cyclic && i + d >= n) break;
       const std::size_t j = (i + d) % n;
       if (j != i && rng.uniform() < p) {
-        g.add_edge(static_cast<Vertex>(i), static_cast<Vertex>(j));
+        edges.emplace_back(static_cast<Vertex>(i), static_cast<Vertex>(j));
       }
     }
   }
-  g.finalize();
-  return g;
+  return Graph::from_edges(n, std::move(edges));
 }
 
 // Dense random blocks joined by a few edges between consecutive blocks;
 // with `bridges` == 0 the blocks stay disconnected.
 Graph blocks(std::size_t n, std::size_t block, double p, std::size_t bridges,
              support::SplitMix64& rng) {
-  Graph g(n);
+  std::vector<std::pair<Vertex, Vertex>> edges;
   for (std::size_t lo = 0; lo < n; lo += block) {
     const std::size_t hi = std::min(n, lo + block);
     for (std::size_t i = lo; i < hi; ++i) {
       for (std::size_t j = i + 1; j < hi; ++j) {
         if (rng.uniform() < p) {
-          g.add_edge(static_cast<Vertex>(i), static_cast<Vertex>(j));
+          edges.emplace_back(static_cast<Vertex>(i), static_cast<Vertex>(j));
         }
       }
     }
     if (hi == n) break;
     const std::size_t next_hi = std::min(n, hi + block);
     for (std::size_t b = 0; b < bridges; ++b) {
-      g.add_edge(static_cast<Vertex>(lo + rng.below(hi - lo)),
-                 static_cast<Vertex>(hi + rng.below(next_hi - hi)));
+      // The far endpoint is drawn first: the pinned corpus was generated
+      // with that draw order.
+      const auto v = static_cast<Vertex>(hi + rng.below(next_hi - hi));
+      const auto u = static_cast<Vertex>(lo + rng.below(hi - lo));
+      edges.emplace_back(u, v);
     }
   }
-  g.finalize();
-  return g;
+  return Graph::from_edges(n, std::move(edges));
 }
 
 // Graph i of the seeded corpus: uniform, band, cyclic band or blocks by
@@ -230,9 +232,7 @@ Graph seeded_graph(std::size_t i, support::SplitMix64& rng) {
   switch (i % 4) {
     case 0: {
       const double degree = 1.5 + 6.0 * rng.uniform();
-      Graph g = Graph::random(n, degree / static_cast<double>(n - 1), rng);
-      g.finalize();
-      return g;
+      return Graph::random(n, degree / static_cast<double>(n - 1), rng);
     }
     case 1:
     case 2: {

@@ -81,14 +81,6 @@ Triangulation reference_mcs_m(const Graph& g) {
   return t;
 }
 
-Graph from_edges(std::size_t n,
-                 const std::vector<std::pair<Vertex, Vertex>>& edges) {
-  Graph g(n);
-  for (const auto& [u, v] : edges) g.add_edge(u, v);
-  g.finalize();
-  return g;
-}
-
 // An r x c grid with each square's diagonal added with probability p;
 // r = 1 is a path and r = 2 a ladder.
 Graph grid(std::size_t r, std::size_t c, double p, support::SplitMix64& rng) {
@@ -105,7 +97,7 @@ Graph grid(std::size_t r, std::size_t c, double p, support::SplitMix64& rng) {
       }
     }
   }
-  return from_edges(r * c, edges);
+  return Graph::from_edges(r * c, edges);
 }
 
 // `count` cliques of 2..`size` vertices in a row, each joined to the next
@@ -131,7 +123,7 @@ Graph clique_chain(std::size_t count, std::size_t size,
     prev_lo = lo;
     lo += k;
   }
-  return from_edges(lo, edges);
+  return Graph::from_edges(lo, edges);
 }
 
 // The conflict graph of a small block-structured stream.
@@ -150,7 +142,7 @@ Graph block_stream(support::SplitMix64& rng) {
       if (v < w) edges.emplace_back(v, w);
     }
   }
-  return from_edges(cg.vertex_count(), edges);
+  return Graph::from_edges(cg.vertex_count(), edges);
 }
 
 Graph relabelled(const Graph& g, support::SplitMix64& rng) {
@@ -164,7 +156,7 @@ Graph relabelled(const Graph& g, support::SplitMix64& rng) {
       if (v < w) edges.emplace_back(to[v], to[w]);
     }
   }
-  return from_edges(n, edges);
+  return Graph::from_edges(n, edges);
 }
 
 // Graph i of the corpus: path, ladder, grid, clique chain or block stream
@@ -218,7 +210,7 @@ Graph wide_stream(support::SplitMix64& rng) {
       if (v < w) edges.emplace_back(v, w);
     }
   }
-  return from_edges(cg.vertex_count(), edges);
+  return Graph::from_edges(cg.vertex_count(), edges);
 }
 
 // A broom: a path 0 .. len - 1 whose last vertex is a hub with `arms`
@@ -244,7 +236,7 @@ Graph broom(std::size_t len, std::size_t arms, support::SplitMix64& rng) {
       }
     }
   }
-  return from_edges(next, edges);
+  return Graph::from_edges(next, edges);
 }
 
 // Graphs that leave mask mode mid-run (wider fronts, more components) or

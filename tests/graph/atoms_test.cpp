@@ -79,12 +79,8 @@ TEST(Atoms, CompleteGraphIsOneAtom) {
 
 TEST(Atoms, TwoTrianglesSharingAnEdgeSplitAtTheEdge) {
   // Vertices 0,1 shared edge; triangles {0,1,2} and {0,1,3}.
-  Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(1, 2);
-  g.add_edge(0, 3);
-  g.add_edge(1, 3);
+  const Graph g =
+      Graph::from_edges(4, {{0, 1}, {0, 2}, {1, 2}, {0, 3}, {1, 3}});
   const auto atoms = decompose_by_clique_separators(g);
   ASSERT_EQ(atoms.size(), 2u);
   check_decomposition(g, atoms);
@@ -94,13 +90,8 @@ TEST(Atoms, TwoTrianglesSharingAnEdgeSplitAtTheEdge) {
 
 TEST(Atoms, ChordalGraphAtomsAreCliques) {
   // Chordal: two triangles joined by an articulation vertex.
-  Graph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(0, 2);
-  g.add_edge(2, 3);
-  g.add_edge(3, 4);
-  g.add_edge(2, 4);
+  const Graph g = Graph::from_edges(
+      5, {{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {2, 4}});
   const auto atoms = decompose_by_clique_separators(g);
   ASSERT_EQ(atoms.size(), 2u);
   for (const auto& a : atoms) {
@@ -110,11 +101,7 @@ TEST(Atoms, ChordalGraphAtomsAreCliques) {
 }
 
 TEST(Atoms, DisconnectedGraphAtomsPerComponent) {
-  Graph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
-  g.add_edge(3, 4);
-  g.add_edge(2, 4);
+  const Graph g = Graph::from_edges(6, {{0, 1}, {2, 3}, {3, 4}, {2, 4}});
   const auto atoms = decompose_by_clique_separators(g);
   check_decomposition(g, atoms);
   // Isolated vertex 5 must appear in some atom.

@@ -26,8 +26,7 @@ TEST(Dot, EachEdgeEmittedOnce) {
 }
 
 TEST(Dot, CustomLabelsAndEdgeLabels) {
-  Graph g(2);
-  g.add_edge(0, 1);
+  const Graph g = Graph::from_edges(2, {{0, 1}});
   DotOptions o;
   o.label = [](Vertex v) {
     return std::string("V").append(std::to_string(v + 1));
@@ -39,34 +38,13 @@ TEST(Dot, CustomLabelsAndEdgeLabels) {
 }
 
 TEST(Dot, ColoringControlsStyle) {
-  Graph g(3);
-  g.add_edge(0, 1);
+  const Graph g = Graph::from_edges(3, {{0, 1}});
   Coloring c{0, 1, kUncolored};
   DotOptions o;
   o.coloring = &c;
   const std::string dot = to_dot(g, o);
   EXPECT_NE(dot.find("style=filled"), std::string::npos);
   EXPECT_NE(dot.find("style=dashed"), std::string::npos);
-}
-
-TEST(Dot, AtomsBecomeClusters) {
-  // Two triangles sharing vertex 2 (chordal): two atoms.
-  Graph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(0, 2);
-  g.add_edge(2, 3);
-  g.add_edge(3, 4);
-  g.add_edge(2, 4);
-  const auto atoms = decompose_by_clique_separators(g);
-  const std::string dot = atoms_to_dot(g, atoms);
-  EXPECT_NE(dot.find("cluster_atom0"), std::string::npos);
-  EXPECT_NE(dot.find("cluster_atom1"), std::string::npos);
-  // Separator vertex 2 appears in both clusters with distinct node names.
-  EXPECT_NE(dot.find("a0_n2"), std::string::npos);
-  EXPECT_NE(dot.find("a1_n2"), std::string::npos);
-  // Separator marked with a double border.
-  EXPECT_NE(dot.find("peripheries=2"), std::string::npos);
 }
 
 }  // namespace

@@ -12,9 +12,7 @@ namespace parmem::graph {
 namespace {
 
 TEST(Graph, AddEdgeIsSymmetricAndDeduplicated) {
-  Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 0);  // duplicate
+  const Graph g = Graph::from_edges(4, {{0, 1}, {1, 0}, {0, 1}});
   EXPECT_EQ(g.edge_count(), 1u);
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_TRUE(g.has_edge(1, 0));
@@ -22,21 +20,19 @@ TEST(Graph, AddEdgeIsSymmetricAndDeduplicated) {
 }
 
 TEST(Graph, SelfLoopRejected) {
-  Graph g(2);
-  EXPECT_THROW(g.add_edge(1, 1), support::InternalError);
+  EXPECT_THROW(Graph::from_edges(2, {{1, 1}}), support::InternalError);
+  EXPECT_THROW(Graph::from_edges(3, {{0, 1}, {2, 2}}), support::InternalError);
 }
 
 TEST(Graph, OutOfRangeRejected) {
-  Graph g(2);
-  EXPECT_THROW(g.add_edge(0, 2), support::InternalError);
+  EXPECT_THROW(Graph::from_edges(2, {{0, 2}}), support::InternalError);
+  EXPECT_THROW(Graph::from_edges(2, {{5, 0}}), support::InternalError);
+  const Graph g(2);
   EXPECT_THROW(g.has_edge(0, 5), support::InternalError);
 }
 
 TEST(Graph, NeighborsSorted) {
-  Graph g(5);
-  g.add_edge(2, 4);
-  g.add_edge(2, 0);
-  g.add_edge(2, 3);
+  const Graph g = Graph::from_edges(5, {{2, 4}, {2, 0}, {3, 2}});
   const auto nb = g.neighbors(2);
   ASSERT_EQ(nb.size(), 3u);
   EXPECT_EQ(nb[0], 0u);
@@ -70,15 +66,11 @@ TEST(Graph, InducedRejectsDuplicates) {
 }
 
 TEST(Graph, ComponentsOfDisconnectedGraph) {
-  Graph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
-  g.add_edge(3, 4);
-  const auto comps = g.components();
-  ASSERT_EQ(comps.size(), 3u);  // {0,1}, {2,3,4}, {5}
-  EXPECT_EQ(comps[0], (std::vector<Vertex>{0, 1}));
-  EXPECT_EQ(comps[1], (std::vector<Vertex>{2, 3, 4}));
-  EXPECT_EQ(comps[2], (std::vector<Vertex>{5}));
+  const Graph g = Graph::from_edges(6, {{0, 1}, {2, 3}, {3, 4}});
+  const std::vector<bool> alive(6, true);  // {0,1}, {2,3,4}, {5}
+  EXPECT_EQ(g.component_of(1, alive), (std::vector<Vertex>{0, 1}));
+  EXPECT_EQ(g.component_of(4, alive), (std::vector<Vertex>{2, 3, 4}));
+  EXPECT_EQ(g.component_of(5, alive), (std::vector<Vertex>{5}));
 }
 
 TEST(Graph, ComponentOfRespectsAliveMask) {
@@ -94,28 +86,6 @@ TEST(Graph, ShapeConstructors) {
   EXPECT_EQ(Graph::cycle(6).edge_count(), 6u);
   EXPECT_EQ(Graph::path(6).edge_count(), 5u);
   EXPECT_THROW(Graph::cycle(2), support::InternalError);
-}
-
-TEST(Graph, FinalizePreservesEveryQuery) {
-  support::SplitMix64 rng(7);
-  Graph g = Graph::random(60, 0.2, rng);
-  Graph f = g;
-  f.finalize();
-  ASSERT_TRUE(f.finalized());
-  f.finalize();  // idempotent
-  ASSERT_TRUE(f.finalized());
-  EXPECT_EQ(f.vertex_count(), g.vertex_count());
-  EXPECT_EQ(f.edge_count(), g.edge_count());
-  for (Vertex u = 0; u < g.vertex_count(); ++u) {
-    EXPECT_EQ(f.degree(u), g.degree(u));
-    const auto a = g.neighbors(u);
-    const auto b = f.neighbors(u);
-    ASSERT_EQ(a.size(), b.size());
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
-    for (Vertex v = 0; v < g.vertex_count(); ++v) {
-      EXPECT_EQ(f.has_edge(u, v), g.has_edge(u, v));
-    }
-  }
 }
 
 TEST(Graph, SortPairsMatchesComparisonSort) {
@@ -139,44 +109,47 @@ TEST(Graph, SortPairsMatchesComparisonSort) {
 }
 
 TEST(Graph, FromSortedEdgesMatchesIncrementalBuild) {
+  // from_edges over shuffled, reversed and repeated copies of a random edge
+  // list lays out the same rows as from_sorted_edges over the clean list.
   support::SplitMix64 rng(11);
-  Graph g = Graph::random(50, 0.15, rng);
-  std::vector<std::pair<Vertex, Vertex>> edges;
-  for (Vertex u = 0; u < g.vertex_count(); ++u) {
-    for (const Vertex v : g.neighbors(u)) {
-      if (u < v) edges.emplace_back(u, v);
+  for (const std::size_t n : {2u, 9u, 50u, 300u}) {
+    std::vector<std::pair<Vertex, Vertex>> sorted;
+    for (Vertex u = 0; u < n; ++u) {
+      for (Vertex v = u + 1; v < n; ++v) {
+        if (rng.uniform() < 0.15) sorted.emplace_back(u, v);
+      }
+    }
+    std::vector<std::pair<Vertex, Vertex>> messy;
+    for (const auto& [u, v] : sorted) {
+      const std::size_t repeats = 1 + rng.below(3);
+      for (std::size_t r = 0; r < repeats; ++r) {
+        if (rng.below(2) == 0) {
+          messy.emplace_back(u, v);
+        } else {
+          messy.emplace_back(v, u);
+        }
+      }
+    }
+    for (std::size_t i = messy.size(); i > 1; --i) {
+      std::swap(messy[i - 1], messy[rng.below(i)]);
+    }
+    const Graph a = Graph::from_sorted_edges(n, sorted);
+    const Graph b = Graph::from_edges(n, messy);
+    EXPECT_EQ(b.edge_count(), sorted.size()) << "n = " << n;
+    EXPECT_EQ(b.neighbor_array_size(), a.neighbor_array_size());
+    for (Vertex u = 0; u < n; ++u) {
+      const auto ra = a.neighbors(u);
+      const auto rb = b.neighbors(u);
+      ASSERT_EQ(ra.size(), rb.size()) << "n = " << n << ", u = " << u;
+      EXPECT_TRUE(std::equal(ra.begin(), ra.end(), rb.begin()));
+      EXPECT_EQ(b.neighbor_base(u), a.neighbor_base(u));
     }
   }
-  std::sort(edges.begin(), edges.end());
-  const Graph b = Graph::from_sorted_edges(g.vertex_count(), edges);
-  EXPECT_TRUE(b.finalized());
-  EXPECT_EQ(b.edge_count(), g.edge_count());
-  for (Vertex u = 0; u < g.vertex_count(); ++u) {
-    const auto a = g.neighbors(u);
-    const auto c = b.neighbors(u);
-    ASSERT_EQ(a.size(), c.size());
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), c.begin()));
-  }
-}
-
-TEST(Graph, AddEdgeAfterFinalizeDropsBackToBuildForm) {
-  Graph g = Graph::cycle(6);
-  g.finalize();
-  ASSERT_TRUE(g.finalized());
-  g.add_edge(0, 3);
-  EXPECT_FALSE(g.finalized());
-  EXPECT_EQ(g.edge_count(), 7u);
-  EXPECT_TRUE(g.has_edge(0, 3));
-  EXPECT_TRUE(g.has_edge(5, 0));  // pre-existing edges survive the round trip
-  g.finalize();
-  EXPECT_TRUE(g.has_edge(0, 3));
-  EXPECT_EQ(g.neighbors(0).size(), 3u);
 }
 
 TEST(Graph, NeighborBaseIndexesTheFlatArray) {
   support::SplitMix64 rng(13);
-  Graph g = Graph::random(30, 0.3, rng);
-  g.finalize();
+  const Graph g = Graph::random(30, 0.3, rng);
   EXPECT_EQ(g.neighbor_array_size(), 2 * g.edge_count());
   std::size_t expected = 0;
   for (Vertex v = 0; v < g.vertex_count(); ++v) {
@@ -187,43 +160,36 @@ TEST(Graph, NeighborBaseIndexesTheFlatArray) {
 }
 
 TEST(Graph, CsrHasEdgeAgreesOnLargeGraph) {
-  // More than 8,192 vertices, sparse: finalize() packs CSR rows only, and
-  // has_edge binary-searches them to answer as the build form does.
+  // More than 8,192 vertices, sparse: CSR keeps rows only, and has_edge
+  // binary-searches them from either endpoint.
   const std::size_t n = 8193;
-  Graph g(n);
-  g.add_edge(0, 1);
-  g.add_edge(0, static_cast<Vertex>(n - 1));
-  g.add_edge(17, 4242);
-  Graph f = g;
-  f.finalize();
-  EXPECT_TRUE(f.has_edge(0, 1));
-  EXPECT_TRUE(f.has_edge(static_cast<Vertex>(n - 1), 0));
-  EXPECT_TRUE(f.has_edge(4242, 17));
-  EXPECT_FALSE(f.has_edge(1, 2));
-  EXPECT_FALSE(f.has_edge(17, 4243));
-  for (const auto& [u, v] : std::vector<std::pair<Vertex, Vertex>>{
-           {0, 1}, {1, 0}, {0, 8192}, {17, 4242}, {1, 2}, {17, 4243}}) {
-    EXPECT_EQ(f.has_edge(u, v), g.has_edge(u, v)) << u << "-" << v;
-  }
+  const Graph g = Graph::from_edges(
+      n, {{0, 1}, {static_cast<Vertex>(n - 1), 0}, {17, 4242}});
+  EXPECT_TRUE(g.has_edge(0, 1));
+  EXPECT_TRUE(g.has_edge(1, 0));
+  EXPECT_TRUE(g.has_edge(0, static_cast<Vertex>(n - 1)));
+  EXPECT_TRUE(g.has_edge(static_cast<Vertex>(n - 1), 0));
+  EXPECT_TRUE(g.has_edge(4242, 17));
+  EXPECT_TRUE(g.has_edge(17, 4242));
+  EXPECT_FALSE(g.has_edge(1, 2));
+  EXPECT_FALSE(g.has_edge(17, 4243));
+  EXPECT_FALSE(g.has_edge(4243, 17));
 }
 
 TEST(Graph, IsCliqueRejectsExactlyOneMissingEdge) {
-  // K6 without the edge 2-4, in both representations.
-  Graph g(6);
+  // K6 without the edge 2-4.
+  std::vector<std::pair<Vertex, Vertex>> edges;
   for (Vertex u = 0; u < 6; ++u) {
     for (Vertex v = u + 1; v < 6; ++v) {
-      if (!(u == 2 && v == 4)) g.add_edge(u, v);
+      if (!(u == 2 && v == 4)) edges.emplace_back(u, v);
     }
   }
-  Graph f = g;
-  f.finalize();
-  for (const Graph* h : {&g, &f}) {
-    EXPECT_FALSE(h->is_clique(std::vector<Vertex>{0, 1, 2, 3, 4, 5}));
-    EXPECT_FALSE(h->is_clique(std::vector<Vertex>{4, 0, 2}));  // unsorted
-    EXPECT_FALSE(h->is_clique(std::vector<Vertex>{2, 4}));
-    EXPECT_TRUE(h->is_clique(std::vector<Vertex>{0, 1, 3, 4, 5}));
-    EXPECT_TRUE(h->is_clique(std::vector<Vertex>{5, 3, 2, 1, 0}));
-  }
+  const Graph g = Graph::from_edges(6, std::move(edges));
+  EXPECT_FALSE(g.is_clique(std::vector<Vertex>{0, 1, 2, 3, 4, 5}));
+  EXPECT_FALSE(g.is_clique(std::vector<Vertex>{4, 0, 2}));  // unsorted
+  EXPECT_FALSE(g.is_clique(std::vector<Vertex>{2, 4}));
+  EXPECT_TRUE(g.is_clique(std::vector<Vertex>{0, 1, 3, 4, 5}));
+  EXPECT_TRUE(g.is_clique(std::vector<Vertex>{5, 3, 2, 1, 0}));
 }
 
 TEST(Graph, RandomGraphRespectsProbabilityBounds) {

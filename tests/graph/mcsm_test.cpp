@@ -4,14 +4,21 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 namespace parmem::graph {
 namespace {
 
 Graph with_fill(const Graph& g, const Triangulation& tri) {
-  Graph h = g;
-  for (const auto& [u, v] : tri.fill) h.add_edge(u, v);
-  return h;
+  std::vector<std::pair<Vertex, Vertex>> edges(tri.fill.begin(),
+                                               tri.fill.end());
+  for (Vertex u = 0; u < g.vertex_count(); ++u) {
+    for (const Vertex v : g.neighbors(u)) {
+      if (u < v) edges.emplace_back(u, v);
+    }
+  }
+  return Graph::from_edges(g.vertex_count(), std::move(edges));
 }
 
 TEST(McsM, ChordalGraphNeedsNoFill) {
@@ -74,13 +81,13 @@ TEST(McsM, MinimalityNoFillEdgeIsRedundant) {
     const Graph h = with_fill(g, tri);
     for (const auto& [u, v] : tri.fill) {
       // Build H minus this fill edge.
-      Graph h2(n);
+      std::vector<std::pair<Vertex, Vertex>> edges;
       for (Vertex a = 0; a < n; ++a) {
         for (const Vertex b : h.neighbors(a)) {
-          if (a < b && !(a == u && b == v)) h2.add_edge(a, b);
+          if (a < b && !(a == u && b == v)) edges.emplace_back(a, b);
         }
       }
-      const Triangulation tri2 = mcs_m(h2);
+      const Triangulation tri2 = mcs_m(Graph::from_edges(n, std::move(edges)));
       EXPECT_FALSE(tri2.fill.empty())
           << "removing fill edge (" << u << "," << v
           << ") left a chordal graph — triangulation was not minimal";

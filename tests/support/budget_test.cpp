@@ -1,10 +1,8 @@
 // Budget/CancelToken contract (see budget.h): a default budget is
-// unlimited and never trips on its own; limits latch once exhausted;
-// charges forward to the parent so a sub-budget drains the whole-compile
-// allowance; the cancel token trips the budget at the next poll; and with
-// only a step budget the trip point is a pure function of the charge
-// stream (the deterministic-degradation guarantee the robustness tests
-// build on).
+// unlimited and never trips on its own; limits latch once exhausted; the
+// cancel token trips the budget at the next poll; and with only a step
+// budget the trip point is a pure function of the charge stream (the
+// deterministic-degradation guarantee the robustness tests build on).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,8 +21,6 @@ TEST(Budget, DefaultIsUnlimitedAndNeverTrips) {
   for (int i = 0; i < 10'000; ++i) EXPECT_TRUE(b.charge(1'000));
   EXPECT_TRUE(b.poll());
   EXPECT_TRUE(b.ok());
-  EXPECT_EQ(b.remaining_steps(), 0u);  // 0 == "no step limit"
-  EXPECT_EQ(b.remaining_ms(), 0u);     // 0 == "no deadline"
 }
 
 TEST(Budget, StepLimitTripsAndLatches) {
@@ -33,14 +29,13 @@ TEST(Budget, StepLimitTripsAndLatches) {
   Budget b(spec);
   EXPECT_TRUE(b.limited());
   EXPECT_TRUE(b.charge(60));
-  EXPECT_EQ(b.remaining_steps(), 40u);
+  EXPECT_EQ(b.steps_used(), 60u);
   EXPECT_FALSE(b.charge(41));  // 60 + 41 > 100
   EXPECT_TRUE(b.exhausted());
   // Latched: even a free charge keeps failing.
   EXPECT_FALSE(b.charge(0));
   EXPECT_FALSE(b.charge(1));
   EXPECT_FALSE(b.poll());
-  EXPECT_EQ(b.remaining_steps(), 0u);
 }
 
 TEST(Budget, StepTripPointIsDeterministic) {
@@ -64,18 +59,16 @@ TEST(Budget, DeadlineTripsOncePassed) {
   Budget b(spec);
   EXPECT_TRUE(b.limited());
   // Spin on poll() instead of sleeping a fixed interval: poll() flips
-  // exactly when the deadline passes (remaining_ms() truncates and would
-  // report 0 up to a millisecond early), so this cannot race the scheduler
+  // exactly when the deadline passes, so this cannot race the scheduler
   // however slowly (TSan) or coarsely the host clock ticks.
   while (b.poll()) std::this_thread::yield();
   EXPECT_FALSE(b.poll());  // latched
   EXPECT_TRUE(b.exhausted());
-  EXPECT_EQ(b.remaining_ms(), 0u);
 }
 
 TEST(Budget, CancelTokenTripsAtNextPoll) {
   CancelToken token;
-  Budget b(BudgetSpec{}, nullptr, &token);
+  Budget b(BudgetSpec{}, &token);
   EXPECT_TRUE(b.limited());  // a cancel hook alone makes it worth polling
   EXPECT_TRUE(b.poll());
   token.cancel();
@@ -83,44 +76,6 @@ TEST(Budget, CancelTokenTripsAtNextPoll) {
   EXPECT_FALSE(b.poll());
   EXPECT_TRUE(b.exhausted());
   EXPECT_FALSE(b.charge());
-}
-
-TEST(Budget, ChargesForwardToParent) {
-  BudgetSpec parent_spec;
-  parent_spec.max_steps = 50;
-  Budget parent(parent_spec);
-  Budget child(BudgetSpec{}, &parent);  // no limits of its own
-  EXPECT_TRUE(child.limited());
-
-  EXPECT_TRUE(child.charge(30));
-  EXPECT_EQ(parent.steps_used(), 30u);
-  EXPECT_FALSE(child.charge(30));  // parent trips, child latches with it
-  EXPECT_TRUE(parent.exhausted());
-  EXPECT_TRUE(child.exhausted());
-}
-
-TEST(Budget, ChildExhaustionLeavesParentAlive) {
-  Budget parent;
-  BudgetSpec child_spec;
-  child_spec.max_steps = 10;
-  Budget child(child_spec, &parent);
-  EXPECT_FALSE(child.charge(11));
-  EXPECT_TRUE(child.exhausted());
-  // The half-share pattern: a failed exact attempt must leave the
-  // whole-compile budget usable for the fallback tiers.
-  EXPECT_TRUE(parent.ok());
-  EXPECT_TRUE(parent.charge(1'000));
-}
-
-TEST(Budget, ParentPollPropagatesThroughChild) {
-  CancelToken token;
-  Budget parent(BudgetSpec{}, nullptr, &token);
-  Budget child(BudgetSpec{}, &parent);
-  EXPECT_TRUE(child.poll());
-  token.cancel();
-  EXPECT_FALSE(child.poll());
-  EXPECT_TRUE(child.exhausted());
-  EXPECT_TRUE(parent.exhausted());
 }
 
 TEST(Budget, ForceExhaustLatchesFromOutside) {
@@ -132,31 +87,6 @@ TEST(Budget, ForceExhaustLatchesFromOutside) {
   EXPECT_TRUE(b.exhausted());
   EXPECT_FALSE(b.charge());
   EXPECT_FALSE(b.poll());
-}
-
-TEST(Budget, FractionOfRemainingSplitsStepAllowance) {
-  BudgetSpec spec;
-  spec.max_steps = 100;
-  Budget b(spec);
-  EXPECT_TRUE(b.charge(40));
-  const BudgetSpec half = b.fraction_of_remaining(1, 2);
-  EXPECT_EQ(half.max_steps, 30u);  // half of the remaining 60
-  EXPECT_EQ(half.deadline_ms, 0u);  // no deadline on the parent
-}
-
-TEST(Budget, FractionOfRemainingNeverReturnsUnlimitedFields) {
-  // A zero field would mean "no limit": even a fully drained budget must
-  // hand out at least one unit per active limit.
-  BudgetSpec spec;
-  spec.max_steps = 10;
-  spec.deadline_ms = 1;
-  Budget b(spec);
-  EXPECT_FALSE(b.charge(11));
-  // Deterministic wait for deadline expiry (see DeadlineTripsOncePassed).
-  while (b.remaining_ms() != 0) std::this_thread::yield();
-  const BudgetSpec crumbs = b.fraction_of_remaining(1, 2);
-  EXPECT_EQ(crumbs.max_steps, 1u);
-  EXPECT_EQ(crumbs.deadline_ms, 1u);
 }
 
 TEST(BudgetSpec, LimitedMatchesFields) {
