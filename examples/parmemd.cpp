@@ -343,8 +343,10 @@ int run_soak(service::ServiceOptions opts, std::uint64_t seconds,
                                          "service.cache_store",
                                          "pipeline.assign",
                                          "cache.atom_journal"};
-          support::FaultInjector::instance().arm(
-              kSites[rng.below(5)], kKinds[rng.below(3)], 1 + rng.below(3));
+          const std::uint64_t hit = 1 + rng.below(3);
+          const support::FaultKind kind = kKinds[rng.below(3)];
+          const char* site = kSites[rng.below(5)];
+          support::FaultInjector::instance().arm(site, kind, hit);
         }
 #endif
         service::CompileRequest req;

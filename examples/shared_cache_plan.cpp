@@ -24,8 +24,10 @@ int main() {
     const std::size_t width = 2 + rng.below(3);  // 2..4 concurrent readers
     while (grp.items.size() < width) {
       // Hot items have low ids (skewed popularity).
-      const auto item = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(rng.below(16) * rng.below(4), 47));
+      const std::uint64_t base = rng.below(16);
+      const std::uint64_t scale = rng.below(4);
+      const auto item =
+          static_cast<std::uint32_t>(std::min<std::uint64_t>(base * scale, 47));
       if (std::find(grp.items.begin(), grp.items.end(), item) ==
           grp.items.end()) {
         grp.items.push_back(item);

@@ -46,9 +46,9 @@ const char* tier_name(AssignTier t) {
 
 namespace {
 
-/// Hard node cap for the kBacktrackCap fix-up: enough to resolve typical
-/// instructions (k! for k <= 7), small enough that a whole-stream sweep
-/// stays linear after the budget is gone.
+/// Per-instruction step budget of the kBacktrackCap fix-up, in search
+/// states: every instruction at k <= 12 fits (at most 2^k states), and a
+/// whole-stream sweep stays linear after the request's budget is gone.
 constexpr std::uint64_t kFixupNodeCap = 4096;
 
 struct PassContext {
@@ -400,8 +400,9 @@ void run_pass(PassContext& ctx, PassInsts pass) {
   // Degradation ladder, below the full-effort tier. A tripped coloring was
   // finished greedily (kHittingSet quality at best); a tripped duplication
   // leaves conflicting instructions for the capped Fig. 6 fix-up
-  // (kBacktrackCap) — hard node cap, no budget consultation, so the sweep
-  // terminates; anything still conflicting is accepted as residual.
+  // (kBacktrackCap) — a fresh step budget per instruction, not the tripped
+  // one, so the sweep terminates; anything still conflicting is accepted
+  // as residual.
   const bool pass_exhausted = cr.budget_exhausted || dup_exhausted;
   if (pass_exhausted) {
     *ctx.exhausted = true;
@@ -415,9 +416,9 @@ void run_pass(PassContext& ctx, PassInsts pass) {
     for (std::size_t i = 0; i < insts.size(); ++i) {
       if (ctx.st->combination_conflict_free(insts[i])) continue;
       capped = true;
+      support::Budget fixup(support::BudgetSpec{0, kFixupNodeCap});
       const auto added = resolve_instruction(
-          *ctx.st, insts[i], stream.duplicatable, *ctx.rng,
-          /*budget=*/nullptr, kFixupNodeCap);
+          *ctx.st, insts[i], stream.duplicatable, *ctx.rng, &fixup);
       if (!added.has_value()) dup.unresolved.push_back(i);
     }
     if (capped) degrade(ctx, AssignTier::kBacktrackCap);

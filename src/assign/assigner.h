@@ -40,8 +40,8 @@ enum class DupMethod : std::uint8_t { kBacktracking, kHittingSet };
 ///   kHittingSet   coloring completed greedily and/or duplication reduced
 ///                 to the Fig. 7 pair step (two copies per V_unassigned
 ///                 value), skipping the iterative hitting-set rounds;
-///   kBacktrackCap per-instruction Fig. 6 backtracking with a hard node
-///                 cap as the only conflict-resolution effort;
+///   kBacktrackCap per-instruction Fig. 6 search, each capped at 4096
+///                 states, as the only conflict-resolution effort;
 ///   kResidual     statically predictable conflicts accepted; any value
 ///                 still without a copy is parked in module 0.
 ///

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <optional>
+#include <unordered_map>
 
 #include "support/budget.h"
 #include "support/diagnostics.h"
@@ -11,82 +13,76 @@
 namespace parmem::assign {
 namespace {
 
-/// Recursive enumeration of module choices for the flexible operands.
-/// `choice[i]` is the module flexible operand i reads from; cost counts
-/// choices that are new copies. All minimum-cost solutions are collected.
-///
-/// The enumeration is the one genuinely exponential kernel on the normal
-/// assignment path (worst case k!/(k-f)! orderings for f flexible
-/// operands), so it meters the budget per node and honours a hard local
-/// node cap; when stopped early the solutions collected so far remain
-/// usable — they are valid, just not proven minimal.
-struct Enumerator {
+/// Memoised search over module choices for the flexible operands. The
+/// search below a node depends only on `used`, the modules taken so far
+/// (the next operand is flex_ops[popcount(used)]), so each state is solved
+/// once, keeping the fewest new copies a feasible leaf below it needs and
+/// how many leaves reach that minimum. Children follow Fig. 6's order:
+/// existing copies first, then new modules, each ascending. Unranking one
+/// draw along that order picks the leaf a walk-order list of every cheapest
+/// leaf would hold at that index. Counts saturate at 2^64 - 1 (only k = 32
+/// with f >= 14 gets there); no child's count exceeds its parent's, so a
+/// draw still unranks to a cheapest leaf, one of the first 2^64 - 1.
+struct Search {
+  struct Best {
+    std::size_t cost = 0;     // new copies of the cheapest feasible leaf
+    std::uint64_t count = 0;  // leaves at that cost; 0 = none is feasible
+  };
+
   const PlacementState& st;
-  const std::vector<ir::ValueId>& flex_ops;       // flexible operand values
-  const std::vector<ir::ValueId>& fixed_ops;      // the rest
+  const std::vector<ir::ValueId>& flex_ops;
+  const std::vector<ir::ValueId>& fixed_ops;
   std::size_t k;
+  support::Budget* budget;  // charged one step per state
+  std::unordered_map<ModuleSet, Best> memo;
 
-  std::vector<std::uint32_t> choice;
-  ModuleSet used = 0;  // modules taken by flexible choices so far
-  std::size_t cost = 0;
-
-  std::size_t best_cost = static_cast<std::size_t>(-1);
-  std::vector<std::vector<std::uint32_t>> best_solutions;
-
-  support::Budget* budget = nullptr;
-  std::uint64_t node_cap = 0;  // 0 = unbounded
-  std::uint64_t nodes = 0;
-  bool stopped = false;  // budget / cap tripped; unwind without recursing
-
-  void run(std::size_t idx) {
-    if (stopped) return;
-    ++nodes;
-    if (node_cap != 0 && nodes > node_cap) {
-      stopped = true;
-      return;
-    }
-    if (budget != nullptr && (nodes & 63) == 0 && !budget->charge(64)) {
-      stopped = true;
-      return;
-    }
-    if (cost > best_cost) return;  // bound
-    if (idx == flex_ops.size()) {
-      // Fixed operands must find distinct representatives among the
-      // remaining modules.
-      if (fixed_ops.size() > k) return;
-      std::array<ModuleSet, kMaxModules> avail;
-      for (std::size_t i = 0; i < fixed_ops.size(); ++i) {
-        avail[i] = st.placement(fixed_ops[i]) & ~used;
-        if (avail[i] == 0) return;
-      }
-      if (!support::has_distinct_representatives(
-              {avail.data(), fixed_ops.size()}, k)) {
-        return;
-      }
-      if (cost < best_cost) {
-        best_cost = cost;
-        best_solutions.clear();
-      }
-      best_solutions.push_back(choice);
-      return;
-    }
-    const ir::ValueId v = flex_ops[idx];
-    const ModuleSet existing = st.placement(v);
-    // Try existing copies first (cost 0), then new modules (cost 1).
-    for (int pass = 0; pass < 2; ++pass) {
-      for (std::uint32_t m = 0; m < k; ++m) {
-        const bool is_existing = holds(existing, m);
-        if ((pass == 0) != is_existing) continue;
-        if (holds(used, m)) continue;
-        used |= module_bit(m);
-        choice.push_back(m);
-        cost += is_existing ? 0 : 1;
-        run(idx + 1);
-        cost -= is_existing ? 0 : 1;
-        choice.pop_back();
-        used &= ~module_bit(m);
+  /// Calls visit(m, fresh) for each module the next flexible operand can
+  /// take, in walk order, until it returns false; `fresh` marks a new copy.
+  template <typename Visit>
+  void for_each_child(ModuleSet used, Visit visit) const {
+    const ModuleSet existing = st.placement(flex_ops[copy_count(used)]);
+    for (const bool fresh : {false, true}) {
+      ModuleSet free = (fresh ? ~existing : existing) & ~used & all_modules(k);
+      for (; free != 0; free &= free - 1) {
+        const auto m = static_cast<std::uint32_t>(std::countr_zero(free));
+        if (!visit(m, fresh)) return;
       }
     }
+  }
+
+  /// Whether the fixed operands find distinct modules outside `used`.
+  bool fixed_ops_fit(ModuleSet used) const {
+    std::array<ModuleSet, kMaxModules> avail;
+    for (std::size_t i = 0; i < fixed_ops.size(); ++i) {
+      avail[i] = st.placement(fixed_ops[i]) & ~used;
+      if (avail[i] == 0) return false;
+    }
+    return support::has_distinct_representatives(
+        {avail.data(), fixed_ops.size()}, k);
+  }
+
+  /// After a budget trip the result is partial; the caller discards it.
+  Best solve(ModuleSet used) {
+    if (const auto it = memo.find(used); it != memo.end()) return it->second;
+    if (budget != nullptr && !budget->charge()) return {};
+    Best best;
+    if (copy_count(used) == flex_ops.size()) {
+      best.count = fixed_ops_fit(used) ? 1 : 0;
+    } else {
+      for_each_child(used, [&](std::uint32_t m, bool fresh) {
+        const Best sub = solve(used | module_bit(m));
+        const std::size_t cost = sub.cost + (fresh ? 1 : 0);
+        if (sub.count != 0 && (best.count == 0 || cost < best.cost)) {
+          best = {cost, sub.count};
+        } else if (sub.count != 0 && cost == best.cost) {
+          best.count = sub.count > ~best.count ? ~std::uint64_t{0}
+                                               : best.count + sub.count;
+        }
+        return true;
+      });
+    }
+    memo.emplace(used, best);
+    return best;
   }
 };
 
@@ -95,11 +91,11 @@ struct Enumerator {
 std::optional<std::size_t> resolve_instruction(
     PlacementState& st, const std::vector<ir::ValueId>& ops,
     const std::vector<bool>& flexible, support::SplitMix64& rng,
-    support::Budget* budget, std::uint64_t node_cap) {
+    support::Budget* budget) {
   if (st.combination_conflict_free(ops)) return 0;
   PARMEM_FAULT_POINT("assign.backtrack", budget);
   // A leaf needs |ops| distinct modules, so a tuple wider than k can never
-  // reach one: skip the k!-node search (no rng draw, so no output moves).
+  // reach one: skip the search (no rng draw, so no output moves).
   if (ops.size() > st.module_count()) return std::nullopt;
 
   std::vector<ir::ValueId> flex_ops;
@@ -113,20 +109,34 @@ std::optional<std::size_t> resolve_instruction(
   }
   if (flex_ops.empty()) return std::nullopt;
 
-  Enumerator e{st, flex_ops, fixed_ops, st.module_count(), {}, 0, 0,
-               static_cast<std::size_t>(-1), {}};
-  e.budget = budget;
-  e.node_cap = node_cap;
-  e.run(0);
-  if (e.best_solutions.empty()) return std::nullopt;
-
-  const auto& pick = e.best_solutions[static_cast<std::size_t>(
-      rng.below(e.best_solutions.size()))];
-  std::size_t added = 0;
-  for (std::size_t i = 0; i < flex_ops.size(); ++i) {
-    if (st.add_copy(flex_ops[i], pick[i])) ++added;
+  Search search{st, flex_ops, fixed_ops, st.module_count(), budget, {}};
+  const Search::Best root = search.solve(0);
+  if ((budget != nullptr && budget->exhausted()) || root.count == 0) {
+    return std::nullopt;
   }
-  PARMEM_CHECK(added == e.best_cost, "cost accounting mismatch");
+
+  // Unrank one draw: each operand skips the cheapest subtrees ahead of the
+  // one holding the draw and takes that subtree's module.
+  std::uint64_t r = rng.below(root.count);
+  std::size_t cost = root.cost;
+  std::size_t added = 0;
+  ModuleSet used = 0;
+  for (const ir::ValueId v : flex_ops) {
+    search.for_each_child(used, [&](std::uint32_t m, bool fresh) {
+      const Search::Best& sub = search.memo.at(used | module_bit(m));
+      if (sub.count == 0 || sub.cost + (fresh ? 1 : 0) != cost) return true;
+      if (r >= sub.count) {
+        r -= sub.count;
+        return true;
+      }
+      used |= module_bit(m);
+      cost -= fresh ? 1 : 0;
+      if (st.add_copy(v, m)) ++added;
+      return false;
+    });
+  }
+  PARMEM_CHECK(copy_count(used) == flex_ops.size() && added == root.cost,
+               "cost accounting mismatch");
   PARMEM_CHECK(st.combination_conflict_free(ops),
                "instruction still conflicts after resolution");
   return added;
@@ -164,29 +174,19 @@ BacktrackOutcome backtrack_duplicate(
     out.budget_exhausted = true;
     return true;
   };
-  for (const std::size_t i : groups[0]) {
-    if (out_of_budget()) {
-      out.unresolved.push_back(i);
-      continue;
-    }
-    // No V_unassigned member to duplicate: try the wider duplicable mask
-    // (arises when earlier STOR2/3 stages fixed all the operands).
-    const auto added =
-        resolve_instruction(st, insts[i], duplicatable, rng, budget);
-    if (added.has_value()) {
-      out.copies_added += *added;
-    } else {
-      out.unresolved.push_back(i);
-    }
-  }
-  for (std::size_t g = 1; g <= k; ++g) {
+  for (std::size_t g = 0; g <= k; ++g) {
     for (const std::size_t i : groups[g]) {
       if (out_of_budget()) {
         out.unresolved.push_back(i);
         continue;
       }
-      auto added =
-          resolve_instruction(st, insts[i], in_unassigned, rng, budget);
+      // Group 0 has no V_unassigned member to duplicate, so only the wider
+      // duplicable mask can help (arises when earlier STOR2/3 stages fixed
+      // all the operands).
+      std::optional<std::size_t> added;
+      if (g > 0) {
+        added = resolve_instruction(st, insts[i], in_unassigned, rng, budget);
+      }
       if (!added.has_value()) {
         added = resolve_instruction(st, insts[i], duplicatable, rng, budget);
       }
@@ -197,6 +197,9 @@ BacktrackOutcome backtrack_duplicate(
       }
     }
   }
+  // A trip inside the last search leaves its instruction unresolved; the
+  // caller's fix-up must still learn of it.
+  out_of_budget();
 
   // A duplicable value that only ever appeared in already-satisfied
   // instructions may still lack its first copy; give it one.

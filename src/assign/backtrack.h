@@ -3,10 +3,10 @@
 // Instructions are divided into sets S_1..S_k by their number of duplicable
 // operands (members of V_unassigned) and processed in that order — an
 // instruction with a single duplicable operand admits only one fix, so it
-// goes first. For each conflicting instruction, all module assignments of
-// its duplicable operands are enumerated by backtracking; existing copies
-// are preferred; the assignment creating the fewest new copies wins, with a
-// seeded random choice among ties.
+// goes first. For each conflicting instruction, a search memoised on the
+// modules already taken finds the module choices for its duplicable
+// operands that create the fewest new copies (existing copies are tried
+// first), and a seeded draw picks one of them.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +27,7 @@ struct BacktrackOutcome {
   std::size_t copies_added = 0;
   /// Indices (into `insts`) of instructions that could not be resolved —
   /// only possible when non-duplicable operands collide among themselves,
-  /// or when the budget tripped before they were reached.
+  /// or when the budget tripped before or while they were searched.
   std::vector<std::size_t> unresolved;
   /// True iff the budget tripped and the pass stopped early; instructions
   /// not yet processed are reported in `unresolved` and the caller is
@@ -35,20 +35,21 @@ struct BacktrackOutcome {
   bool budget_exhausted = false;
 };
 
-/// Resolves one instruction: enumerates module choices for its flexible
-/// operands, applies the cheapest conflict-free assignment, and returns the
-/// number of new copies (0 if it was already conflict-free), or nullopt if
-/// no assignment of the flexible operands can avoid the conflict.
+/// Resolves one instruction: searches module choices for its flexible
+/// operands, applies a cheapest conflict-free assignment (one seeded draw
+/// picks among the ties), and returns the number of new copies (0 if it was
+/// already conflict-free), or nullopt if no assignment of the flexible
+/// operands can avoid the conflict.
 ///
-/// `budget` (optional) is charged per enumeration node; `node_cap`
-/// (0 = unbounded) hard-caps the nodes of this one call — the degraded
-/// kBacktrackCap tier uses it to guarantee termination without consulting
-/// the (already exhausted) budget. When the enumeration stops early, the
-/// best solution found so far is still applied if one exists.
+/// The search memoises on the set of modules taken so far: at most
+/// sum_{i<=f} C(k, i) states for f flexible operands, each storing the
+/// fewest new copies below it and how many cheapest leaves it holds.
+/// `budget` (optional) is charged one step per state. A search that trips
+/// it returns nullopt and changes nothing: no copy, no draw.
 std::optional<std::size_t> resolve_instruction(
     PlacementState& st, const std::vector<ir::ValueId>& ops,
     const std::vector<bool>& flexible, support::SplitMix64& rng,
-    support::Budget* budget = nullptr, std::uint64_t node_cap = 0);
+    support::Budget* budget = nullptr);
 
 /// The full Fig. 6 pass over `insts`. `duplicatable` is the wider fallback
 /// mask: an instruction whose conflict cannot be resolved via V_unassigned

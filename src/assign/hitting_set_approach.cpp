@@ -24,12 +24,19 @@ namespace {
 /// combination now or in any later round: the caller sees exactly the
 /// conflicting combinations, in the same order, as a full enumeration.
 ///
+/// Only combinations with an `is_candidate` operand are kept. The rounds add
+/// copies only to candidates, which hold two already, so a value that is no
+/// candidate now never becomes one: a skipped combination could only ever
+/// yield an empty candidate set.
+///
 /// With a budget, generation charges one step per combination (in chunks,
 /// so the deadline is polled while a wide instruction is still being
 /// enumerated) and returns nullopt as soon as the budget trips.
+template <typename IsCandidate>
 std::optional<std::vector<std::vector<ir::ValueId>>> combinations_of_size(
     InstSpan insts, const std::vector<std::uint8_t>& conflicting,
-    std::size_t num, support::Budget* budget) {
+    std::size_t num, const IsCandidate& is_candidate,
+    support::Budget* budget) {
   constexpr std::size_t kChargeChunk = 1024;
   std::vector<std::vector<ir::ValueId>> combos;
   std::vector<ir::ValueId> current;
@@ -37,7 +44,10 @@ std::optional<std::vector<std::vector<ir::ValueId>>> combinations_of_size(
   std::size_t uncharged = 0;
   for (std::size_t t = 0; t < insts.size(); ++t) {
     const auto& ops = insts[t];
-    if (ops.size() < num || !conflicting[t]) continue;
+    if (ops.size() < num || !conflicting[t] ||
+        std::none_of(ops.begin(), ops.end(), is_candidate)) {
+      continue;
+    }
     // Operands are sorted, so generated combinations are canonical.
     const std::size_t n = ops.size();
     // Iterative combination enumeration via index vector.
@@ -45,7 +55,9 @@ std::optional<std::vector<std::vector<ir::ValueId>>> combinations_of_size(
     for (;;) {
       current.clear();
       for (const std::size_t i : idx) current.push_back(ops[i]);
-      combos.push_back(current);
+      if (std::any_of(current.begin(), current.end(), is_candidate)) {
+        combos.push_back(current);
+      }
       if (budget != nullptr && ++uncharged == kChargeChunk) {
         uncharged = 0;
         if (!budget->charge(kChargeChunk)) return std::nullopt;
@@ -139,6 +151,13 @@ HittingSetOutcome hitting_set_duplicate(
   std::size_t max_width = 0;
   for (const auto& ops : insts) max_width = std::max(max_width, ops.size());
 
+  // A value whose replication can resolve a combination in the rounds:
+  // duplicable, holding two copies already, with a module left to take.
+  const auto is_candidate = [&](ir::ValueId v) {
+    return v < duplicatable.size() && duplicatable[v] && st.copies(v) >= 2 &&
+           st.copies(v) < k;
+  };
+
   support::Budget* const budget = w.budget;
   PARMEM_FAULT_POINT("assign.hitting_set", budget);
   for (std::size_t num = 3; num <= std::min(max_width, k); ++num) {
@@ -146,7 +165,8 @@ HittingSetOutcome hitting_set_duplicate(
       out.budget_exhausted = true;
       break;
     }
-    auto combos = combinations_of_size(insts, conflicting, num, budget);
+    auto combos =
+        combinations_of_size(insts, conflicting, num, is_candidate, budget);
     if (!combos.has_value()) {
       out.budget_exhausted = true;
       break;
@@ -169,8 +189,7 @@ HittingSetOutcome hitting_set_duplicate(
       for (const auto& combo : *combos) {
         std::vector<std::uint32_t> cands;
         for (const ir::ValueId v : combo) {
-          const bool dup = v < duplicatable.size() && duplicatable[v];
-          if (dup && st.copies(v) >= 2 && st.copies(v) < k) cands.push_back(v);
+          if (is_candidate(v)) cands.push_back(v);
         }
         if (!cands.empty()) cand_sets.push_back(std::move(cands));
       }

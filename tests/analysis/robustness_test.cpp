@@ -64,6 +64,26 @@ ir::AccessStream hostile_stream(std::uint64_t seed, std::size_t values,
   return workloads::random_stream(g, rng);
 }
 
+/// K + 4 values in 3K tuples of K distinct values each, every third value
+/// mutable. At k = K every tuple needs all k modules, so each conflicting
+/// one leaves Fig. 6 up to K flexible operands and Fig. 7 every operand
+/// combination of sizes 3..K.
+ir::AccessStream dense_stream(std::size_t width) {
+  support::SplitMix64 rng(3);
+  const std::size_t n = width + 4;
+  std::vector<std::vector<ir::ValueId>> tuples;
+  for (std::size_t t = 0; t < 3 * width; ++t) {
+    std::vector<ir::ValueId> all(n);
+    for (ir::ValueId v = 0; v < n; ++v) all[v] = v;
+    rng.shuffle(all);
+    all.resize(width);
+    tuples.push_back(std::move(all));
+  }
+  ir::AccessStream stream = ir::AccessStream::from_tuples(n, tuples);
+  for (ir::ValueId v = 0; v < n; v += 3) stream.duplicatable[v] = false;
+  return stream;
+}
+
 TEST(Robustness, StepBudgetDegradesDeterministicallyAndStaysWellFormed) {
   const ir::AccessStream stream = hostile_stream(0xabc1, 256, 1024);
   AssignOptions o;
@@ -145,14 +165,11 @@ TEST(Robustness, ExpiredDeadlineFallsBackWithoutHanging) {
 }
 
 TEST(Robustness, UnresolvableWideTupleHonoursTheDeadline) {
-  // 24 mutable operands at k = 20: no placement can resolve the tuple, so
-  // it still conflicts in every hitting-set round, and its operand
-  // combinations of sizes 3..20 (about 16 M) are enumerated. Unbudgeted
-  // that takes seconds; under a deadline the enumeration itself must stop.
-  std::vector<ir::ValueId> wide;
-  for (ir::ValueId v = 0; v < 24; ++v) wide.push_back(v);
-  ir::AccessStream stream = ir::AccessStream::from_tuples(24, {wide});
-  stream.duplicatable.assign(24, false);
+  // Sixty tuples of 20 values at k = 20 under the hitting-set method: the
+  // rounds enumerate every operand combination of sizes 3..20 of each
+  // conflicting tuple that holds a candidate (about a million per tuple),
+  // which takes seconds. Under a deadline the enumeration itself must stop.
+  const ir::AccessStream stream = dense_stream(20);
 
   support::BudgetSpec spec;
   spec.deadline_ms = 50;
@@ -169,6 +186,48 @@ TEST(Robustness, UnresolvableWideTupleHonoursTheDeadline) {
   EXPECT_LT(elapsed, std::chrono::milliseconds(50 + 1000));
   EXPECT_TRUE(r.budget_exhausted);
   expect_well_formed(stream, r, "unresolvable wide tuple");
+}
+
+// Wide conflicting tuples finish in bounded work: Fig. 6 memoises its
+// search on the modules taken, and Fig. 7 skips combinations without a
+// candidate. Each case runs under a step budget that must not trip, then
+// unbudgeted; the bound is on work, not the wall clock, so slow sanitizer
+// builds agree.
+TEST(Robustness, DenseTuplesFinishWithinAStepBound) {
+  constexpr std::uint64_t kMaxSteps = 4'000'000;
+  struct Case {
+    const char* name;
+    ir::AccessStream stream;
+    std::size_t k;
+    assign::DupMethod method;
+  };
+  std::vector<ir::ValueId> wide(24);
+  for (ir::ValueId v = 0; v < 24; ++v) wide[v] = v;
+  ir::AccessStream mut24 = ir::AccessStream::from_tuples(24, {wide});
+  mut24.duplicatable.assign(24, false);
+  const Case cases[] = {
+      {"dense16 bt", dense_stream(16), 16, assign::DupMethod::kBacktracking},
+      {"dense16 hs", dense_stream(16), 16, assign::DupMethod::kHittingSet},
+      {"mut24 hs", mut24, 20, assign::DupMethod::kHittingSet},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    support::Budget b(support::BudgetSpec{0, kMaxSteps});
+    AssignOptions o;
+    o.module_count = c.k;
+    o.method = c.method;
+    o.budget = &b;
+    const AssignResult r = assign::assign_modules(c.stream, o);
+    if (r.budget_exhausted) {
+      ADD_FAILURE() << "took over " << kMaxSteps << " steps";
+      continue;
+    }
+    EXPECT_EQ(r.tier, AssignTier::kHeuristic);
+    expect_well_formed(c.stream, r, c.name);
+
+    o.budget = nullptr;
+    EXPECT_EQ(assign::assign_modules(c.stream, o).placement, r.placement);
+  }
 }
 
 TEST(Robustness, PipelineStepBudgetDegradesDeterministically) {

@@ -130,9 +130,9 @@ TEST(Assigner, StatsAreConsistent) {
 
 TEST(Assigner, TupleWiderThanModulesSkipsTheEnumerator) {
   // 17 duplicatable values in one tuple cannot sit in 16 distinct modules,
-  // so the Fig. 6 enumerator can never reach a leaf. Without the pigeonhole
-  // gate it walks ~16! nodes and trips a 10^6-step budget; with it the
-  // compile stays at full effort and spends almost nothing of the budget.
+  // so the Fig. 6 search can never reach a leaf. The pigeonhole gate skips
+  // the search (up to 2^16 states per call), so the compile stays at full
+  // effort within a 10^6-step budget.
   std::vector<ir::ValueId> wide(17);
   for (ir::ValueId v = 0; v < 17; ++v) wide[v] = v;
   const auto s = AccessStream::from_tuples(17, {wide});

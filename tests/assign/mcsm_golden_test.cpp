@@ -239,9 +239,13 @@ Graph seeded_graph(std::size_t i, support::SplitMix64& rng) {
       const std::size_t width = 2 + rng.below(14);
       return band(n, width, 0.25 + 0.6 * rng.uniform(), i % 4 == 2, rng);
     }
-    default:
-      return blocks(n, 8 + rng.below(40), 0.1 + 0.4 * rng.uniform(),
-                    rng.below(4), rng);
+    default: {
+      // One draw per statement, in the order the pinned hashes were taken.
+      const std::size_t bridges = rng.below(4);
+      const double p = 0.1 + 0.4 * rng.uniform();
+      const std::size_t block = 8 + rng.below(40);
+      return blocks(n, block, p, bridges, rng);
+    }
   }
 }
 

@@ -160,18 +160,25 @@ Graph relabelled(const Graph& g, support::SplitMix64& rng) {
 }
 
 // Graph i of the corpus: path, ladder, grid, clique chain or block stream
-// by i % 5.
+// by i % 5. Multi-draw cases draw one value per statement, in the order the
+// corpus was first generated with.
 Graph split_heavy_graph(std::size_t i, support::SplitMix64& rng) {
   switch (i % 5) {
     case 0:
       return grid(1, 20 + rng.below(300), 0.0, rng);
-    case 1:
-      return grid(2, 10 + rng.below(150), 0.5 * rng.uniform(), rng);
-    case 2:
-      return grid(3 + rng.below(10), 3 + rng.below(25), 0.5 * rng.uniform(),
-                  rng);
-    case 3:
-      return clique_chain(5 + rng.below(40), 3 + rng.below(8), rng);
+    case 1: {
+      const double p = 0.5 * rng.uniform();
+      return grid(2, 10 + rng.below(150), p, rng);
+    }
+    case 2: {
+      const double p = 0.5 * rng.uniform();
+      const std::size_t cols = 3 + rng.below(25);
+      return grid(3 + rng.below(10), cols, p, rng);
+    }
+    case 3: {
+      const std::size_t size = 3 + rng.below(8);
+      return clique_chain(5 + rng.below(40), size, rng);
+    }
     default:
       return block_stream(rng);
   }
@@ -254,7 +261,10 @@ TEST(McsmReference, MaskModeExits) {
   } families[] = {
       {"wide stream", [&] { return wide_stream(rng); }, true},
       {"broom",
-       [&] { return broom(8 + rng.below(40), 33 + rng.below(28), rng); },
+       [&] {
+         const std::size_t arms = 33 + rng.below(28);
+         return broom(8 + rng.below(40), arms, rng);
+       },
        true},
       {"bridged blocks", [&] { return block_stream(rng); }, false},
   };

@@ -93,8 +93,9 @@ TEST(Graph, SortPairsMatchesComparisonSort) {
   for (const std::size_t n : {1u, 2u, 37u, 300u}) {
     std::vector<std::pair<Vertex, Vertex>> pairs;
     for (std::size_t i = 0; i < 4 * n + 3; ++i) {
-      pairs.emplace_back(static_cast<Vertex>(rng.below(n)),
-                         static_cast<Vertex>(rng.below(n)));
+      const auto v = static_cast<Vertex>(rng.below(n));
+      const auto u = static_cast<Vertex>(rng.below(n));
+      pairs.emplace_back(u, v);
     }
     auto expect = pairs;
     std::sort(expect.begin(), expect.end());
