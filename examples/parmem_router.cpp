@@ -52,53 +52,20 @@
 //
 // Exit codes: 0 clean drain; 1 user error (bad flags / socket path /
 // worker binary that never comes up); 2 internal error.
-#include <fcntl.h>
-#include <poll.h>
-#include <signal.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "daemon_shell.h"
 #include "router/rebalance.h"
 #include "router/router.h"
-#include "service/frame.h"
 #include "service/server.h"
 #include "support/net.h"
-#include "telemetry/export.h"
-#include "telemetry/session.h"
 
 namespace {
 
 using namespace parmem;
-
-int g_signal_pipe[2] = {-1, -1};
-
-void on_shutdown_signal(int) {
-  const char byte = 1;
-  [[maybe_unused]] const auto n = ::write(g_signal_pipe[1], &byte, 1);
-}
-
-void install_signal_pipe() {
-  if (::pipe(g_signal_pipe) != 0) {
-    throw support::UserError("cannot create the signal self-pipe");
-  }
-  ::fcntl(g_signal_pipe[0], F_SETFL, O_NONBLOCK);
-  ::fcntl(g_signal_pipe[1], F_SETFL, O_NONBLOCK);
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof sa);
-  sa.sa_handler = on_shutdown_signal;
-  ::sigaction(SIGTERM, &sa, nullptr);
-  ::sigaction(SIGINT, &sa, nullptr);
-  // Belt and braces: FdStream::write_all already masks SIGPIPE per write,
-  // but the router is a daemon — a stray EPIPE elsewhere shouldn't kill it.
-  ::signal(SIGPIPE, SIG_IGN);
-}
 
 int usage() {
   std::fprintf(stderr,
@@ -228,67 +195,6 @@ void print_router_summary(const router::Router& rt) {
   }
 }
 
-std::uint64_t serve_router(service::ByteStream& stream, router::Router& rt) {
-  return service::serve_frames(
-      stream, [&rt](service::CompileRequest req,
-                    service::CompileService::Callback done) {
-        rt.submit(std::move(req), std::move(done));
-      });
-}
-
-int run_stdio(router::Router& rt) {
-  service::FdStream stream(STDIN_FILENO, STDOUT_FILENO, g_signal_pipe[0]);
-  const std::uint64_t served = serve_router(stream, rt);
-  rt.drain();
-  std::fprintf(stderr, "parmem-router: drained after %llu responses\n",
-               (unsigned long long)served);
-  print_router_summary(rt);
-  return 0;
-}
-
-int run_socket(const std::string& path, router::Router& rt) {
-  sockaddr_un addr;
-  std::memset(&addr, 0, sizeof addr);
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof addr.sun_path) {
-    throw support::UserError("socket path too long: " + path);
-  }
-  std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
-
-  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd < 0) throw support::UserError("cannot create socket");
-  ::unlink(path.c_str());
-  if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-          0 ||
-      ::listen(listen_fd, 8) != 0) {
-    ::close(listen_fd);
-    throw support::UserError("cannot bind/listen on " + path);
-  }
-
-  std::uint64_t served = 0;
-  for (;;) {
-    pollfd fds[2] = {{listen_fd, POLLIN, 0}, {g_signal_pipe[0], POLLIN, 0}};
-    if (::poll(fds, 2, -1) < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[1].revents != 0) break;  // SIGTERM/SIGINT
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int conn = support::accept_with_retry(listen_fd);
-    if (conn < 0) continue;
-    service::FdStream stream(conn, conn, g_signal_pipe[0]);
-    served += serve_router(stream, rt);
-    ::close(conn);
-  }
-  ::close(listen_fd);
-  ::unlink(path.c_str());
-  rt.drain();
-  std::fprintf(stderr, "parmem-router: drained after %llu responses\n",
-               (unsigned long long)served);
-  print_router_summary(rt);
-  return 0;
-}
-
 int run_router(int argc, char** argv) {
   router::RouterOptions ropts;
   FleetConfig cfg;
@@ -296,32 +202,17 @@ int run_router(int argc, char** argv) {
   std::string trace_path;
   bool stats = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        throw support::UserError("missing value after " + arg);
-      }
-      return argv[++i];
-    };
-    const auto next_count = [&]() -> std::uint64_t {
-      const char* text = next();
-      try {
-        return std::stoull(text);
-      } catch (const std::exception&) {
-        throw support::UserError("invalid number for " + arg + ": '" +
-                                 std::string(text) + "'");
-      }
-    };
+  for (shell::Args args(argc, argv); args.next();) {
+    const std::string& arg = args.flag();
     if (arg == "--socket") {
-      socket_path = next();
+      socket_path = args.value();
     } else if (arg == "--fleet") {
-      ropts.workers = static_cast<std::size_t>(next_count());
+      ropts.workers = static_cast<std::size_t>(args.count());
     } else if (arg == "--parmemd") {
-      cfg.parmemd_path = next();
+      cfg.parmemd_path = args.value();
     } else if (arg == "--tcp") {
       // Repeatable, and each value may hold a comma-separated list.
-      std::string specs = next();
+      std::string specs = args.value();
       std::size_t start = 0;
       while (start <= specs.size()) {
         std::size_t comma = specs.find(',', start);
@@ -333,25 +224,25 @@ int run_router(int argc, char** argv) {
         start = comma + 1;
       }
     } else if (arg == "--cache-dir") {
-      cfg.cache_dir = next();
+      cfg.cache_dir = args.value();
     } else if (arg == "--incremental") {
       cfg.incremental = true;
     } else if (arg == "--worker-threads") {
-      cfg.worker_threads = static_cast<std::size_t>(next_count());
+      cfg.worker_threads = static_cast<std::size_t>(args.count());
     } else if (arg == "--queue-cap") {
-      cfg.queue_cap = static_cast<std::size_t>(next_count());
+      cfg.queue_cap = static_cast<std::size_t>(args.count());
     } else if (arg == "--inflight-high") {
-      ropts.inflight_high = static_cast<std::size_t>(next_count());
+      ropts.inflight_high = static_cast<std::size_t>(args.count());
     } else if (arg == "--deadline-ms") {
-      cfg.deadline_ms = next_count();
+      cfg.deadline_ms = args.count();
     } else if (arg == "--heartbeat-ms") {
-      ropts.heartbeat_period_ms = next_count();
+      ropts.heartbeat_period_ms = args.count();
     } else if (arg == "--heartbeat-timeout-ms") {
-      ropts.heartbeat_timeout_ms = next_count();
+      ropts.heartbeat_timeout_ms = args.count();
     } else if (arg == "--max-respawns") {
-      ropts.max_respawns = static_cast<std::uint32_t>(next_count());
+      ropts.max_respawns = static_cast<std::uint32_t>(args.count());
     } else if (arg == "--trace") {
-      trace_path = next();
+      trace_path = args.value();
     } else if (arg == "--stats") {
       stats = true;
     } else {
@@ -382,62 +273,26 @@ int run_router(int argc, char** argv) {
     ropts.shard_migrator = router::cache_dir_migrator(cfg.cache_dir);
   }
 
-  install_signal_pipe();
-
-  const bool telemetry_requested = !trace_path.empty() || stats;
-  if (telemetry_requested) {
-    if (!telemetry::kEnabled) {
-      std::fprintf(stderr,
-                   "warning: built with -DPARMEM_TELEMETRY=OFF — the trace "
-                   "and stats will be empty\n");
-    }
-    telemetry::TraceSession::global().start();
-  }
-
-  int rc = 0;
-  {
+  return shell::run(trace_path, stats, [&] {
+    const int listen_fd =
+        socket_path.empty() ? -1 : support::listen_unix(socket_path);
     router::Router rt(ropts, make_factory(cfg));
-    if (!socket_path.empty()) {
-      rc = run_socket(socket_path, rt);
-    } else {
-      rc = run_stdio(rt);
-    }
-  }
-
-  if (telemetry_requested) {
-    telemetry::TraceSession::global().stop();
-    const auto lanes = telemetry::TraceSession::global().take();
-    if (!trace_path.empty()) {
-      if (!telemetry::write_chrome_trace(
-              trace_path, lanes,
-              telemetry::TraceSession::global().start_ns())) {
-        std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
-        return 2;
-      }
-      std::fprintf(stderr, "trace written to %s (%zu lanes)\n",
-                   trace_path.c_str(), lanes.size());
-    }
-    if (stats) {
-      std::fprintf(stderr, "%s\n", telemetry::phase_summary(lanes).c_str());
-      std::fprintf(stderr, "%s",
-                   telemetry::counters_table(
-                       telemetry::Registry::instance().snapshot())
-                       .c_str());
-    }
-  }
-  return rc;
+    const std::uint64_t served = shell::serve_clients(
+        listen_fd, socket_path,
+        [&rt](service::CompileRequest req,
+              service::CompileService::Callback done) {
+          rt.submit(std::move(req), std::move(done));
+        });
+    rt.drain();
+    std::fprintf(stderr, "parmem-router: drained after %llu responses\n",
+                 (unsigned long long)served);
+    print_router_summary(rt);
+    return 0;
+  });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run_router(argc, argv);
-  } catch (const parmem::support::UserError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "internal error: %s\n", e.what());
-    return 2;
-  }
+  return parmem::shell::guarded_main([&] { return run_router(argc, argv); });
 }

@@ -50,29 +50,19 @@
 //
 // Exit codes: 0 clean drain; 1 user error (bad flags / socket path);
 // 2 internal error; 4 soak failure (lost request or warm-restart mismatch).
-#include <fcntl.h>
-#include <poll.h>
-#include <signal.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "service/frame.h"
+#include "daemon_shell.h"
 #include "service/request.h"
 #include "service/server.h"
 #include "support/net.h"
 #include "support/rng.h"
-#include "telemetry/export.h"
-#include "telemetry/session.h"
 #include "workloads/workloads.h"
 
 #if PARMEM_FAULT_INJECTION_ENABLED
@@ -82,28 +72,6 @@
 namespace {
 
 using namespace parmem;
-
-int g_signal_pipe[2] = {-1, -1};
-
-void on_shutdown_signal(int) {
-  const char byte = 1;
-  // Best effort: the self-pipe is non-blocking and one byte is enough.
-  [[maybe_unused]] const auto n = ::write(g_signal_pipe[1], &byte, 1);
-}
-
-void install_signal_pipe() {
-  if (::pipe(g_signal_pipe) != 0) {
-    throw support::UserError("cannot create the signal self-pipe");
-  }
-  ::fcntl(g_signal_pipe[0], F_SETFL, O_NONBLOCK);
-  ::fcntl(g_signal_pipe[1], F_SETFL, O_NONBLOCK);
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof sa);
-  sa.sa_handler = on_shutdown_signal;
-  ::sigaction(SIGTERM, &sa, nullptr);
-  ::sigaction(SIGINT, &sa, nullptr);
-  ::signal(SIGPIPE, SIG_IGN);
-}
 
 int usage() {
   std::fprintf(stderr,
@@ -153,96 +121,27 @@ void print_service_summary(service::CompileService& svc) {
   }
 }
 
-int run_stdio(const service::ServiceOptions& opts) {
-  service::FdStream stream(STDIN_FILENO, STDOUT_FILENO, g_signal_pipe[0]);
+/// stdio, --socket and --listen-tcp modes: one CompileService behind
+/// shell::serve_clients, drained on SIGTERM/SIGINT (or stdin EOF).
+int run_service(const std::string& socket_path, const std::string& tcp_spec,
+                const service::ServiceOptions& opts) {
+  int listen_fd = -1;
+  if (!socket_path.empty()) {
+    listen_fd = support::listen_unix(socket_path);
+  } else if (!tcp_spec.empty()) {
+    const support::HostPort hp = support::parse_host_port(tcp_spec);
+    std::uint16_t port = hp.port;
+    listen_fd = support::listen_tcp(hp.host, hp.port, &port);
+    // The bound address line is load-bearing: with port 0 it is the only
+    // way a supervisor (or the network-chaos harness) learns where to
+    // connect.
+    std::fprintf(stderr, "parmemd: listening on %s:%u\n", hp.host.c_str(),
+                 static_cast<unsigned>(port));
+    std::fflush(stderr);
+  }
   service::CompileService svc(opts);
-  const std::uint64_t served = service::serve(stream, svc);
-  svc.drain();
-  std::fprintf(stderr, "parmemd: drained after %llu responses\n",
-               (unsigned long long)served);
-  print_service_summary(svc);
-  return 0;
-}
-
-int run_socket(const std::string& path, const service::ServiceOptions& opts) {
-  sockaddr_un addr;
-  std::memset(&addr, 0, sizeof addr);
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof addr.sun_path) {
-    throw support::UserError("socket path too long: " + path);
-  }
-  std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
-
-  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd < 0) throw support::UserError("cannot create socket");
-  ::unlink(path.c_str());
-  if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-          0 ||
-      ::listen(listen_fd, 8) != 0) {
-    ::close(listen_fd);
-    throw support::UserError("cannot bind/listen on " + path);
-  }
-
-  service::CompileService svc(opts);
-  std::uint64_t served = 0;
-  for (;;) {
-    pollfd fds[2] = {{listen_fd, POLLIN, 0}, {g_signal_pipe[0], POLLIN, 0}};
-    if (::poll(fds, 2, -1) < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[1].revents != 0) break;  // SIGTERM/SIGINT
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    // accept_with_retry rides out EINTR and transient fd/memory
-    // exhaustion (bounded backoff, connections wait in the backlog)
-    // instead of dropping the connection — or worse, exiting the loop —
-    // on the first blip.
-    const int conn = support::accept_with_retry(listen_fd);
-    if (conn < 0) continue;
-    service::FdStream stream(conn, conn, g_signal_pipe[0]);
-    served += service::serve(stream, svc);
-    ::close(conn);
-  }
-  ::close(listen_fd);
-  ::unlink(path.c_str());
-  svc.drain();
-  std::fprintf(stderr, "parmemd: drained after %llu responses\n",
-               (unsigned long long)served);
-  print_service_summary(svc);
-  return 0;
-}
-
-int run_tcp(const std::string& spec, const service::ServiceOptions& opts) {
-  const support::HostPort hp = support::parse_host_port(spec);
-  std::uint16_t port = hp.port;
-  const int listen_fd = support::listen_tcp(hp.host, hp.port, &port);
-  // The bound address line is load-bearing: with port 0 it is the only way
-  // a supervisor (or the network-chaos harness) learns where to connect.
-  std::fprintf(stderr, "parmemd: listening on %s:%u\n", hp.host.c_str(),
-               static_cast<unsigned>(port));
-  std::fflush(stderr);
-
-  service::CompileService svc(opts);
-  std::uint64_t served = 0;
-  for (;;) {
-    pollfd fds[2] = {{listen_fd, POLLIN, 0}, {g_signal_pipe[0], POLLIN, 0}};
-    if (::poll(fds, 2, -1) < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[1].revents != 0) break;  // SIGTERM/SIGINT
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int conn = support::accept_with_retry(listen_fd);
-    if (conn < 0) continue;
-    support::set_tcp_nodelay(conn);
-    service::FdStream stream(conn, conn, g_signal_pipe[0]);
-    // One client at a time, like the unix loop: the router holds a single
-    // connection per worker. A dropped connection ends this serve() and
-    // the next accept finds the same warm service.
-    served += service::serve(stream, svc);
-    ::close(conn);
-  }
-  ::close(listen_fd);
+  const std::uint64_t served =
+      shell::serve_clients(listen_fd, socket_path, service::submit_to(svc));
   svc.drain();
   std::fprintf(stderr, "parmemd: drained after %llu responses\n",
                (unsigned long long)served);
@@ -475,52 +374,37 @@ int run_parmemd(int argc, char** argv) {
   std::string trace_path;
   bool stats = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        throw support::UserError("missing value after " + arg);
-      }
-      return argv[++i];
-    };
-    const auto next_count = [&]() -> std::uint64_t {
-      const char* text = next();
-      try {
-        return std::stoull(text);
-      } catch (const std::exception&) {
-        throw support::UserError("invalid number for " + arg + ": '" +
-                                 std::string(text) + "'");
-      }
-    };
+  for (shell::Args args(argc, argv); args.next();) {
+    const std::string& arg = args.flag();
     if (arg == "--socket") {
-      socket_path = next();
+      socket_path = args.value();
     } else if (arg == "--listen-tcp") {
-      tcp_spec = next();
+      tcp_spec = args.value();
     } else if (arg == "--soak") {
-      soak_seconds = next_count();
+      soak_seconds = args.count();
     } else if (arg == "--cache-dir") {
-      opts.cache_dir = next();
+      opts.cache_dir = args.value();
     } else if (arg == "--cache-max-entries") {
-      opts.cache_max_entries = static_cast<std::size_t>(next_count());
+      opts.cache_max_entries = static_cast<std::size_t>(args.count());
     } else if (arg == "--incremental") {
       opts.incremental = true;
     } else if (arg == "--atom-cache") {
-      opts.atom_cache_dir = next();
+      opts.atom_cache_dir = args.value();
       opts.incremental = true;
     } else if (arg == "--atom-cache-max") {
-      opts.atom_cache_max_entries = static_cast<std::size_t>(next_count());
+      opts.atom_cache_max_entries = static_cast<std::size_t>(args.count());
     } else if (arg == "--workers") {
-      opts.workers = static_cast<std::size_t>(next_count());
+      opts.workers = static_cast<std::size_t>(args.count());
     } else if (arg == "--queue-cap") {
-      opts.queue_capacity = static_cast<std::size_t>(next_count());
+      opts.queue_capacity = static_cast<std::size_t>(args.count());
     } else if (arg == "--deadline-ms") {
-      opts.default_deadline_ms = next_count();
+      opts.default_deadline_ms = args.count();
     } else if (arg == "--grace-ms") {
-      opts.watchdog_grace_ms = next_count();
+      opts.watchdog_grace_ms = args.count();
     } else if (arg == "--seed") {
-      seed = next_count();
+      seed = args.count();
     } else if (arg == "--trace") {
-      trace_path = next();
+      trace_path = args.value();
     } else if (arg == "--stats") {
       stats = true;
     } else {
@@ -532,62 +416,15 @@ int run_parmemd(int argc, char** argv) {
     return usage();
   }
 
-  install_signal_pipe();
-
-  const bool telemetry_requested = !trace_path.empty() || stats;
-  if (telemetry_requested) {
-    if (!telemetry::kEnabled) {
-      std::fprintf(stderr,
-                   "warning: built with -DPARMEM_TELEMETRY=OFF — the trace "
-                   "and stats will be empty\n");
-    }
-    telemetry::TraceSession::global().start();
-  }
-
-  int rc = 0;
-  if (soak_seconds != 0) {
-    rc = run_soak(opts, soak_seconds, seed);
-  } else if (!socket_path.empty()) {
-    rc = run_socket(socket_path, opts);
-  } else if (!tcp_spec.empty()) {
-    rc = run_tcp(tcp_spec, opts);
-  } else {
-    rc = run_stdio(opts);
-  }
-
-  if (telemetry_requested) {
-    telemetry::TraceSession::global().stop();
-    const auto lanes = telemetry::TraceSession::global().take();
-    if (!trace_path.empty()) {
-      if (!telemetry::write_chrome_trace(
-              trace_path, lanes, telemetry::TraceSession::global().start_ns())) {
-        std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
-        return 2;
-      }
-      std::fprintf(stderr, "trace written to %s (%zu lanes)\n",
-                   trace_path.c_str(), lanes.size());
-    }
-    if (stats) {
-      std::fprintf(stderr, "%s\n", telemetry::phase_summary(lanes).c_str());
-      std::fprintf(stderr, "%s",
-                   telemetry::counters_table(
-                       telemetry::Registry::instance().snapshot())
-                       .c_str());
-    }
-  }
-  return rc;
+  return shell::run(trace_path, stats, [&] {
+    return soak_seconds != 0 ? run_soak(opts, soak_seconds, seed)
+                             : run_service(socket_path, tcp_spec, opts);
+  });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run_parmemd(argc, argv);
-  } catch (const parmem::support::UserError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "internal error: %s\n", e.what());
-    return 2;
-  }
+  return parmem::shell::guarded_main(
+      [&] { return run_parmemd(argc, argv); });
 }

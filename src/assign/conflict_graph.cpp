@@ -87,29 +87,11 @@ ConflictGraph ConflictGraph::build_from_insts(
   return cg;
 }
 
-ConflictGraph ConflictGraph::build(const ir::AccessStream& stream,
-                                   const StreamView& view) {
-  const auto value_included = [&](ir::ValueId v) {
-    return view.value_mask.empty() || view.value_mask[v];
-  };
-
-  std::vector<std::uint32_t> tuples = view.tuple_indices;
-  if (tuples.empty()) {
-    tuples.resize(stream.tuples.size());
-    for (std::uint32_t i = 0; i < tuples.size(); ++i) tuples[i] = i;
-  }
-
+ConflictGraph ConflictGraph::build(const ir::AccessStream& stream) {
   std::vector<std::vector<ir::ValueId>> insts;
-  insts.reserve(tuples.size());
-  std::vector<ir::ValueId> ops;
-  for (const std::uint32_t ti : tuples) {
-    PARMEM_CHECK(ti < stream.tuples.size(), "tuple index out of range");
-    ops.clear();
-    ops.reserve(stream.tuples[ti].operands.size());
-    for (const ir::ValueId v : stream.tuples[ti].operands) {
-      if (value_included(v)) ops.push_back(v);
-    }
-    if (!ops.empty()) insts.push_back(ops);
+  insts.reserve(stream.tuples.size());
+  for (const auto& tuple : stream.tuples) {
+    if (!tuple.operands.empty()) insts.push_back(tuple.operands);
   }
   return build_from_insts(stream.value_count, insts);
 }

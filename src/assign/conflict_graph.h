@@ -5,10 +5,9 @@
 // conf(u, v): the number of instructions in which both values appear —
 // the weight the Fig. 4 coloring heuristic is driven by.
 //
-// A ConflictGraph may be built over a *view* of an access stream: a subset
-// of tuples (STOR3's instruction windows) and a subset of values (STOR2's
-// global-then-local stages). Only values that actually occur in the selected
-// tuples become vertices.
+// Only values that actually occur in the tuples become vertices. STOR2's
+// value stages and STOR3's instruction windows select their operands
+// before the build (build_from_insts).
 //
 // Layout: the underlying Graph is packed CSR (see graph/graph.h)
 // and the conf weights live in an array parallel to the flat CSR neighbor
@@ -28,19 +27,10 @@
 
 namespace parmem::assign {
 
-/// A view selecting part of an access stream.
-struct StreamView {
-  /// Indices into stream.tuples to consider; empty == all tuples.
-  std::vector<std::uint32_t> tuple_indices;
-  /// Per-value inclusion mask; empty == all values.
-  std::vector<bool> value_mask;
-};
-
 class ConflictGraph {
  public:
-  /// Builds the conflict graph for the selected part of the stream.
-  static ConflictGraph build(const ir::AccessStream& stream,
-                             const StreamView& view = {});
+  /// Builds the conflict graph of every tuple in the stream.
+  static ConflictGraph build(const ir::AccessStream& stream);
 
   /// Builds from explicit operand lists (already filtered); `insts[i]` is
   /// the distinct value ids fetched by instruction i.

@@ -1,7 +1,6 @@
 #include "router/channel.h"
 
 #include <fcntl.h>
-#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -250,10 +249,10 @@ class TcpWorker : public WorkerChannel {
   std::atomic<bool> killed_{false};
 };
 
-/// serve_tcp_inprocess: an ephemeral-port accept loop over one persistent
-/// CompileService. Sequential accept, like parmemd --listen-tcp: the
-/// router holds at most one connection per worker, and a dropped
-/// connection must find the *same* service (warm cache) on reconnect.
+/// serve_tcp_inprocess: parmemd --listen-tcp's own accept loop
+/// (service::serve_connections) on a thread, over one persistent
+/// CompileService, so a dropped connection finds the same warm service on
+/// reconnect.
 class InprocessTcpServer : public TcpServerHandle {
  public:
   InprocessTcpServer(const service::ServiceOptions& opts,
@@ -266,7 +265,14 @@ class InprocessTcpServer : public TcpServerHandle {
                                std::strerror(err));
     }
     svc_ = std::make_unique<service::CompileService>(opts);
-    thread_ = std::thread([this] { accept_loop(); });
+    thread_ = std::thread([this] {
+      try {
+        service::serve_connections(listen_fd_, stop_pipe_[0],
+                                   service::submit_to(*svc_), &live_);
+      } catch (const std::exception&) {
+        // The listener failed for good: this endpoint stops accepting.
+      }
+    });
   }
 
   ~InprocessTcpServer() override {
@@ -280,20 +286,13 @@ class InprocessTcpServer : public TcpServerHandle {
 
   service::CompileService* service() override { return svc_.get(); }
 
-  void drop_connection() override {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (conn_fd_ >= 0) ::shutdown(conn_fd_, SHUT_RDWR);
-  }
+  void drop_connection() override { live_.shutdown(); }
 
   void stop() override {
     std::call_once(stop_once_, [this] {
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        stopped_ = true;
-        if (conn_fd_ >= 0) ::shutdown(conn_fd_, SHUT_RDWR);
-      }
       const char byte = 0;
       [[maybe_unused]] const ssize_t w = ::write(stop_pipe_[1], &byte, 1);
+      live_.shutdown();
       if (thread_.joinable()) thread_.join();
       // Close the listener only after the accept loop has exited: from
       // here a connect is refused outright, so a router probing a stopped
@@ -304,59 +303,13 @@ class InprocessTcpServer : public TcpServerHandle {
   }
 
  private:
-  void accept_loop() {
-    for (;;) {
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (stopped_) return;
-      }
-      pollfd pfds[2] = {{listen_fd_, POLLIN, 0}, {stop_pipe_[0], POLLIN, 0}};
-      const int pr = ::poll(pfds, 2, -1);
-      if (pr < 0) {
-        if (errno == EINTR) continue;
-        return;
-      }
-      if ((pfds[1].revents & (POLLIN | POLLERR | POLLHUP)) != 0) return;
-      if ((pfds[0].revents & POLLIN) == 0) continue;
-      int conn;
-      try {
-        conn = support::accept_with_retry(listen_fd_);
-      } catch (const support::UserError&) {
-        return;  // listener torn down
-      }
-      if (conn < 0) continue;
-      support::set_tcp_nodelay(conn);
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (stopped_) {
-          ::close(conn);
-          return;
-        }
-        conn_fd_ = conn;
-      }
-      service::FdStream cs(conn, conn);
-      try {
-        service::serve(cs, *svc_);
-      } catch (const std::exception&) {
-        // Transport death mid-serve: drop the connection, keep accepting.
-      }
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        conn_fd_ = -1;
-      }
-      ::close(conn);
-    }
-  }
-
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   int stop_pipe_[2] = {-1, -1};
   std::unique_ptr<service::CompileService> svc_;
-  std::thread thread_;
+  service::LiveConnection live_;
   std::once_flag stop_once_;
-  std::mutex mu_;
-  int conn_fd_ = -1;
-  bool stopped_ = false;
+  std::thread thread_;
 };
 
 }  // namespace

@@ -92,12 +92,13 @@ std::unique_ptr<WorkerChannel> connect_tcp_worker(
     const TcpChannelOptions& opts = {});
 
 /// An in-process TCP endpoint serving the compile protocol — the
-/// test/bench stand-in for a remote parmemd --listen-tcp. One
+/// test/bench stand-in for a remote parmemd --listen-tcp. It runs
+/// parmemd's own accept loop, service::serve_connections, on a thread, so
+/// the tests and service_load --tcp exercise the daemon's loop itself. One
 /// CompileService persists across connections (reconnects find a warm
 /// in-memory cache, like a real daemon); connections are served one at a
-/// time, mirroring parmemd's sequential accept loop. Port 0 binds an
-/// ephemeral port; a fixed port lets a chaos harness "restart the daemon"
-/// at the address the router keeps reconnecting to.
+/// time. Port 0 binds an ephemeral port; a fixed port lets a chaos harness
+/// "restart the daemon" at the address the router keeps reconnecting to.
 class TcpServerHandle {
  public:
   virtual ~TcpServerHandle() = default;

@@ -61,16 +61,13 @@ WorkerRead read_worker_response(service::ByteStream& in,
 
 Router::Router(RouterOptions opts, WorkerFactory factory)
     : opts_(std::move(opts)),
-      ring_(opts_.workers, opts_.virtual_nodes),
+      ring_(opts_.workers, kDefaultVirtualNodes),
       factory_(std::move(factory)) {
   PARMEM_CHECK(opts_.workers > 0, "router needs at least one worker");
   PARMEM_CHECK(opts_.inflight_high > 0,
                "router in-flight high watermark must be positive");
   PARMEM_CHECK(opts_.retry.max_attempts > 0,
                "router retry policy needs at least one attempt");
-  if (opts_.inflight_low == 0 || opts_.inflight_low >= opts_.inflight_high) {
-    opts_.inflight_low = opts_.inflight_high / 2;
-  }
 
   slots_.reserve(opts_.workers);
   for (std::size_t w = 0; w < opts_.workers; ++w) {
@@ -253,7 +250,7 @@ void Router::route(std::unique_ptr<Pending> p, bool fresh) {
       std::lock_guard<std::mutex> lk(slot.mu);
       if (slot.state != WorkerState::kUp) continue;
       if (slot.saturated) {
-        if (slot.inflight <= opts_.inflight_low) {
+        if (slot.inflight <= opts_.inflight_high / 2) {
           slot.saturated = false;
         } else {
           continue;
@@ -425,7 +422,7 @@ void Router::reader_loop(Slot& slot, std::uint32_t incarnation) {
       } else {
         PARMEM_CHECK(slot.inflight > 0, "router slot inflight underflow");
         --slot.inflight;
-        if (slot.saturated && slot.inflight <= opts_.inflight_low) {
+        if (slot.saturated && slot.inflight <= opts_.inflight_high / 2) {
           slot.saturated = false;
         }
         publish_gauge(slot, slot.inflight);

@@ -95,14 +95,12 @@ using ShardMigrator = std::function<RebalanceReport(
     std::uint32_t failed_index, const OwnerFn& owner_of)>;
 
 struct RouterOptions {
+  /// Fleet size; each worker owns kDefaultVirtualNodes ring points.
   std::size_t workers = 2;
-  std::size_t virtual_nodes = kDefaultVirtualNodes;
   /// Router-side mirror of parmemd's admission watermarks: a worker with
   /// this many router-tracked in-flight requests stops receiving new ones
-  /// (they spill to the next ring node)...
+  /// (they spill to the next ring node) until it drains back to half of it.
   std::size_t inflight_high = 32;
-  /// ...until it drains back to this low watermark (0 = high/2).
-  std::size_t inflight_low = 0;
   /// Heartbeat send period (0 disables) and the silence past an outstanding
   /// heartbeat before the worker is declared dead and killed.
   std::uint64_t heartbeat_period_ms = 250;

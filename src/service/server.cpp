@@ -1,5 +1,10 @@
 #include "service/server.h"
 
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <chrono>
 #include <exception>
 #include <new>
@@ -11,6 +16,7 @@
 #include "service/frame.h"
 #include "support/diagnostics.h"
 #include "support/fault_injection.h"
+#include "support/net.h"
 #include "telemetry/telemetry.h"
 
 namespace parmem::service {
@@ -76,9 +82,6 @@ CompileService::CompileService(ServiceOptions opts)
   }
   if (opts_.workers == 0) opts_.workers = 1;
   if (opts_.queue_capacity == 0) opts_.queue_capacity = 1;
-  if (opts_.queue_resume == 0 || opts_.queue_resume >= opts_.queue_capacity) {
-    opts_.queue_resume = opts_.queue_capacity / 2;
-  }
   workers_.reserve(opts_.workers);
   for (std::size_t i = 0; i < opts_.workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -178,7 +181,9 @@ void CompileService::submit(CompileRequest req, Callback done) {
     std::unique_lock<std::mutex> lk(mu_);
     const bool reject_drain = draining_;
     if (!reject_drain) {
-      if (shedding_ && queue_.size() <= opts_.queue_resume) shedding_ = false;
+      if (shedding_ && queue_.size() <= opts_.queue_capacity / 2) {
+        shedding_ = false;
+      }
       if (!shedding_ && queue_.size() >= opts_.queue_capacity) {
         shedding_ = true;
       }
@@ -244,7 +249,7 @@ std::unique_ptr<CompileService::Job> CompileService::pop_ready_job() {
         std::unique_ptr<Job> job = std::move(*it);
         queue_.erase(it);
         publish_queue_depth_locked();
-        if (shedding_ && queue_.size() <= opts_.queue_resume) {
+        if (shedding_ && queue_.size() <= opts_.queue_capacity / 2) {
           shedding_ = false;
         }
         return job;
@@ -309,8 +314,7 @@ void CompileService::watchdog_loop() {
         PARMEM_COUNTER_ADD("service.watchdog_fired", 1);
       }
     }
-    watchdog_cv_.wait_for(
-        lk, std::chrono::milliseconds(opts_.watchdog_poll_ms));
+    watchdog_cv_.wait_for(lk, std::chrono::milliseconds(2));
   }
 }
 
@@ -551,11 +555,53 @@ void CompileService::process(std::unique_ptr<Job> job) {
 }
 
 std::uint64_t serve(ByteStream& stream, CompileService& service) {
-  return serve_frames(stream,
-                      [&service](CompileRequest req,
-                                 CompileService::Callback done) {
-                        service.submit(std::move(req), std::move(done));
-                      });
+  return serve_frames(stream, submit_to(service));
+}
+
+SubmitFn submit_to(CompileService& service) {
+  return [&service](CompileRequest req, CompileService::Callback done) {
+    service.submit(std::move(req), std::move(done));
+  };
+}
+
+void LiveConnection::shutdown() {
+  std::lock_guard<std::mutex> lk(mu_);
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
+void LiveConnection::set(int fd) {
+  std::lock_guard<std::mutex> lk(mu_);
+  fd_ = fd;
+}
+
+std::uint64_t serve_connections(int listen_fd, int stop_fd,
+                                const SubmitFn& submit, LiveConnection* live) {
+  std::uint64_t served = 0;
+  for (;;) {
+    pollfd fds[2] = {{listen_fd, POLLIN, 0}, {stop_fd, POLLIN, 0}};
+    if (::poll(fds, 2, -1) < 0) {
+      if (errno == EINTR) continue;
+      break;
+    }
+    if (fds[1].revents != 0) break;
+    if ((fds[0].revents & POLLIN) == 0) continue;
+    // accept_with_retry rides out EINTR and transient fd/memory exhaustion
+    // (bounded backoff, connections wait in the backlog) instead of
+    // dropping the connection, or leaving the loop, on the first blip.
+    const int conn = support::accept_with_retry(listen_fd);
+    if (conn < 0) continue;
+    support::set_tcp_nodelay(conn);
+    if (live != nullptr) live->set(conn);
+    FdStream stream(conn, conn, stop_fd);
+    try {
+      served += serve_frames(stream, submit);
+    } catch (const std::exception&) {
+      // This connection is lost; the next one finds the same service.
+    }
+    if (live != nullptr) live->set(-1);
+    ::close(conn);
+  }
+  return served;
 }
 
 std::uint64_t serve_frames(ByteStream& stream, const SubmitFn& submit) {

@@ -1,7 +1,9 @@
 // The compile service: admission control, worker pool, retry/backoff,
 // watchdog cancellation, and the crash-safe result cache, behind a single
 // submit() call. `serve()` adapts a framed ByteStream (frame.h) onto a
-// service instance — that pair is the whole of parmemd.
+// service instance, and `serve_connections()` runs that frame loop over
+// each connection a listening socket accepts — together, the whole of
+// parmemd.
 //
 // Lifecycle of a request (DESIGN.md §12):
 //
@@ -26,7 +28,7 @@
 // Every admitted request reaches exactly one terminal respond; the
 // callback/future fires exactly once. Admission sheds with hysteresis:
 // above `queue_capacity` new requests are rejected until the queue drains
-// to `queue_resume`. The watchdog polls in-flight attempts and fires their
+// to half of it. The watchdog polls in-flight attempts and fires their
 // CancelToken at deadline + grace, which trips the attempt's Budget at its
 // next poll — workers are cancelled cooperatively, never killed.
 #pragma once
@@ -56,15 +58,12 @@ class ByteStream;
 struct ServiceOptions {
   std::size_t workers = 2;
   /// High watermark: a submit that finds this many queued requests is shed
-  /// with kOverloaded...
+  /// with kOverloaded until the queue drains back to half of it.
   std::size_t queue_capacity = 64;
-  /// ...until the queue drains back to this low watermark (0 = capacity/2).
-  std::size_t queue_resume = 0;
   /// Deadline applied to requests that carry none (0 = unlimited).
   std::uint64_t default_deadline_ms = 0;
-  /// Watchdog scan period and the grace past a request's deadline before
-  /// its CancelToken is fired.
-  std::uint64_t watchdog_poll_ms = 2;
+  /// Grace past a request's deadline before the watchdog, which scans
+  /// every 2 ms, fires its CancelToken.
   std::uint64_t watchdog_grace_ms = 50;
   RetryPolicy retry;
   /// Result-cache journal directory ("" = memory-only).
@@ -225,6 +224,42 @@ using SubmitFn =
 /// the wire behavior (id-0 error responses, malformed-frame shutdown,
 /// drain-before-return) is identical by construction.
 std::uint64_t serve_frames(ByteStream& stream, const SubmitFn& submit);
+
+/// `service.submit` as a SubmitFn, for the frame loops.
+SubmitFn submit_to(CompileService& service);
+
+/// The connection serve_connections is serving, published so another
+/// thread can cut it mid-request (a test's cable pull). shutdown() never
+/// closes the fd, so it cannot race the loop's close into a reused fd.
+class LiveConnection {
+ public:
+  /// Shuts the served connection down both ways, if there is one; the
+  /// loop goes on accepting.
+  void shutdown();
+  /// The loop's side: publishes `fd` as the served connection (-1: none).
+  void set(int fd);
+
+ private:
+  std::mutex mu_;
+  int fd_ = -1;
+};
+
+/// The daemons' one accept loop. Serves the connections accepted on
+/// `listen_fd` one at a time, each through serve_frames over `submit`,
+/// until `stop_fd` becomes readable; returns the responses written.
+/// `stop_fd` is also each connection's interrupt fd, so a stop ends the
+/// served connection's reads and its in-flight requests drain as at EOF.
+/// One client at a time suffices: the router holds one connection per
+/// worker, and a reconnect must find the same warm service. TCP_NODELAY is
+/// set on every connection (a no-op on a unix socket). An exception out of
+/// one connection's serve drops that connection and the loop keeps
+/// accepting, because the daemon outlives its connections: one client's
+/// failure must not take down the service the next one expects. A
+/// non-transient accept error propagates. A non-null `live` publishes the
+/// served connection.
+std::uint64_t serve_connections(int listen_fd, int stop_fd,
+                                const SubmitFn& submit,
+                                LiveConnection* live = nullptr);
 
 /// Builds a minimal terminal response (no artifact) for error paths.
 CompileResponse error_response(std::uint64_t id, ResponseStatus status,

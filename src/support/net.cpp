@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -116,6 +117,24 @@ int listen_tcp(const std::string& host, std::uint16_t port,
   }
   fail("cannot listen on " + host + ":" + std::to_string(port),
        last_err != 0 ? last_err : EADDRNOTAVAIL);
+}
+
+int listen_unix(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (path.size() >= sizeof addr.sun_path) {
+    throw UserError("socket path too long: " + path);
+  }
+  std::memcpy(addr.sun_path, path.c_str(), path.size());
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) throw UserError("cannot create socket");
+  ::unlink(path.c_str());
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
+      ::listen(fd, 8) != 0) {
+    ::close(fd);
+    throw UserError("cannot bind/listen on " + path);
+  }
+  return fd;
 }
 
 int accept_with_retry(int listen_fd, std::uint32_t max_transient) {

@@ -1,13 +1,14 @@
-// TCP socket helpers for the cross-host fleet transport.
+// Socket helpers for the daemons' listeners and the cross-host fleet
+// transport.
 //
 // Everything here is a thin, errno-careful wrapper over the BSD socket
 // calls the router and the daemons share: resolve-and-connect with a wall
-// clock timeout, listen with SO_REUSEADDR, and an accept loop that
-// classifies errno instead of treating every failure as fatal. The framing
-// above these fds is unchanged (service/frame.h PMF1) — a TCP worker
-// speaks exactly the byte protocol a socketpair worker speaks, which is
-// what lets the router's supervision (heartbeats, torn-frame detection,
-// re-drive) work identically over the network.
+// clock timeout, listen on TCP with SO_REUSEADDR or on a unix socket path,
+// and an accept that classifies errno instead of treating every failure as
+// fatal. The framing above these fds is unchanged (service/frame.h PMF1) —
+// a TCP worker speaks exactly the byte protocol a socketpair worker speaks,
+// which is what lets the router's supervision (heartbeats, torn-frame
+// detection, re-drive) work identically over the network.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +34,12 @@ HostPort parse_host_port(const std::string& spec);
 /// listen fails.
 int listen_tcp(const std::string& host, std::uint16_t port,
                std::uint16_t* bound_port = nullptr, int backlog = 16);
+
+/// Creates a listening unix-domain stream socket at `path` (CLOEXEC),
+/// replacing a stale socket file left there. The caller unlinks `path`
+/// when it is done. Throws UserError when the path does not fit
+/// sockaddr_un or socket, bind or listen fails.
+int listen_unix(const std::string& path);
 
 /// accept(2) with errno classification instead of a hard exit:
 ///   * EINTR is retried immediately (signals are routine — the daemons run

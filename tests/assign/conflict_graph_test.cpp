@@ -44,28 +44,6 @@ TEST(ConflictGraph, UnusedValuesGetNoVertex) {
   EXPECT_GE(cg.vertex_of(2), 0);
 }
 
-TEST(ConflictGraph, ValueMaskFiltersOperands) {
-  auto s = AccessStream::from_tuples(4, {{0, 1, 2}, {2, 3}});
-  StreamView view;
-  view.value_mask.assign(4, false);
-  view.value_mask[0] = view.value_mask[2] = true;
-  const auto cg = ConflictGraph::build(s, view);
-  EXPECT_EQ(cg.vertex_count(), 2u);
-  EXPECT_EQ(cg.conf(static_cast<graph::Vertex>(cg.vertex_of(0)),
-                    static_cast<graph::Vertex>(cg.vertex_of(2))),
-            1u);
-}
-
-TEST(ConflictGraph, TupleIndicesSelectWindow) {
-  auto s = AccessStream::from_tuples(4, {{0, 1}, {2, 3}});
-  StreamView view;
-  view.tuple_indices = {1};
-  const auto cg = ConflictGraph::build(s, view);
-  EXPECT_EQ(cg.vertex_count(), 2u);
-  EXPECT_EQ(cg.vertex_of(0), -1);
-  EXPECT_GE(cg.vertex_of(3), 0);
-}
-
 TEST(ConflictGraph, GraphIsFinalizedAndWeightsParallelNeighbors) {
   const auto s =
       AccessStream::from_tuples(4, {{0, 1}, {0, 1}, {0, 2}, {1, 2, 3}});
