@@ -1,7 +1,8 @@
-// TCP socket helpers (support/net.h): endpoint parsing, listen/connect
-// round trips over loopback, errno classification in accept_with_retry,
-// and the typed failure modes (refused connect, malformed specs) the
-// router's reconnect loop depends on being catchable.
+// Socket helpers (support/net.h): endpoint parsing, listen/connect
+// round trips over loopback, the unix-socket listener, errno
+// classification in accept_with_retry, and the typed failure modes
+// (refused connect, malformed specs) the router's reconnect loop depends
+// on being catchable.
 #include "support/net.h"
 
 #include <fcntl.h>
@@ -9,9 +10,11 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 
@@ -134,6 +137,31 @@ TEST(Net, RebindAfterCloseReusesThePort) {
   const int second = listen_tcp("127.0.0.1", port, &again);
   EXPECT_EQ(again, port);
   ::close(second);
+}
+
+TEST(Net, ListenUnixRejectsAnOverlongPathTyped) {
+  EXPECT_THROW(listen_unix("/" + std::string(200, 'a')), UserError);
+}
+
+TEST(Net, ListenUnixReplacesAStaleSocketFile) {
+  // A daemon killed without its drain leaves its socket file behind; the
+  // restart must bind over it and accept connections.
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "parmem-net-XXXXXX").string();
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string path = dir + "/s.sock";
+  ::close(listen_unix(path));  // leaves the file
+  const int fd = listen_unix(path);
+  const int client = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size());
+  EXPECT_EQ(::connect(client, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  ::close(client);
+  ::close(fd);
+  ::unlink(path.c_str());
+  ::rmdir(dir.c_str());
 }
 
 }  // namespace
